@@ -208,12 +208,12 @@ def _grow_iso_tree(X: np.ndarray, depth: int, limit: int, rng: np.random.Generat
     node = _IsoNode(X.shape[0])
     if depth >= limit or X.shape[0] <= 1:
         return node
-    spreads = X.max(axis=0) - X.min(axis=0)
-    usable = np.flatnonzero(spreads > 0)
+    lows, highs = X.min(axis=0), X.max(axis=0)
+    usable = np.flatnonzero(highs - lows > 0)
     if usable.size == 0:
         return node
     q = int(usable[rng.integers(usable.size)])
-    lo, hi = float(X[:, q].min()), float(X[:, q].max())
+    lo, hi = float(lows[q]), float(highs[q])
     p = float(rng.uniform(lo, hi))
     mask = X[:, q] < p
     node.feature, node.threshold = q, p
@@ -222,12 +222,13 @@ def _grow_iso_tree(X: np.ndarray, depth: int, limit: int, rng: np.random.Generat
     return node
 
 
-def _iso_path_length(x: np.ndarray, node: _IsoNode) -> float:
-    depth = 0
-    while node.feature is not None:
-        node = node.left if x[node.feature] < node.threshold else node.right
-        depth += 1
-    return depth + _c_factor(node.size)
+def _iso_path_lengths(X: np.ndarray, root: _IsoNode) -> np.ndarray:
+    """Path length h(x) of every row of X in one tree: the depth of its leaf
+    plus c(size) for the rows the depth limit left unisolated."""
+    h = np.empty(X.shape[0])
+    for leaf, rows, depth in models.route_rows(X, root, np.less):
+        h[rows] = depth + _c_factor(leaf.size)
+    return h
 
 
 def _iforest_features(ds: Dataset, num_cols: list[int]):
@@ -260,8 +261,7 @@ def iforest_scores(
     for _ in range(trees):
         idx = rng.choice(n, size=psi, replace=False)
         root = _grow_iso_tree(X[idx], 0, limit, rng)
-        for i in range(n):
-            paths[i] += _iso_path_length(X[i], root)
+        paths += _iso_path_lengths(X, root)
     return np.power(2.0, -(paths / trees) / _c_factor(psi))
 
 

@@ -158,6 +158,7 @@ class KNNModel:
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         self.X = np.asarray(X, dtype=float)
+        self.n_features_ = self.X.shape[1]
         self.y = y
         if self.task == "classification":
             self.classes_ = sorted(set(y.tolist()))
@@ -205,6 +206,27 @@ class _TreeNode:
     value: np.ndarray | float | None = None  # class counts or mean at leaves
 
 
+def route_rows(X: np.ndarray, root, goes_left):
+    """Push all rows of X down a binary tree together.
+
+    Nodes carry `feature`, `threshold`, `left` and `right`; a node without a
+    left child is a leaf. `goes_left(values, threshold)` picks the rows that
+    go left. Yields `(leaf, row indices, depth)` for every leaf some row
+    reaches.
+    """
+    stack = [(root, np.arange(X.shape[0]), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        if rows.size == 0:
+            continue
+        if node.left is None:
+            yield node, rows, depth
+            continue
+        left = goes_left(X[rows, node.feature], node.threshold)
+        stack.append((node.right, rows[~left], depth + 1))
+        stack.append((node.left, rows[left], depth + 1))
+
+
 class DecisionTree:
     """Greedy CART: Gini impurity for classification, variance reduction for
     regression, axis-aligned thresholds at midpoints of sorted feature values."""
@@ -218,10 +240,11 @@ class DecisionTree:
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         X = np.asarray(X, dtype=float)
-        self._n_features = X.shape[1]
+        self.n_features_ = X.shape[1]
         if self.task == "classification":
             self.classes_ = sorted(set(y.tolist()))
-            codes = np.array([self.classes_.index(v) for v in y])
+            index = {c: i for i, c in enumerate(self.classes_)}
+            codes = np.array([index[v] for v in y])
         else:
             codes = np.asarray(y, dtype=float)
         self.root = self._grow(X, codes, depth=0)
@@ -234,46 +257,52 @@ class DecisionTree:
         return _TreeNode(value=float(y.mean()))
 
     def _impurity_gain(self, col: np.ndarray, y: np.ndarray):
+        """Best (gain, threshold) over the split points of one feature, or None.
+
+        Split i sends the first i + 1 rows in sorted order left. All gains are
+        computed in one pass with the element-wise expressions of a running
+        count scan, and the winner is the first gain that beats the running
+        best by more than 1e-15; a plain argmax would settle near-ties
+        differently and change the tree.
+        """
         order = np.argsort(col, kind="stable")
         cs, ys = col[order], y[order]
         n = len(ys)
-        best = None
+        nl = np.arange(1, n)
+        nr = n - nl
+        split = np.flatnonzero((cs[:-1] != cs[1:]) & (nl >= self.min_leaf) & (nr >= self.min_leaf))
+        if split.size == 0:
+            return None
+        nl, nr = nl[split], nr[split]
         if self.task == "classification":
             k = len(self.classes_)
-            left = np.zeros(k)
-            right = np.bincount(ys, minlength=k).astype(float)
-            total_gini = 1.0 - np.sum((right / n) ** 2)
-            for i in range(n - 1):
-                left[ys[i]] += 1
-                right[ys[i]] -= 1
-                if cs[i] == cs[i + 1]:
-                    continue
-                nl, nr = i + 1, n - i - 1
-                if nl < self.min_leaf or nr < self.min_leaf:
-                    continue
-                gini = (
-                    nl / n * (1.0 - np.sum((left / nl) ** 2))
-                    + nr / n * (1.0 - np.sum((right / nr) ** 2))
-                )
-                gain = total_gini - gini
-                if best is None or gain > best[0] + 1e-15:
-                    best = (gain, (cs[i] + cs[i + 1]) / 2.0)
+            onehot = np.zeros((n, k))
+            onehot[np.arange(n), ys] = 1.0
+            left = np.cumsum(onehot, axis=0)[split]
+            total = np.bincount(ys, minlength=k).astype(float)
+            right = total - left
+            total_gini = 1.0 - np.sum((total / n) ** 2)
+            gini = (
+                nl / n * (1.0 - np.sum((left / nl[:, None]) ** 2, axis=1))
+                + nr / n * (1.0 - np.sum((right / nr[:, None]) ** 2, axis=1))
+            )
+            gains = total_gini - gini
         else:
+            # np.float_power squares through pow() like the scalar `x ** 2` of
+            # a per-split scan; `array ** 2` is x * x and can differ in the
+            # last bit.
             csum = np.cumsum(ys)
             csum2 = np.cumsum(ys**2)
             total_var = csum2[-1] - csum[-1] ** 2 / n
-            for i in range(n - 1):
-                if cs[i] == cs[i + 1]:
-                    continue
-                nl, nr = i + 1, n - i - 1
-                if nl < self.min_leaf or nr < self.min_leaf:
-                    continue
-                left_ss = csum2[i] - csum[i] ** 2 / nl
-                right_ss = (csum2[-1] - csum2[i]) - (csum[-1] - csum[i]) ** 2 / nr
-                gain = total_var - left_ss - right_ss
-                if best is None or gain > best[0] + 1e-15:
-                    best = (gain, (cs[i] + cs[i + 1]) / 2.0)
-        return best
+            left_ss = csum2[split] - np.float_power(csum[split], 2.0) / nl
+            right_ss = (csum2[-1] - csum2[split]) - np.float_power(csum[-1] - csum[split], 2.0) / nr
+            gains = total_var - left_ss - right_ss
+        best_gain, best_at = None, 0
+        for at, gain in enumerate(gains.tolist()):
+            if best_gain is None or gain > best_gain + 1e-15:
+                best_gain, best_at = gain, at
+        i = split[best_at]
+        return best_gain, (cs[i] + cs[i + 1]) / 2.0
 
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _TreeNode:
         n = len(y)
@@ -298,28 +327,19 @@ class DecisionTree:
         node.right = self._grow(X[~go_left], y[~go_left], depth + 1)
         return node
 
-    def _leaf_for(self, x: np.ndarray) -> _TreeNode:
-        node = self.root
-        while node.left is not None:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node
-
     def predict(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=float)
-        if self.task == "regression":
-            return np.array([self._leaf_for(x).value for x in data])
-        out = []
-        for x in data:
-            counts = self._leaf_for(x).value
-            out.append(self.classes_[int(np.argmax(counts))])
-        return np.array(out, dtype=object)
+        regression = self.task == "regression"
+        out = np.empty(data.shape[0], dtype=float if regression else object)
+        for leaf, rows, _ in route_rows(data, self.root, np.less_equal):
+            out[rows] = leaf.value if regression else self.classes_[int(np.argmax(leaf.value))]
+        return out
 
     def predict_proba(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=float)
         probs = np.zeros((data.shape[0], len(self.classes_)))
-        for r, x in enumerate(data):
-            counts = self._leaf_for(x).value
-            probs[r] = counts / counts.sum()
+        for leaf, rows, _ in route_rows(data, self.root, np.less_equal):
+            probs[rows] = leaf.value / leaf.value.sum()
         return probs
 
 
@@ -358,6 +378,7 @@ class LogisticModel:
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         X = np.asarray(X, dtype=float)
+        self.n_features_ = X.shape[1]
         self.classes_ = sorted(set(y.tolist()))
         index = {c: i for i, c in enumerate(self.classes_)}
         Y = np.zeros((len(y), len(self.classes_)))
@@ -399,6 +420,7 @@ class RidgeModel:
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         Xb = self.design(X)
+        self.n_features_ = Xb.shape[1] - 1
         A = Xb.T @ Xb + self.lam * np.eye(Xb.shape[1])
         b = Xb.T @ np.asarray(y, dtype=float)
         try:
@@ -464,6 +486,7 @@ class KMeansModel:
         X = np.asarray(X, dtype=float)
         if X.shape[0] < self.k:
             raise ModelError(f"kmeans needs at least k={self.k} rows")
+        self.n_features_ = X.shape[1]
         best = None
         for r in range(self.restarts):
             rng = derive_rng(self.seed, "kmeans", r)
@@ -599,23 +622,8 @@ def fit(spec: ModelSpec, train: EncodedMatrix) -> FittedModel:
 
 
 def predict(fitted: FittedModel, data: EncodedMatrix) -> np.ndarray:
-    if data.features.shape[1] != _expected_width(fitted):
+    if data.features.shape[1] != fitted.model.n_features_:
         raise ModelError(
             f"feature width {data.features.shape[1]} does not match the fitted model"
         )
     return fitted.model.predict(data.features)
-
-
-def _expected_width(fitted: FittedModel) -> int:
-    m = fitted.model
-    if isinstance(m, KNNModel):
-        return m.X.shape[1]
-    if isinstance(m, DecisionTree):
-        return m._n_features
-    if isinstance(m, LogisticModel):
-        return m.W.shape[0] - 1
-    if isinstance(m, RidgeModel):
-        return m.w.shape[0] - 1
-    if isinstance(m, KMeansModel):
-        return m.centers_.shape[1]
-    raise ModelError("unknown fitted model")

@@ -8,12 +8,13 @@ so repeated runs are bit-identical.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import models
-from .tabular import CellRef, Dataset, DatasetPair, DetectionMask
+from .tabular import CellRef, Column, Dataset, DatasetPair, DetectionMask
 
 REPAIR_KINDS = ("delete", "mean", "median", "mode", "knn", "iter", "gt")
 
@@ -75,40 +76,17 @@ def repair_delete(ds: Dataset, mask: DetectionMask, detector: str = "") -> Repai
     return _result(repaired, "delete", detector, time.perf_counter() - start, cells, keep, warning)
 
 
-def _column_stats(ds: Dataset, mask: DetectionMask):
-    """Per-column imputation values from unflagged cells of the pre-repair data."""
-    numeric_pool: dict[int, list[float]] = {}
-    cat_pool: dict[int, dict[str, int]] = {}
-    for j, col in enumerate(ds.columns):
-        if col.is_numeric:
-            numeric_pool[j] = [
-                cell.parsed
-                for i, cell in enumerate(col.cells)
-                if CellRef(i, j) not in mask.cells and cell.parsed is not None
-            ]
-        else:
-            counts: dict[str, int] = {}
-            for i, cell in enumerate(col.cells):
-                if CellRef(i, j) in mask.cells or cell.is_empty:
-                    continue
-                counts[cell.raw] = counts.get(cell.raw, 0) + 1
-            cat_pool[j] = counts
-    return numeric_pool, cat_pool
-
-
-def _numeric_stat(values: list[float], stat: str) -> float:
-    arr = np.asarray(values, dtype=float)
+def _numeric_stat(values: np.ndarray, stat: str) -> float:
     if stat == "mean":
-        return float(arr.mean())
+        return float(values.mean())
     if stat == "median":
-        return float(np.median(arr))
+        return float(np.median(values))
     if stat == "mode":
-        best, best_count = None, -1
-        for v in sorted(set(values)):
-            count = values.count(v)
-            if count > best_count:
-                best, best_count = v, count
-        return float(best)
+        # The smallest of the most frequent values; a Counter keeps the first
+        # spelling of equal keys, so 0.0 and -0.0 count as one value.
+        counts = Counter(values.tolist())
+        top = max(counts.values())
+        return float(min(v for v, c in counts.items() if c == top))
     raise RepairError(f"unknown numeric stat {stat!r}")
 
 
@@ -118,37 +96,42 @@ def _mode(counts: dict[str, int]) -> str | None:
     return sorted(counts, key=lambda v: (-counts[v], v))[0]
 
 
+def _column_fill(col: Column, flagged: np.ndarray, numeric_stat: str) -> str | None:
+    """Imputation text for a column from its unflagged cells; None when no
+    cell is usable."""
+    if col.is_numeric:
+        parsed = col.parsed_values()
+        pool = parsed[~flagged & ~np.isnan(parsed)]
+        return repr(_numeric_stat(pool, numeric_stat)) if pool.size else None
+    skip = flagged | col.empty_flags()
+    return _mode(Counter(raw for raw, s in zip(col.raw_values(), skip) if not s))
+
+
 def repair_impute_stat(
     ds: Dataset, mask: DetectionMask, numeric_stat: str = "mean", detector: str = ""
 ) -> RepairedDataset:
     """Flagged numeric cells take the column mean/median/mode of unflagged
     values; flagged categorical cells take the unflagged mode."""
     start = time.perf_counter()
-    numeric_pool, cat_pool = _column_stats(ds, mask)
+    flagged = mask.matrix((ds.row_count, ds.col_count))
+    fills: dict[int, str | None] = {}
     updates: dict[CellRef, str] = {}
     repaired_cells: set[CellRef] = set()
-    unfillable: list[CellRef] = []
+    unfillable = 0
     for ref in mask.sorted_cells():
         if ref.row >= ds.row_count:
             continue
-        col = ds.columns[ref.col]
-        if col.is_numeric:
-            pool = numeric_pool[ref.col]
-            if not pool:
-                unfillable.append(ref)
-                updates[ref] = ""
-                continue
-            updates[ref] = repr(_numeric_stat(pool, numeric_stat))
-        else:
-            value = _mode(cat_pool[ref.col])
-            if value is None:
-                unfillable.append(ref)
-                updates[ref] = ""
-                continue
-            updates[ref] = value
+        if ref.col not in fills:
+            fills[ref.col] = _column_fill(ds.columns[ref.col], flagged[:, ref.col], numeric_stat)
+        value = fills[ref.col]
+        if value is None:
+            unfillable += 1
+            updates[ref] = ""
+            continue
+        updates[ref] = value
         repaired_cells.add(ref)
     repaired = ds.replace_cells(updates)
-    warning = f"{len(unfillable)} cells had no usable donor values" if unfillable else None
+    warning = f"{unfillable} cells had no usable donor values" if unfillable else None
     return _result(
         repaired,
         numeric_stat,
@@ -160,83 +143,80 @@ def repair_impute_stat(
     )
 
 
+def _donor_distances(z: np.ndarray, donors_z: np.ndarray) -> np.ndarray:
+    """Euclidean distance from z-score row `z` to each donor row over the
+    dimensions both hold (NaN marks a missing one); inf where none is shared.
+
+    Squared differences add up in column order, and np.float_power squares
+    through pow() like Python's `x ** 2`, so every distance is the float a
+    scalar loop over (row, donor, column) gives.
+    """
+    sq = np.float_power(z - donors_z, 2.0)
+    shared = ~np.isnan(sq)
+    dist2 = np.zeros(donors_z.shape[0])
+    for j in range(sq.shape[1]):
+        dist2 += np.where(shared[:, j], sq[:, j], 0.0)
+    return np.where(shared.any(axis=1), np.sqrt(dist2), np.inf)
+
+
 def repair_impute_knn(
     ds: Dataset, mask: DetectionMask, k: int = 5, detector: str = ""
 ) -> RepairedDataset:
     """Impute each flagged cell from its k nearest fully-clean donor rows.
 
     Distances are z-scored Euclidean over numeric columns where both rows hold
-    unflagged parsed values, ignoring missing dimensions.
+    unflagged parsed values, ignoring missing dimensions. Donors closer than
+    another come first, and equal distances go to the lower row index.
     """
     start = time.perf_counter()
     if k < 1:
         raise RepairError("knn repair requires k >= 1")
-    flagged_rows = mask.rows()
-    donors = [r for r in range(ds.row_count) if r not in flagged_rows]
-    if not donors:
+    flagged = mask.matrix((ds.row_count, ds.col_count))
+    donors = np.flatnonzero(~flagged.any(axis=1))
+    if donors.size == 0:
         raise RepairError("knn repair has no fully-unflagged donor rows")
 
+    # z-scores of the numeric cells; NaN where a cell is flagged or unparsed,
+    # or its column has fewer than two usable values or no spread.
     num_cols = ds.numeric_column_indices()
-    stats = {}
-    for c in num_cols:
-        values = [
-            cell.parsed
-            for i, cell in enumerate(ds.columns[c].cells)
-            if CellRef(i, c) not in mask.cells and cell.parsed is not None
-        ]
-        if len(values) >= 2:
-            arr = np.asarray(values)
-            std = float(arr.std(ddof=1))
+    Z = np.full((ds.row_count, len(num_cols)), np.nan)
+    for j, c in enumerate(num_cols):
+        parsed = ds.columns[c].parsed_values()
+        usable = ~flagged[:, c] & ~np.isnan(parsed)
+        values = parsed[usable]
+        if values.size >= 2:
+            std = float(values.std(ddof=1))
             if std > 0:
-                stats[c] = (float(arr.mean()), std)
+                Z[usable, j] = (values - float(values.mean())) / std
+    donors_z = Z[donors]
 
-    def z(row: int, c: int) -> float | None:
-        cell = ds.columns[c].cells[row]
-        if CellRef(row, c) in mask.cells or cell.parsed is None or c not in stats:
-            return None
-        mean, std = stats[c]
-        return (cell.parsed - mean) / std
-
+    # A flagged row's own cell in the target column is NaN in Z, so one
+    # distance vector per row serves every flagged cell of that row.
+    row, distance = -1, None
     updates: dict[CellRef, str] = {}
     repaired_cells: set[CellRef] = set()
     unfillable = 0
     for ref in mask.sorted_cells():
         if ref.row >= ds.row_count:
             continue
+        if ref.row != row:
+            row, distance = ref.row, _donor_distances(Z[ref.row], donors_z)
         target_col = ds.columns[ref.col]
-        usable = []
-        for d in donors:
-            donor_cell = target_col.cells[d]
-            if target_col.is_numeric:
-                if donor_cell.parsed is None:
-                    continue
-            elif donor_cell.is_empty:
-                continue
-            dist2, dims = 0.0, 0
-            for c in num_cols:
-                if c == ref.col:
-                    continue
-                a = z(ref.row, c)
-                b = z(d, c)
-                if a is None or b is None:
-                    continue
-                dist2 += (a - b) ** 2
-                dims += 1
-            distance = np.sqrt(dist2) if dims else np.inf
-            usable.append((distance, d, donor_cell))
-        usable.sort(key=lambda t: (t[0], t[1]))
-        nearest = usable[: min(k, len(usable))]
-        nearest = [t for t in nearest if np.isfinite(t[0])] or nearest
-        if not nearest:
+        missing = np.isnan(target_col.parsed_values()) if target_col.is_numeric else target_col.empty_flags()
+        eligible = ~missing[donors]
+        usable, usable_distance = donors[eligible], distance[eligible]
+        nearest = np.argsort(usable_distance, kind="stable")[:k]
+        finite = nearest[np.isfinite(usable_distance[nearest])]
+        if finite.size:
+            nearest = finite
+        if nearest.size == 0:
             unfillable += 1
             continue
+        chosen = usable[nearest]
         if target_col.is_numeric:
-            updates[ref] = repr(float(np.mean([t[2].parsed for t in nearest])))
+            updates[ref] = repr(float(np.mean(target_col.parsed_values()[chosen])))
         else:
-            votes: dict[str, int] = {}
-            for _, _, cell in nearest:
-                votes[cell.raw] = votes.get(cell.raw, 0) + 1
-            updates[ref] = _mode(votes)
+            updates[ref] = _mode(Counter(target_col.cells[d].raw for d in chosen))
         repaired_cells.add(ref)
     repaired = ds.replace_cells(updates)
     warning = f"{unfillable} cells had no eligible donors" if unfillable else None
@@ -283,18 +263,15 @@ def repair_impute_iterative(
         by_col.setdefault(ref.col, []).append(ref)
     col_order = sorted(by_col, key=lambda c: (len(by_col[c]), c))
     fell_back = False
+    flagged = mask.matrix((ds.row_count, ds.col_count))
 
     for _ in range(max_rounds):
         numeric_change2, numeric_n, categorical_changed = 0.0, 0, False
         for c in col_order:
             col = working.columns[c]
             target_rows = [ref.row for ref in by_col[c]]
-            train_rows = [
-                r
-                for r in range(working.row_count)
-                if CellRef(r, c) not in mask.cells
-                and (col.cells[r].parsed is not None if col.is_numeric else not col.cells[r].is_empty)
-            ]
+            missing = np.isnan(col.parsed_values()) if col.is_numeric else col.empty_flags()
+            train_rows = np.flatnonzero(~flagged[:, c] & ~missing).tolist()
             if len(train_rows) < 2:
                 fell_back = True
                 continue

@@ -284,6 +284,14 @@ class DetectionMask:
     def rows(self) -> set[int]:
         return {ref.row for ref in self.cells}
 
+    def matrix(self, shape: tuple[int, int]) -> np.ndarray:
+        """Flagged cells as a bool matrix of `shape`; cells outside it are left out."""
+        flagged = np.zeros(shape, dtype=bool)
+        refs = np.array(list(self.cells), dtype=np.int64).reshape(-1, 2)
+        inside = (refs >= 0).all(axis=1) & (refs[:, 0] < shape[0]) & (refs[:, 1] < shape[1])
+        flagged[refs[inside, 0], refs[inside, 1]] = True
+        return flagged
+
     def validate(self, ds: Dataset) -> None:
         for ref in self.cells:
             if not (0 <= ref.row < ds.row_count and 0 <= ref.col < ds.col_count):
