@@ -594,6 +594,25 @@ def _sweep_profile(axis: str, value: float) -> ErrorProfile:
     raise BenchError(f"unknown sweep axis {axis!r}")
 
 
+def _sweep_records(
+    cfg: BenchmarkConfig, det: DetectorSpec, ds: Dataset, ctx: DetectorContext, truth: DetectionMask, common: dict, metrics
+) -> list[dict]:
+    """Run one detector under the timeout and score it against `truth`.
+
+    `metrics` maps each metric name to a function of the detector run and its
+    detection score that gives the record's `value` (and any runtime field).
+    On failure the result is one error record under the first metric name.
+    """
+    from .metrics import detection_metrics
+
+    try:
+        run = _run_with_timeout(lambda: run_detector(det, ds, ctx), cfg.timeout)
+        score = detection_metrics(run.mask, truth)
+        return [make_record(metric=name, **fields(run, score), **common) for name, fields in metrics.items()]
+    except Exception as exc:
+        return [make_record(metric=next(iter(metrics)), value=None, error=f"{type(exc).__name__}: {exc}", **common)]
+
+
 def run_robustness_sweep(
     cfg: BenchmarkConfig,
     axis: str,
@@ -606,12 +625,9 @@ def run_robustness_sweep(
     sweep value sees the same cell choices and noise draws: series across
     values are paired, and re-running a sweep reproduces it exactly.
     """
-    from .metrics import detection_metrics
-
     store = store if store is not None else ResultsStore()
     gt = load_ground_truth(cfg.dataset)
     constraints = _load_config_constraints(cfg)
-    dataset_name = gt.name
     for value in values:
         profile = _sweep_profile(axis, value)
         for rep in range(cfg.repeats):
@@ -628,39 +644,13 @@ def run_robustness_sweep(
                 seed=derive_seed(cfg.master_seed, "sweep-detect", rep),
             )
             for det in cfg.detectors:
-                try:
-                    run = _run_with_timeout(
-                        lambda d=det: run_detector(d, pair.dirty, ctx), cfg.timeout
-                    )
-                    score = detection_metrics(run.mask, truth)
-                    record = make_record(
-                        dataset_name,
-                        det.name,
-                        "",
-                        "",
-                        f"sweep:{axis}",
-                        rep,
-                        f"detect_f1@{value:g}",
-                        score.f1,
-                        detect_runtime=run.runtime,
-                        sweep_axis=axis,
-                        sweep_value=value,
-                    )
-                except Exception as exc:
-                    record = make_record(
-                        dataset_name,
-                        det.name,
-                        "",
-                        "",
-                        f"sweep:{axis}",
-                        rep,
-                        f"detect_f1@{value:g}",
-                        None,
-                        error=f"{type(exc).__name__}: {exc}",
-                        sweep_axis=axis,
-                        sweep_value=value,
-                    )
-                store.append(record)
+                common = dict(
+                    dataset=gt.name, detector=det.name, repair="", model="", scenario=f"sweep:{axis}", seed=rep,
+                    sweep_axis=axis, sweep_value=value,
+                )
+                f1 = {f"detect_f1@{value:g}": lambda run, score: dict(value=score.f1, detect_runtime=run.runtime)}
+                for record in _sweep_records(cfg, det, pair.dirty, ctx, truth, common, f1):
+                    store.append(record)
     store.write_index()
     return store
 
@@ -671,11 +661,11 @@ def run_scalability_sweep(
     store: ResultsStore | None = None,
 ) -> ResultsStore:
     """Detector runtime and F1 on seeded row-prefix samples of the data."""
-    from .metrics import detection_metrics
-
     store = store if store is not None else ResultsStore()
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise BenchError("data fractions must lie in (0, 1]")
+    if cfg.profile is None:
+        raise BenchError("scalability sweep needs an error profile")
     gt = load_ground_truth(cfg.dataset)
     constraints = _load_config_constraints(cfg)
     rng = np.random.default_rng(derive_seed(cfg.master_seed, "scale-shuffle"))
@@ -685,8 +675,6 @@ def run_scalability_sweep(
         if n < 10:
             raise BenchError(f"fraction {fraction} keeps only {n} rows; need >= 10")
         sample = gt.take_rows(order[:n].tolist())
-        if cfg.profile is None:
-            raise BenchError("scalability sweep needs an error profile")
         pair, report = inject(
             sample,
             cfg.profile,
@@ -713,28 +701,12 @@ def run_scalability_sweep(
                 sweep_axis="data_fraction",
                 sweep_value=fraction,
             )
-            try:
-                run = _run_with_timeout(
-                    lambda d=det: run_detector(d, pair.dirty, ctx), cfg.timeout
-                )
-                score = detection_metrics(run.mask, truth)
-                store.append(
-                    make_record(
-                        metric=f"detect_runtime@{fraction:g}", value=run.runtime, **common
-                    )
-                )
-                store.append(
-                    make_record(metric=f"detect_f1@{fraction:g}", value=score.f1, **common)
-                )
-            except Exception as exc:
-                store.append(
-                    make_record(
-                        metric=f"detect_runtime@{fraction:g}",
-                        value=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                        **common,
-                    )
-                )
+            scored = {
+                f"detect_runtime@{fraction:g}": lambda run, score: dict(value=run.runtime),
+                f"detect_f1@{fraction:g}": lambda run, score: dict(value=score.f1),
+            }
+            for record in _sweep_records(cfg, det, pair.dirty, ctx, truth, common, scored):
+                store.append(record)
     store.write_index()
     return store
 

@@ -211,7 +211,7 @@ def _cmd_repair(args) -> int:
                 artifacts.append(csv_path)
                 numeric = repair_metrics_numeric(
                     repaired.data, mat.pair.ground_truth, mat.pair.error_mask,
-                    repaired.repaired_cells, repaired.row_map, mat.pair.row_provenance,
+                    repaired.row_map, mat.pair.row_provenance,
                 )
                 categorical = repair_metrics_categorical(
                     repaired.data, mat.pair.ground_truth, mat.pair.error_mask,

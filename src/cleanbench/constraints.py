@@ -185,11 +185,11 @@ def _operand_value(ds: Dataset, op: Operand, rows: dict[str, int], numeric: bool
         if numeric:
             return float(op.constant)
         return op.constant
-    row = rows[op.tuple_sel]
-    cell = ds.cell(row, ds.col_index(op.column))
+    col = ds.columns[ds.col_index(op.column)]
     if numeric:
-        return cell.parsed  # None when unparsable; predicate then cannot hold
-    return cell.raw
+        # NaN when unparsable: no order comparison with it holds
+        return col.parsed.item(rows[op.tuple_sel])
+    return col.raw.item(rows[op.tuple_sel])
 
 
 def _predicate_holds(ds: Dataset, p: Predicate, rows: dict[str, int]) -> bool:
@@ -197,8 +197,6 @@ def _predicate_holds(ds: Dataset, p: Predicate, rows: dict[str, int]) -> bool:
     left = _operand_value(ds, p.left, rows, numeric)
     right = _operand_value(ds, p.right, rows, numeric)
     if numeric:
-        if left is None or right is None:
-            return False
         if p.op == "<":
             return left < right
         if p.op == "<=":

@@ -70,14 +70,16 @@ class DetectorContext:
 # -- individual detectors ----------------------------------------------------
 
 
+def _no_flags(ds: Dataset) -> np.ndarray:
+    return np.zeros((ds.row_count, ds.col_count), dtype=bool)
+
+
 def detect_missing(ds: Dataset) -> DetectionMask:
     """All cells flagged empty: blank text or a configured null token."""
-    cells = set()
+    flagged = _no_flags(ds)
     for j, col in enumerate(ds.columns):
-        for i, cell in enumerate(col.cells):
-            if cell.is_empty:
-                cells.add(CellRef(i, j))
-    return DetectionMask(frozenset(cells), source="mvd")
+        flagged[:, j] = col.empty_flags()
+    return DetectionMask.from_matrix(flagged, source="mvd")
 
 
 _REPEATED_DIGIT_RE = re.compile(r"^-?(\d)\1*$")
@@ -90,11 +92,15 @@ def _is_repeated_digit(text: str) -> bool:
 _DISGUISE_DICTIONARY = set(CATEGORICAL_DISGUISE_TOKENS) | set(NUMERIC_DISGUISE_CODES)
 
 
+def _is_disguise_token(text: str) -> bool:
+    return text in _DISGUISE_DICTIONARY or (len(text) >= 2 and len(set(text)) == 1)
+
+
 def detect_disguised(ds: Dataset) -> DetectionMask:
     """Disguised missing values: dictionary tokens and single-character repeats
     in categorical columns; repeated-digit numbers outside a wide (k=3) IQR
     fence in numeric columns."""
-    cells = set()
+    flagged = _no_flags(ds)
     for j, col in enumerate(ds.columns):
         if col.is_numeric:
             parsed = col.parsed_values()
@@ -102,27 +108,16 @@ def detect_disguised(ds: Dataset) -> DetectionMask:
             if finite.size == 0:
                 continue
             q1, q3 = np.quantile(finite, [0.25, 0.75])
-            lo, hi = q1 - 3.0 * (q3 - q1), q3 + 3.0 * (q3 - q1)
-            for i, cell in enumerate(col.cells):
-                if cell.parsed is None or not _is_repeated_digit(cell.raw):
-                    continue
-                if cell.parsed < lo or cell.parsed > hi:
-                    cells.add(CellRef(i, j))
+            outside = (parsed < q1 - 3.0 * (q3 - q1)) | (parsed > q3 + 3.0 * (q3 - q1))
+            flagged[outside, j] = [_is_repeated_digit(raw) for raw in col.raw_values()[outside]]
         else:
-            for i, cell in enumerate(col.cells):
-                raw = cell.raw
-                if raw in _DISGUISE_DICTIONARY or (len(raw) >= 2 and len(set(raw)) == 1):
-                    cells.add(CellRef(i, j))
-    return DetectionMask(frozenset(cells), source="fahes")
+            flagged[:, j] = [_is_disguise_token(raw) for raw in col.raw_values()]
+    return DetectionMask.from_matrix(flagged, source="fahes")
 
 
-def _unparsable_refs(col_index: int, col) -> set[CellRef]:
+def _unparsable(col) -> np.ndarray:
     # Type-corrupted values: non-empty text in a numeric column with no parse.
-    return {
-        CellRef(i, col_index)
-        for i, cell in enumerate(col.cells)
-        if not cell.is_empty and cell.parsed is None
-    }
+    return ~col.empty_flags() & np.isnan(col.parsed_values())
 
 
 def detect_outliers_sd(ds: Dataset, n: float = 3.0) -> DetectionMask:
@@ -130,22 +125,17 @@ def detect_outliers_sd(ds: Dataset, n: float = 3.0) -> DetectionMask:
     deviations from the column mean; unparsable cells are flagged too."""
     if n <= 0:
         raise DetectorError("sd detector requires n > 0")
-    cells: set[CellRef] = set()
+    flagged = _no_flags(ds)
     for j, col in enumerate(ds.columns):
         if not col.is_numeric:
             continue
-        cells |= _unparsable_refs(j, col)
+        flagged[:, j] = _unparsable(col)
         parsed = col.parsed_values()
         finite = parsed[~np.isnan(parsed)]
         if finite.size < 3:
             continue
-        mean = finite.mean()
-        std = finite.std(ddof=1)
-        threshold = n * std
-        for i, value in enumerate(parsed):
-            if not np.isnan(value) and abs(value - mean) > threshold:
-                cells.add(CellRef(i, j))
-    return DetectionMask(frozenset(cells), source=f"sd(n={n:g})")
+        flagged[:, j] |= np.abs(parsed - finite.mean()) > n * finite.std(ddof=1)
+    return DetectionMask.from_matrix(flagged, source=f"sd(n={n:g})")
 
 
 def quantile(values: np.ndarray, p: float) -> float:
@@ -162,22 +152,19 @@ def detect_outliers_iqr(ds: Dataset, k: float = 1.5) -> DetectionMask:
     """Tukey-fence outliers outside [Q1 - k*IQR, Q3 + k*IQR] per numeric column."""
     if k <= 0:
         raise DetectorError("iqr detector requires k > 0")
-    cells: set[CellRef] = set()
+    flagged = _no_flags(ds)
     for j, col in enumerate(ds.columns):
         if not col.is_numeric:
             continue
-        cells |= _unparsable_refs(j, col)
+        flagged[:, j] = _unparsable(col)
         parsed = col.parsed_values()
         finite = parsed[~np.isnan(parsed)]
         if finite.size == 0:
             continue
         q1 = quantile(finite, 0.25)
         q3 = quantile(finite, 0.75)
-        lo, hi = q1 - k * (q3 - q1), q3 + k * (q3 - q1)
-        for i, value in enumerate(parsed):
-            if not np.isnan(value) and (value < lo or value > hi):
-                cells.add(CellRef(i, j))
-    return DetectionMask(frozenset(cells), source=f"iqr(k={k:g})")
+        flagged[:, j] |= (parsed < q1 - k * (q3 - q1)) | (parsed > q3 + k * (q3 - q1))
+    return DetectionMask.from_matrix(flagged, source=f"iqr(k={k:g})")
 
 
 # Average unsuccessful-search path length in a BST, the isolation-forest
@@ -291,28 +278,19 @@ def detect_outliers_iforest(
 
     _, col_median, col_mad = _iforest_features(ds, num_cols)
     scores = iforest_scores(ds, trees=trees, subsample=subsample, seed=seed)
-    order = sorted(range(n), key=lambda i: (-scores[i], i))
-    flagged_rows = order[:budget]
+    rows = np.argsort(-scores, kind="stable")[:budget]
 
-    cells: set[CellRef] = set()
-    for r in flagged_rows:
-        strong = []
-        for j, c in enumerate(num_cols):
-            cell = ds.columns[c].cells[r]
-            if cell.parsed is None:
-                continue
-            dev = abs(cell.parsed - col_median[j])
-            if col_mad[j] > 0:
-                z = dev / (1.4826 * col_mad[j])
-            else:
-                z = math.inf if dev > 0 else 0.0
-            if z > 3.0:
-                strong.append(CellRef(r, c))
-        if strong:
-            cells.update(strong)
-        else:
-            cells.update(CellRef(r, c) for c in num_cols)
-    return DetectionMask(frozenset(cells), source="if")
+    # Robust z-scores of the flagged rows' cells; NaN (never strong) where a
+    # cell has no parse, inf where the column has no spread but the cell
+    # deviates from the median.
+    dev = np.abs(np.column_stack([ds.columns[c].parsed_values()[rows] for c in num_cols]) - col_median)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(col_mad > 0, dev / (1.4826 * col_mad), np.where(dev > 0, np.inf, 0.0))
+    strong = z > 3.0
+    strong[~strong.any(axis=1)] = True
+    flagged = _no_flags(ds)
+    flagged[np.ix_(rows, num_cols)] = strong
+    return DetectionMask.from_matrix(flagged, source="if")
 
 
 def detect_duplicates(ds: Dataset, key_columns: list[str]) -> DetectionMask:
@@ -321,15 +299,12 @@ def detect_duplicates(ds: Dataset, key_columns: list[str]) -> DetectionMask:
     if not key_columns:
         raise DetectorError("dedup requires at least one key column")
     key_idx = [ds.col_index(c) for c in key_columns]
-    seen: dict[tuple, int] = {}
-    cells: set[CellRef] = set()
-    for r in range(ds.row_count):
-        key = tuple(ds.raw(r, c) for c in key_idx)
-        if key in seen:
-            cells.update(CellRef(r, c) for c in range(ds.col_count))
-        else:
-            seen[key] = r
-    return DetectionMask(frozenset(cells), source="dedup")
+    seen: set[tuple] = set()
+    flagged = _no_flags(ds)
+    for r, key in enumerate(zip(*(ds.columns[c].raw_values() for c in key_idx))):
+        flagged[r] = key in seen
+        seen.add(key)
+    return DetectionMask.from_matrix(flagged, source="dedup")
 
 
 def _stratified_folds(labels: list[str], folds: int, rng: np.random.Generator) -> np.ndarray:
@@ -388,10 +363,9 @@ def detect_mislabels(
         for col, cls in enumerate(model.classes_):
             probs[test_idx, class_index[cls]] = fold_probs[:, col]
 
-    flagged = confident_learning_flags(probs, labels, classes)
-    return DetectionMask(
-        frozenset(CellRef(i, label_idx) for i in flagged), source="cl"
-    )
+    flagged = _no_flags(ds)
+    flagged[confident_learning_flags(probs, labels, classes), label_idx] = True
+    return DetectionMask.from_matrix(flagged, source="cl")
 
 
 def confident_learning_flags(
@@ -448,7 +422,6 @@ def _binary_entropy(p: float) -> float:
 
 
 def ensemble_max_entropy(
-    ds: Dataset,
     base: list[tuple[str, DetectionMask]],
     oracle_mask: DetectionMask,
     label_budget: int,
@@ -574,7 +547,7 @@ def run_detector(spec: DetectorSpec, ds: Dataset, ctx: DetectorContext | None = 
         base = [DetectorSpec(k, dict(v)) for k, v in p["base"]]
         named = [(b.name, run_detector(b, ds, ctx).mask) for b in base]
         result = ensemble_max_entropy(
-            ds, named, ctx.oracle_mask, p.get("label_budget", 10 * len(base)), seed=ctx.seed
+            named, ctx.oracle_mask, p.get("label_budget", 10 * len(base)), seed=ctx.seed
         )
         mask = result.mask
     else:

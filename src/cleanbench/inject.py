@@ -214,20 +214,28 @@ class _Grid:
     """Mutable working copy of the ground-truth raw texts."""
 
     def __init__(self, gt: Dataset):
-        self.gt = gt
-        self.cols = [list(c.raw_values()) for c in gt.columns]
-        self.touched: set[CellRef] = set()
-        self.rule_locked: set[CellRef] = set()
+        self.cols = [c.raw_values().copy() for c in gt.columns]
+        # cells already injected or frozen as one side of a rule violation
+        self.busy = np.zeros((gt.row_count, gt.col_count), dtype=bool)
 
     def raw(self, r: int, c: int) -> str:
         return self.cols[c][r]
 
     def set(self, ref: CellRef, value: str) -> None:
         self.cols[ref.col][ref.row] = value
-        self.touched.add(ref)
+        self.busy[ref.row, ref.col] = True
 
     def free(self, ref: CellRef) -> bool:
-        return ref not in self.touched and ref not in self.rule_locked
+        return not self.busy[ref.row, ref.col]
+
+    def eligible(self, ok_in_column) -> list[CellRef]:
+        """Free cells, in row-major order, where the bool array (or scalar)
+        `ok_in_column(c)` holds."""
+        ok = np.zeros_like(self.busy)
+        for c in range(ok.shape[1]):
+            ok[:, c] = ok_in_column(c)
+        rows, cols = np.nonzero(ok & ~self.busy)
+        return list(map(CellRef, rows.tolist(), cols.tolist()))
 
 
 def _fd_shape(dc: DenialConstraint) -> tuple[list[str], str]:
@@ -272,12 +280,7 @@ def inject(
         if kind == "explicit_mv":
             target = cell_budget(entry.rate, u, v)
             requested[kind] = target
-            eligible = [
-                CellRef(r, c)
-                for r in range(u)
-                for c in range(v)
-                if grid.free(CellRef(r, c)) and grid.raw(r, c) != ""
-            ]
+            eligible = grid.eligible(lambda c: grid.cols[c] != "")
             for ref in _sample_refs(eligible, target, rng, kind):
                 grid.set(ref, "")
                 mask.add(ref)
@@ -290,21 +293,15 @@ def inject(
                 parsed = gt.columns[c].parsed_values()
                 finite = parsed[~np.isnan(parsed)]
                 numeric_code[c] = _disguise_code(float(finite.max())) if finite.size else None
-            eligible = []
-            for c in range(v):
+
+            def disguisable(c: int):
                 col = gt.columns[c]
-                for r in range(u):
-                    ref = CellRef(r, c)
-                    if not grid.free(ref):
-                        continue
-                    if col.is_numeric:
-                        code = numeric_code.get(c)
-                        if code is not None and col.cells[r].parsed is not None and grid.raw(r, c) != code:
-                            eligible.append(ref)
-                    elif not col.cells[r].is_empty:
-                        eligible.append(ref)
-            eligible.sort()
-            for ref in _sample_refs(eligible, target, rng, kind):
+                if not col.is_numeric:
+                    return ~col.empty_flags()
+                code = numeric_code[c]
+                return code is not None and ~np.isnan(col.parsed_values()) & (grid.cols[c] != code)
+
+            for ref in _sample_refs(grid.eligible(disguisable), target, rng, kind):
                 col = gt.columns[ref.col]
                 if col.is_numeric:
                     grid.set(ref, numeric_code[ref.col])
@@ -325,13 +322,7 @@ def inject(
                     sd = float(finite.std(ddof=1))
                     if sd > 0:
                         stats[c] = (float(finite.mean()), sd)
-            eligible = [
-                CellRef(r, c)
-                for c in sorted(stats)
-                for r in range(u)
-                if grid.free(CellRef(r, c)) and gt.columns[c].cells[r].parsed is not None
-            ]
-            eligible.sort()
+            eligible = grid.eligible(lambda c: c in stats and ~np.isnan(gt.columns[c].parsed_values()))
             for ref in _sample_refs(eligible, target, rng, kind):
                 mu, sigma = stats[ref.col]
                 for _ in range(16):
@@ -347,12 +338,7 @@ def inject(
         elif kind == "keyboard_typo":
             target = cell_budget(entry.rate, u, v)
             requested[kind] = target
-            eligible = [
-                CellRef(r, c)
-                for r in range(u)
-                for c in range(v)
-                if grid.free(CellRef(r, c)) and not gt.columns[c].cells[r].is_empty
-            ]
+            eligible = grid.eligible(lambda c: ~gt.columns[c].empty_flags())
             for ref in _sample_refs(eligible, target, rng, kind):
                 grid.set(ref, apply_keyboard_typo(grid.raw(ref.row, ref.col), rng))
                 mask.add(ref)
@@ -392,9 +378,8 @@ def inject(
             label_col = gt.col_index(entry.params["label_column"])
             target = int(round(entry.rate * u))
             requested[kind] = target
-            classes = sorted(
-                {c.raw for c in gt.columns[label_col].cells if not c.is_empty}
-            )
+            col = gt.columns[label_col]
+            classes = sorted(set(col.raw_values()[~col.empty_flags()]))
             if len(classes) < 2:
                 raise InjectionError("mislabel: label column has fewer than 2 classes")
             eligible = [
@@ -440,8 +425,7 @@ def inject(
                     mask.add(ref)
                 # Freeze both sides of the created violation so later pairs
                 # cannot overwrite them and dissolve it.
-                grid.rule_locked.update(CellRef(r1, c) for c in lhs_cols + [rhs_col])
-                grid.rule_locked.update(CellRef(r2, c) for c in lhs_cols + [rhs_col])
+                grid.busy[np.ix_([r1, r2], lhs_cols + [rhs_col])] = True
                 injected += len(changed)
 
         elif kind == "duplicate_row":
@@ -469,7 +453,7 @@ def inject(
     dirty = Dataset.from_rows(
         gt.name + "_dirty",
         gt.column_names,
-        [tuple(grid.raw(r, c) for c in range(v)) for r in range(u)] + appended_rows,
+        list(zip(*grid.cols)) + appended_rows,
         schema=gt.schema(),
         null_tokens=gt.null_tokens,
     )

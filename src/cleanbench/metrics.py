@@ -99,7 +99,6 @@ def repair_metrics_numeric(
     repaired: Dataset,
     gt: Dataset,
     truth_mask: DetectionMask,
-    repaired_mask: DetectionMask,
     row_map: list[int] | None = None,
     provenance: dict[int, int] | None = None,
 ) -> RepairScore:

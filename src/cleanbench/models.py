@@ -9,6 +9,7 @@ is deterministic for a fixed (data, spec, seed).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,9 +69,7 @@ def _fit_encoder(train: Dataset, target: str | None) -> EncoderState:
                 continue
             numeric.append((col.name, mean, std))
         else:
-            counts: dict[str, int] = {}
-            for cell in col.cells:
-                counts[cell.raw] = counts.get(cell.raw, 0) + 1
+            counts = Counter(col.raw_values())
             ranked = sorted(counts, key=lambda cat: (-counts[cat], cat))
             kept = sorted(ranked[:MAX_ONE_HOT])
             other = set(ranked[MAX_ONE_HOT:])

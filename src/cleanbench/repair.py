@@ -96,15 +96,19 @@ def _mode(counts: dict[str, int]) -> str | None:
     return sorted(counts, key=lambda v: (-counts[v], v))[0]
 
 
+def _missing(col: Column) -> np.ndarray:
+    """Cells a column cannot take a value from: unparsed when numeric, empty otherwise."""
+    return np.isnan(col.parsed_values()) if col.is_numeric else col.empty_flags()
+
+
 def _column_fill(col: Column, flagged: np.ndarray, numeric_stat: str) -> str | None:
     """Imputation text for a column from its unflagged cells; None when no
     cell is usable."""
+    usable = ~flagged & ~_missing(col)
     if col.is_numeric:
-        parsed = col.parsed_values()
-        pool = parsed[~flagged & ~np.isnan(parsed)]
+        pool = col.parsed_values()[usable]
         return repr(_numeric_stat(pool, numeric_stat)) if pool.size else None
-    skip = flagged | col.empty_flags()
-    return _mode(Counter(raw for raw, s in zip(col.raw_values(), skip) if not s))
+    return _mode(Counter(col.raw_values()[usable]))
 
 
 def repair_impute_stat(
@@ -189,6 +193,7 @@ def repair_impute_knn(
             if std > 0:
                 Z[usable, j] = (values - float(values.mean())) / std
     donors_z = Z[donors]
+    eligible = [~_missing(col)[donors] for col in ds.columns]
 
     # A flagged row's own cell in the target column is NaN in Z, so one
     # distance vector per row serves every flagged cell of that row.
@@ -202,9 +207,7 @@ def repair_impute_knn(
         if ref.row != row:
             row, distance = ref.row, _donor_distances(Z[ref.row], donors_z)
         target_col = ds.columns[ref.col]
-        missing = np.isnan(target_col.parsed_values()) if target_col.is_numeric else target_col.empty_flags()
-        eligible = ~missing[donors]
-        usable, usable_distance = donors[eligible], distance[eligible]
+        usable, usable_distance = donors[eligible[ref.col]], distance[eligible[ref.col]]
         nearest = np.argsort(usable_distance, kind="stable")[:k]
         finite = nearest[np.isfinite(usable_distance[nearest])]
         if finite.size:
@@ -216,7 +219,7 @@ def repair_impute_knn(
         if target_col.is_numeric:
             updates[ref] = repr(float(np.mean(target_col.parsed_values()[chosen])))
         else:
-            updates[ref] = _mode(Counter(target_col.cells[d].raw for d in chosen))
+            updates[ref] = _mode(Counter(target_col.raw_values()[chosen]))
         repaired_cells.add(ref)
     repaired = ds.replace_cells(updates)
     warning = f"{unfillable} cells had no eligible donors" if unfillable else None
@@ -270,8 +273,7 @@ def repair_impute_iterative(
         for c in col_order:
             col = working.columns[c]
             target_rows = [ref.row for ref in by_col[c]]
-            missing = np.isnan(col.parsed_values()) if col.is_numeric else col.empty_flags()
-            train_rows = np.flatnonzero(~flagged[:, c] & ~missing).tolist()
+            train_rows = np.flatnonzero(~flagged[:, c] & ~_missing(col)).tolist()
             if len(train_rows) < 2:
                 fell_back = True
                 continue

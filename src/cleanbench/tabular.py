@@ -1,9 +1,10 @@
 """Typed tabular data model: CSV I/O, cell addressing, diffing, seeded splits.
 
-A Dataset is an immutable grid of text cells. Each cell keeps the raw text as
-read, an optional parsed float (present iff the text is a finite decimal), and
-an emptiness flag driven by a configurable null-token set. All "mutation"
-constructs new datasets, so datasets are safe to share across workers.
+A Dataset is an immutable grid of text cells, stored per column as three
+read-only arrays: the raw texts, their parsed floats (NaN unless the text is a
+finite decimal) and emptiness flags driven by a configurable null-token set.
+All "mutation" constructs new datasets, so datasets are safe to share across
+workers.
 """
 
 from __future__ import annotations
@@ -66,54 +67,66 @@ def make_cell(raw: str, null_tokens: frozenset[str] = DEFAULT_NULL_TOKENS) -> Ce
     return CellValue(raw, value, False)
 
 
-@dataclass
+# eq=False: arrays compare element-wise, so columns compare by identity.
+@dataclass(frozen=True, eq=False)
 class Column:
+    """One column as three read-only arrays of equal length: `raw` (object
+    array of str), `parsed` (float64, NaN where the text has no finite parse)
+    and `empty` (bool)."""
+
     name: str
     declared_type: str
-    cells: tuple[CellValue, ...]
+    raw: np.ndarray
+    parsed: np.ndarray
+    empty: np.ndarray
     # Fraction of non-empty cells that parsed as numbers when the type was
     # inferred at load time; None when the type was user-declared.
     numeric_ratio: float | None = None
-    _parsed: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _empty: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.declared_type not in COLUMN_TYPES:
             raise TabularError(f"unknown column type {self.declared_type!r}")
+        for values in (self.raw, self.parsed, self.empty):
+            values.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.raw)
 
-    def raw_values(self) -> list[str]:
-        return [c.raw for c in self.cells]
+    def raw_values(self) -> np.ndarray:
+        return self.raw
 
     def parsed_values(self) -> np.ndarray:
         """Cell values as floats, NaN where no parse exists."""
-        if self._parsed is None:
-            self._parsed = np.array(
-                [c.parsed if c.parsed is not None else np.nan for c in self.cells],
-                dtype=float,
-            )
-        return self._parsed
+        return self.parsed
 
     def empty_flags(self) -> np.ndarray:
-        if self._empty is None:
-            self._empty = np.array([c.is_empty for c in self.cells], dtype=bool)
-        return self._empty
+        return self.empty
 
     @property
     def is_numeric(self) -> bool:
         return self.declared_type == "numeric"
 
 
-def infer_column_type(raws: Sequence[str], null_tokens: frozenset[str]) -> tuple[str, float]:
-    non_empty = [r for r in raws if r not in null_tokens]
+def _parse_texts(raws: Sequence[str], null_tokens: frozenset[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (raw, parsed, empty) arrays of a column: one make_cell per text."""
+    cells = [make_cell(r, null_tokens) for r in raws]
+    return (
+        np.array([c.raw for c in cells], dtype=object),
+        np.array([np.nan if c.parsed is None else c.parsed for c in cells], dtype=float),
+        np.array([c.is_empty for c in cells], dtype=bool),
+    )
+
+
+def _inferred_type(parsed: np.ndarray, empty: np.ndarray) -> tuple[str, float]:
+    non_empty = int(np.count_nonzero(~empty))
     if not non_empty:
         return "categorical", 0.0
-    parsed = sum(1 for r in non_empty if make_cell(r, null_tokens).parsed is not None)
-    ratio = parsed / len(non_empty)
-    kind = "numeric" if ratio >= NUMERIC_INFERENCE_THRESHOLD else "categorical"
-    return kind, ratio
+    ratio = int(np.count_nonzero(~np.isnan(parsed))) / non_empty
+    return ("numeric" if ratio >= NUMERIC_INFERENCE_THRESHOLD else "categorical"), ratio
+
+
+def infer_column_type(raws: Sequence[str], null_tokens: frozenset[str]) -> tuple[str, float]:
+    return _inferred_type(*_parse_texts(raws, null_tokens)[1:])
 
 
 @dataclass
@@ -157,17 +170,19 @@ class Dataset:
         return self.columns[key]
 
     def cell(self, row: int, col: int) -> CellValue:
-        return self.columns[col].cells[row]
+        """The scalar view of one cell; `parsed` is a Python float (or None)."""
+        c = self.columns[col]
+        parsed = c.parsed[row]
+        return CellValue(c.raw[row], None if math.isnan(parsed) else float(parsed), bool(c.empty[row]))
 
     def raw(self, row: int, col: int) -> str:
-        return self.columns[col].cells[row].raw
+        return self.columns[col].raw[row]
 
     def row(self, row: int) -> tuple[str, ...]:
-        return tuple(c.cells[row].raw for c in self.columns)
+        return tuple(c.raw[row] for c in self.columns)
 
     def iter_rows(self) -> Iterable[tuple[str, ...]]:
-        for r in range(self.row_count):
-            yield self.row(r)
+        return zip(*(c.raw for c in self.columns))
 
     def schema(self) -> dict[str, str]:
         return {c.name: c.declared_type for c in self.columns}
@@ -194,15 +209,14 @@ class Dataset:
                 raise CsvFormatError(f"row {i} has {len(r)} fields, expected {len(header)}")
         columns = []
         for j, col_name in enumerate(header):
-            raws = [str(r[j]) for r in rows]
+            arrays = _parse_texts([str(r[j]) for r in rows], null_tokens)
             if schema is not None and col_name in schema:
                 decl, ratio = schema[col_name], None
                 if decl not in COLUMN_TYPES:
                     raise TabularError(f"bad declared type {decl!r} for column {col_name!r}")
             else:
-                decl, ratio = infer_column_type(raws, null_tokens)
-            cells = tuple(make_cell(r, null_tokens) for r in raws)
-            columns.append(Column(col_name, decl, cells, numeric_ratio=ratio))
+                decl, ratio = _inferred_type(*arrays[1:])
+            columns.append(Column(col_name, decl, *arrays, numeric_ratio=ratio))
         return Dataset(name, tuple(columns), null_tokens=null_tokens)
 
     @staticmethod
@@ -213,7 +227,7 @@ class Dataset:
         meta: dict | None = None,
     ) -> "Dataset":
         columns = tuple(
-            Column(cname, decl, tuple(make_cell(str(r), null_tokens) for r in raws))
+            Column(cname, decl, *_parse_texts([str(r) for r in raws], null_tokens))
             for cname, decl, raws in spec
         )
         return Dataset(name, columns, null_tokens=null_tokens, meta=meta or {})
@@ -232,16 +246,17 @@ class Dataset:
             if j not in by_col:
                 columns.append(col)
                 continue
-            cells = list(col.cells)
-            for r, raw in by_col[j].items():
-                cells[r] = make_cell(raw, self.null_tokens)
-            columns.append(Column(col.name, col.declared_type, tuple(cells), col.numeric_ratio))
+            rows = np.fromiter(by_col[j], dtype=np.intp, count=len(by_col[j]))
+            arrays = tuple(a.copy() for a in (col.raw, col.parsed, col.empty))
+            for a, new in zip(arrays, _parse_texts(list(by_col[j].values()), self.null_tokens)):
+                a[rows] = new
+            columns.append(Column(col.name, col.declared_type, *arrays, col.numeric_ratio))
         return Dataset(name or self.name, tuple(columns), self.null_tokens, dict(self.meta))
 
     def take_rows(self, indices: Sequence[int], name: str | None = None) -> "Dataset":
-        idx = list(indices)
+        idx = np.asarray(indices, dtype=np.intp)
         columns = tuple(
-            Column(c.name, c.declared_type, tuple(c.cells[i] for i in idx), c.numeric_ratio)
+            Column(c.name, c.declared_type, c.raw[idx], c.parsed[idx], c.empty[idx], c.numeric_ratio)
             for c in self.columns
         )
         return Dataset(name or self.name, columns, self.null_tokens, dict(self.meta))
@@ -250,16 +265,12 @@ class Dataset:
         for r in rows:
             if len(r) != self.col_count:
                 raise ShapeMismatchError("appended row width mismatch")
-        columns = tuple(
-            Column(
-                c.name,
-                c.declared_type,
-                c.cells + tuple(make_cell(str(r[j]), self.null_tokens) for r in rows),
-                c.numeric_ratio,
-            )
-            for j, c in enumerate(self.columns)
-        )
-        return Dataset(self.name if name is None else name, columns, self.null_tokens, dict(self.meta))
+        columns = []
+        for j, c in enumerate(self.columns):
+            new = _parse_texts([str(r[j]) for r in rows], self.null_tokens)
+            arrays = [np.concatenate([old, added]) for old, added in zip((c.raw, c.parsed, c.empty), new)]
+            columns.append(Column(c.name, c.declared_type, *arrays, c.numeric_ratio))
+        return Dataset(self.name if name is None else name, tuple(columns), self.null_tokens, dict(self.meta))
 
     def with_name(self, name: str) -> "Dataset":
         return Dataset(name, self.columns, self.null_tokens, dict(self.meta))
@@ -291,6 +302,13 @@ class DetectionMask:
         inside = (refs >= 0).all(axis=1) & (refs[:, 0] < shape[0]) & (refs[:, 1] < shape[1])
         flagged[refs[inside, 0], refs[inside, 1]] = True
         return flagged
+
+    @staticmethod
+    def from_matrix(flagged: np.ndarray, source: str = "") -> "DetectionMask":
+        """The mask of the True cells of a bool (rows, cols) matrix; the
+        inverse of `matrix`."""
+        rows, cols = np.nonzero(flagged)
+        return DetectionMask(frozenset(map(CellRef, rows.tolist(), cols.tolist())), source)
 
     def validate(self, ds: Dataset) -> None:
         for ref in self.cells:
@@ -385,8 +403,7 @@ def save_csv(ds: Dataset, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ds.column_names)
-        for row in ds.iter_rows():
-            writer.writerow(row)
+        writer.writerows(ds.iter_rows())
 
 
 def diff_cells(gt: Dataset, dirty: Dataset) -> DetectionMask:
@@ -399,13 +416,10 @@ def diff_cells(gt: Dataset, dirty: Dataset) -> DetectionMask:
             f"diff requires identical shape and column names "
             f"({gt.row_count}x{gt.col_count} vs {dirty.row_count}x{dirty.col_count})"
         )
-    cells = set()
-    for j in range(gt.col_count):
-        a, b = gt.columns[j].cells, dirty.columns[j].cells
-        for i in range(gt.row_count):
-            if a[i].raw != b[i].raw:
-                cells.add(CellRef(i, j))
-    return DetectionMask(frozenset(cells), source="diff")
+    changed = np.zeros((gt.row_count, gt.col_count), dtype=bool)
+    for j, (a, b) in enumerate(zip(gt.columns, dirty.columns)):
+        changed[:, j] = a.raw != b.raw
+    return DetectionMask.from_matrix(changed, source="diff")
 
 
 def split_indices(row_count: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -241,7 +241,7 @@ def test_criterion_03_perfect_pipeline_identity():
 
         repaired = repair_ground_truth(pair, detected)
         numeric = repair_metrics_numeric(
-            repaired.data, gt, report.union_mask(), repaired.repaired_cells
+            repaired.data, gt, report.union_mask()
         )
         assert numeric.numeric_rmse == 0.0
         categorical = repair_metrics_categorical(
@@ -424,10 +424,10 @@ def test_criterion_08_low_recall_detector_hurts_gt_repair():
             partial = repair_ground_truth(pair, partial_mask)
 
             rmse_full = repair_metrics_numeric(
-                full.data, gt, truth, full.repaired_cells
+                full.data, gt, truth
             ).numeric_rmse
             rmse_partial = repair_metrics_numeric(
-                partial.data, gt, truth, partial.repaired_cells
+                partial.data, gt, truth
             ).numeric_rmse
             assert rmse_full == 0.0
             assert rmse_partial > rmse_full, (

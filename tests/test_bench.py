@@ -260,6 +260,13 @@ class TestSweeps:
         with pytest.raises(BenchError, match=">= 10"):
             run_scalability_sweep(cfg, [0.001])
 
+    def test_missing_profile_rejected_before_sampling(self):
+        # the profile check comes first, so even a fraction too small to
+        # sample reports the missing profile
+        cfg = self.gaussian_config(profile=None)
+        with pytest.raises(BenchError, match="needs an error profile"):
+            run_scalability_sweep(cfg, [0.001])
+
     def test_all_pairs_rule_checker_runtime_grows_with_fraction(self):
         # A DC with no equality predicate defeats blocking and forces the
         # quadratic scan, so runtime at the full fraction dominates.

@@ -232,7 +232,7 @@ class TestMaxEntropy:
     def test_single_perfect_detector_returns_full_mask(self):
         ds = column([str(i) for i in range(20)])
         truth = mask_from([(i, 0) for i in range(5)], source="truth")
-        result = ensemble_max_entropy(ds, [("d", truth)], truth, label_budget=4, seed=0)
+        result = ensemble_max_entropy([("d", truth)], truth, label_budget=4, seed=0)
         assert result.mask.cells == truth.cells
         assert result.rounds[0].accepted
 
@@ -240,7 +240,7 @@ class TestMaxEntropy:
         ds = column([str(i) for i in range(20)])
         truth = mask_from([(0, 0)], source="truth")
         noise = mask_from([(i, 0) for i in range(5, 15)], source="noise")
-        result = ensemble_max_entropy(ds, [("noise", noise)], truth, label_budget=6, seed=1)
+        result = ensemble_max_entropy([("noise", noise)], truth, label_budget=6, seed=1)
         assert len(result.mask) == 0
         assert not result.rounds[0].accepted
 
@@ -251,7 +251,7 @@ class TestMaxEntropy:
         noise = mask_from([(i, 0) for i in range(20, 35)], source="noise")
         for seed in range(10):
             result = ensemble_max_entropy(
-                ds, [("signal", signal), ("noise", noise)], truth, label_budget=20, seed=seed
+                [("signal", signal), ("noise", noise)], truth, label_budget=20, seed=seed
             )
             assert result.mask.cells == signal.cells
             assert len(result.rounds) == 2

@@ -1,8 +1,9 @@
 """Exact equivalence of the array kernels with scalar reference loops.
 
 The CART split search, kNN imputation, isolation-forest scoring, tree
-prediction and the numeric mode are checked against straightforward
-per-element implementations kept here as references. Results must be equal
+prediction, the numeric mode and the column-wise detectors (mvd, fahes, sd,
+iqr and the isolation forest's cell selection) are checked against
+straightforward per-element implementations kept here as references. Results must be equal
 with `==`, not approximately: the kernels promise the same floats and the
 same tie rules.
 """
@@ -113,7 +114,7 @@ def ref_knn_updates(ds: Dataset, mask: DetectionMask, k: int):
     for c in num_cols:
         values = [
             cell.parsed
-            for i, cell in enumerate(ds.columns[c].cells)
+            for i, cell in enumerate(ds.cell(r, c) for r in range(ds.row_count))
             if CellRef(i, c) not in mask.cells and cell.parsed is not None
         ]
         if len(values) >= 2:
@@ -123,7 +124,7 @@ def ref_knn_updates(ds: Dataset, mask: DetectionMask, k: int):
                 stats[c] = (float(arr.mean()), std)
 
     def z(row, c):
-        cell = ds.columns[c].cells[row]
+        cell = ds.cell(row, c)
         if CellRef(row, c) in mask.cells or cell.parsed is None or c not in stats:
             return None
         mean, std = stats[c]
@@ -136,7 +137,7 @@ def ref_knn_updates(ds: Dataset, mask: DetectionMask, k: int):
         target_col = ds.columns[ref.col]
         usable = []
         for d in donors:
-            donor_cell = target_col.cells[d]
+            donor_cell = ds.cell(d, ref.col)
             if target_col.is_numeric:
                 if donor_cell.parsed is None:
                     continue
@@ -168,6 +169,98 @@ def ref_knn_updates(ds: Dataset, mask: DetectionMask, k: int):
             updates[ref] = _mode(votes)
         repaired.add(ref)
     return updates, repaired, unfillable
+
+
+def ref_cells(ds: Dataset, j: int):
+    return [(i, ds.cell(i, j)) for i in range(ds.row_count)]
+
+
+def ref_detect_missing(ds: Dataset) -> set:
+    return {CellRef(i, j) for j in range(ds.col_count) for i, cell in ref_cells(ds, j) if cell.is_empty}
+
+
+def ref_detect_disguised(ds: Dataset) -> set:
+    cells = set()
+    for j, col in enumerate(ds.columns):
+        if col.is_numeric:
+            parsed = col.parsed_values()
+            finite = parsed[~np.isnan(parsed)]
+            if finite.size == 0:
+                continue
+            q1, q3 = np.quantile(finite, [0.25, 0.75])
+            lo, hi = q1 - 3.0 * (q3 - q1), q3 + 3.0 * (q3 - q1)
+            for i, cell in ref_cells(ds, j):
+                if cell.parsed is None or not detect._is_repeated_digit(cell.raw):
+                    continue
+                if cell.parsed < lo or cell.parsed > hi:
+                    cells.add(CellRef(i, j))
+        else:
+            for i, cell in ref_cells(ds, j):
+                raw = cell.raw
+                if raw in detect._DISGUISE_DICTIONARY or (len(raw) >= 2 and len(set(raw)) == 1):
+                    cells.add(CellRef(i, j))
+    return cells
+
+
+def ref_unparsable(ds: Dataset, j: int) -> set:
+    return {CellRef(i, j) for i, cell in ref_cells(ds, j) if not cell.is_empty and cell.parsed is None}
+
+
+def ref_detect_sd(ds: Dataset, n: float) -> set:
+    cells = set()
+    for j in ds.numeric_column_indices():
+        cells |= ref_unparsable(ds, j)
+        parsed = ds.columns[j].parsed_values()
+        finite = parsed[~np.isnan(parsed)]
+        if finite.size < 3:
+            continue
+        mean, threshold = finite.mean(), n * finite.std(ddof=1)
+        for i, value in enumerate(parsed):
+            if not np.isnan(value) and abs(value - mean) > threshold:
+                cells.add(CellRef(i, j))
+    return cells
+
+
+def ref_detect_iqr(ds: Dataset, k: float) -> set:
+    cells = set()
+    for j in ds.numeric_column_indices():
+        cells |= ref_unparsable(ds, j)
+        parsed = ds.columns[j].parsed_values()
+        finite = parsed[~np.isnan(parsed)]
+        if finite.size == 0:
+            continue
+        q1, q3 = detect.quantile(finite, 0.25), detect.quantile(finite, 0.75)
+        lo, hi = q1 - k * (q3 - q1), q3 + k * (q3 - q1)
+        for i, value in enumerate(parsed):
+            if not np.isnan(value) and (value < lo or value > hi):
+                cells.add(CellRef(i, j))
+    return cells
+
+
+def ref_iforest_cells(ds: Dataset, trees: int, subsample: int, seed: int, contamination: float) -> set:
+    """The cells of the top-scored rows whose robust z-score exceeds 3, or all
+    numeric cells of a row where none does."""
+    num_cols = ds.numeric_column_indices()
+    n = ds.row_count
+    _, col_median, col_mad = detect._iforest_features(ds, num_cols)
+    scores = detect.iforest_scores(ds, trees=trees, subsample=subsample, seed=seed)
+    order = sorted(range(n), key=lambda i: (-scores[i], i))
+    cells = set()
+    for r in order[: math.ceil(contamination * n)]:
+        strong = []
+        for j, c in enumerate(num_cols):
+            cell = ds.cell(r, c)
+            if cell.parsed is None:
+                continue
+            dev = abs(cell.parsed - col_median[j])
+            if col_mad[j] > 0:
+                z = dev / (1.4826 * col_mad[j])
+            else:
+                z = math.inf if dev > 0 else 0.0
+            if z > 3.0:
+                strong.append(CellRef(r, c))
+        cells.update(strong or [CellRef(r, c) for c in num_cols])
+    return cells
 
 
 def ref_numeric_mode(values: list[float]) -> float:
@@ -455,3 +548,41 @@ def test_iforest_scores_match_per_row_walk(cols, trees, subsample, seed):
 def test_mode_keeps_smallest_most_frequent_value(values):
     got = _numeric_stat(np.array(values), "mode")
     assert repr(got) == repr(ref_numeric_mode(values))
+
+
+# -- column-wise detectors -----------------------------------------------------
+
+# Repeated digits in and outside the fences, disguise tokens, unparsable text,
+# null tokens and a wide spread of magnitudes.
+DETECTOR_TEXT = st.sampled_from(
+    ["0", "1", "1.5", "-2", "3", "7", "999", "-11", "99999", "1e5", "inf", "", "NA", "?", "x", "none", "aa", "-0.0", " 3"]
+)
+
+
+@st.composite
+def detector_datasets(draw, min_numeric=0):
+    n = draw(st.integers(1, 30))
+    kinds = draw(st.lists(st.sampled_from(["numeric", "categorical"]), min_size=1, max_size=4))
+    kinds += ["numeric"] * max(0, min_numeric - kinds.count("numeric"))
+    cols = [(f"c{j}", kind, draw(st.lists(DETECTOR_TEXT, min_size=n, max_size=n))) for j, kind in enumerate(kinds)]
+    return Dataset.from_columns("t", cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=detector_datasets(), n=st.sampled_from([0.5, 1, 2, 3]), k=st.sampled_from([0.25, 1.5, 3.0]))
+def test_columnwise_detectors_match_per_cell_loops(ds, n, k):
+    assert detect.detect_missing(ds).cells == ref_detect_missing(ds)
+    assert detect.detect_disguised(ds).cells == ref_detect_disguised(ds)
+    assert detect.detect_outliers_sd(ds, n=n).cells == ref_detect_sd(ds, n)
+    assert detect.detect_outliers_iqr(ds, k=k).cells == ref_detect_iqr(ds, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ds=detector_datasets(min_numeric=1),
+    contamination=st.sampled_from([0.05, 0.3, 1.0]),
+    seed=st.integers(0, 3),
+)
+def test_iforest_cell_selection_matches_per_cell_loop(ds, contamination, seed):
+    got = detect.detect_outliers_iforest(ds, trees=3, subsample=8, seed=seed, contamination=contamination)
+    assert got.cells == ref_iforest_cells(ds, 3, 8, seed, contamination)

@@ -109,7 +109,7 @@ class TestRepairNumeric:
         gt, dirty = gt_dirty_repaired()
         truth = mask_from([(0, 0), (1, 0), (2, 1)])
         repaired = dirty.replace_cells({CellRef(0, 0): "1", CellRef(1, 0): "2"})
-        score = repair_metrics_numeric(repaired, gt, truth, truth)
+        score = repair_metrics_numeric(repaired, gt, truth)
         assert score.numeric_rmse == 0.0
         assert score.compared_cell_count == 2
 
@@ -117,7 +117,7 @@ class TestRepairNumeric:
         gt, dirty = gt_dirty_repaired()
         truth = mask_from([(0, 0), (1, 0)])
         # nothing repaired: cell (0,0) still parses and is compared; (1,0)="12x" is excluded
-        score = repair_metrics_numeric(dirty, gt, truth, mask_from([]))
+        score = repair_metrics_numeric(dirty, gt, truth)
         assert score.compared_cell_count == 1
         assert score.excluded_unparsable == 1
         assert score.numeric_rmse > 0
@@ -128,7 +128,7 @@ class TestRepairNumeric:
         std = float(np.std([0, 1, 2, 3], ddof=1))
         repaired = gt.replace_cells({CellRef(0, 0): repr(0 + std), CellRef(1, 0): repr(1 + 2 * std)})
         truth = mask_from([(0, 0), (1, 0)])
-        score = repair_metrics_numeric(repaired, gt, truth, truth)
+        score = repair_metrics_numeric(repaired, gt, truth)
         assert score.numeric_rmse == pytest.approx(np.sqrt((1 + 4) / 2))
 
     def test_affine_rescaling_invariance(self):
@@ -143,7 +143,7 @@ class TestRepairNumeric:
                 "r", [("x", "numeric", [repr(float(a * v + b)) for v in noisy])]
             )
             truth = mask_from([(i, 0) for i in range(12)])
-            score = repair_metrics_numeric(rep, gt, truth, truth)
+            score = repair_metrics_numeric(rep, gt, truth)
             if a == 1.0:
                 reference = score.numeric_rmse
             else:
@@ -151,14 +151,14 @@ class TestRepairNumeric:
 
     def test_empty_comparable_set(self):
         gt = Dataset.from_columns("gt", [("c", "categorical", ["a", "b"])])
-        score = repair_metrics_numeric(gt, gt, mask_from([(0, 0)]), mask_from([]))
+        score = repair_metrics_numeric(gt, gt, mask_from([(0, 0)]))
         assert score.numeric_rmse is None and score.compared_cell_count == 0
 
     def test_deleted_rows_excluded_and_counted(self):
         gt = Dataset.from_columns("gt", [("x", "numeric", ["1", "2", "3"])])
         repaired = gt.take_rows([0, 2])
         truth = mask_from([(1, 0)])
-        score = repair_metrics_numeric(repaired, gt, truth, mask_from([]), row_map=[0, 2])
+        score = repair_metrics_numeric(repaired, gt, truth, row_map=[0, 2])
         assert score.numeric_rmse is None and score.excluded_unparsable == 1
 
 

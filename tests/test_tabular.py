@@ -204,6 +204,71 @@ class TestDatasetInvariants:
         assert grown.row_count == 4 and grown.raw(3, 0) == "3"
 
 
+# Null tokens, non-finite and signed-zero spellings, exponents, padded numbers
+# and plain words: every branch of the scalar parse rule.
+CELL_TEXT = st.sampled_from(
+    sorted(DEFAULT_NULL_TOKENS) + ["inf", "-inf", "Infinity", "-0.0", "0", "1e5", " 3", "2.5", "apple", "x y", "3,4"]
+)
+
+
+def assert_cells_follow_make_cell(ds, texts):
+    """Every scalar cell equals the scalar parse of its expected text, with
+    `parsed` a Python float (signed zeros included) or None."""
+    assert ds.row_count == len(texts)
+    for r, row in enumerate(texts):
+        for c, text in enumerate(row):
+            cell, want = ds.cell(r, c), make_cell(text, ds.null_tokens)
+            assert cell == want and repr(cell.parsed) == repr(want.parsed)
+            assert type(cell.raw) is str and type(cell.parsed) in (float, type(None)) and type(cell.is_empty) is bool
+
+
+class TestColumnArrays:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(CELL_TEXT, CELL_TEXT), min_size=1, max_size=12),
+        extra=st.lists(st.tuples(CELL_TEXT, CELL_TEXT), max_size=4),
+        picks=st.lists(st.integers(0, 11), max_size=6),
+        edits=st.dictionaries(st.tuples(st.integers(0, 11), st.integers(0, 1)), CELL_TEXT, max_size=5),
+    )
+    def test_every_operation_keeps_the_scalar_parse(self, tmp_path_factory, rows, extra, picks, edits):
+        rows = [list(r) for r in rows]
+        ds = Dataset.from_rows("t", ["a", "b"], rows)
+        assert_cells_follow_make_cell(ds, rows)
+        for j, col in enumerate(ds.columns):
+            texts = [r[j] for r in rows]
+            assert (col.declared_type, col.numeric_ratio) == infer_column_type(texts, ds.null_tokens)
+            non_empty = [make_cell(t) for t in texts if not make_cell(t).is_empty]
+            parsed = sum(cell.parsed is not None for cell in non_empty)
+            assert col.numeric_ratio == (parsed / len(non_empty) if non_empty else 0.0)
+        by_columns = Dataset.from_columns("t", [("a", "numeric", [r[0] for r in rows]), ("b", "text", [r[1] for r in rows])])
+        assert_cells_follow_make_cell(by_columns, rows)
+
+        picks = [p % len(rows) for p in picks]
+        for idx in (picks, picks + picks, []):
+            assert_cells_follow_make_cell(ds.take_rows(idx), [rows[i] for i in idx])
+        edits = {CellRef(r % len(rows), c): text for (r, c), text in edits.items()}
+        edited = [list(r) for r in rows]
+        for ref, text in edits.items():
+            edited[ref.row][ref.col] = text
+        assert_cells_follow_make_cell(ds.replace_cells(edits), edited)
+        assert_cells_follow_make_cell(ds.append_rows(extra), rows + [list(r) for r in extra])
+
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        save_csv(ds, path)
+        back = load_csv(path)
+        assert_cells_follow_make_cell(back, rows)
+        assert [(c.declared_type, c.numeric_ratio) for c in back.columns] == [
+            (c.declared_type, c.numeric_ratio) for c in ds.columns
+        ]
+
+    def test_column_arrays_are_read_only(self):
+        ds = Dataset.from_rows("t", ["a"], [["1"], [""]])
+        col = ds.replace_cells({CellRef(0, 0): "2"}).take_rows([1, 0]).append_rows([["3"]]).column("a")
+        for values, item in ((col.raw_values(), "4"), (col.parsed_values(), 4.0), (col.empty_flags(), True)):
+            with pytest.raises(ValueError):
+                values[0] = item
+
+
 class TestDetectionMask:
     def test_sorted_cells_deterministic(self):
         mask = mask_from([(2, 1), (0, 0), (2, 0)])
