@@ -233,7 +233,7 @@ def materialize(cfg: BenchmarkConfig) -> MaterializedData:
 
     gt = load_ground_truth(source)
     if cfg.profile is None:
-        empty = DetectionMask(frozenset(), source="injected")
+        empty = DetectionMask(np.zeros((gt.row_count, gt.col_count), dtype=bool), source="injected")
         pair = DatasetPair(gt, gt, empty)
         return MaterializedData(gt.name, pair, None, frozenset(cfg.tags or []), constraints)
     pair, report = inject(gt, cfg.profile, derive_seed(cfg.master_seed, "inject"), constraints)
@@ -445,6 +445,19 @@ def _run_cell(
     )
 
 
+def detector_context(cfg: BenchmarkConfig, mat: MaterializedData) -> DetectorContext:
+    """What the detectors of a grid or CLI run may use besides the dirty data."""
+    contamination = mat.report.achieved_rate if mat.report else 0.1
+    return DetectorContext(
+        constraints=mat.constraints,
+        key_columns=cfg.key_columns,
+        label_column=cfg.label_column,
+        oracle_mask=mat.pair.error_mask,
+        contamination=max(contamination, 1e-6),
+        seed=derive_seed(cfg.master_seed, "detect"),
+    )
+
+
 def build_versions(
     cfg: BenchmarkConfig,
     mat: MaterializedData,
@@ -457,15 +470,7 @@ def build_versions(
     returned in the `broken` map and their grid cells become failure records.
     """
     dirty = mat.pair.dirty
-    contamination = mat.report.achieved_rate if mat.report else 0.1
-    ctx = DetectorContext(
-        constraints=mat.constraints,
-        key_columns=cfg.key_columns,
-        label_column=cfg.label_column,
-        oracle_mask=mat.pair.error_mask,
-        contamination=max(contamination, 1e-6),
-        seed=derive_seed(cfg.master_seed, "detect"),
-    )
+    ctx = detector_context(cfg, mat)
     versions: dict[tuple[str, str], DataVersion] = {
         ("none", "none"): DataVersion("none", "none", dirty, list(range(dirty.row_count)))
     }

@@ -17,11 +17,10 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .detect import DetectorContext, run_detector
+from .detect import run_detector
 from .metrics import detection_metrics, repair_metrics_categorical, repair_metrics_numeric
 from .repair import apply_repair
 from .report import emit_report, sha256_file, write_manifest
-from .seeding import derive_seed
 from .store import ResultsStore, make_record
 from .tabular import save_csv, save_mask
 
@@ -131,23 +130,11 @@ def _cmd_inject(args) -> int:
     return EXIT_OK
 
 
-def _detector_context(cfg, mat) -> DetectorContext:
-    contamination = mat.report.achieved_rate if mat.report else 0.1
-    return DetectorContext(
-        constraints=mat.constraints,
-        key_columns=cfg.key_columns,
-        label_column=cfg.label_column,
-        oracle_mask=mat.pair.error_mask,
-        contamination=max(contamination, 1e-6),
-        seed=derive_seed(cfg.master_seed, "detect"),
-    )
-
-
 def _cmd_detect(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     mat = bench_mod.materialize(cfg)
-    ctx = _detector_context(cfg, mat)
+    ctx = bench_mod.detector_context(cfg, mat)
     store = ResultsStore(out / "results.jsonl")
     artifacts = [out / "results.jsonl"]
     failures = 0
@@ -186,7 +173,7 @@ def _cmd_repair(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     mat = bench_mod.materialize(cfg)
-    ctx = _detector_context(cfg, mat)
+    ctx = bench_mod.detector_context(cfg, mat)
     store = ResultsStore(out / "results.jsonl")
     artifacts = [out / "results.jsonl"]
     failures = 0

@@ -16,10 +16,13 @@ referenced cells of both rows.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 
-from .tabular import CellRef, Dataset, DetectionMask
+import numpy as np
+
+from .tabular import Dataset, DetectionMask
 
 OPS = ("!=", "<=", ">=", "=", "<", ">")
 NUMERIC_OPS = {"<", "<=", ">", ">="}
@@ -180,42 +183,35 @@ def bind_check(dc: DenialConstraint, schema: dict[str, str]) -> None:
                     raise ConstraintError(f"{dc.id}: operator {p.op} with non-numeric constant")
 
 
-def _operand_value(ds: Dataset, op: Operand, rows: dict[str, int], numeric: bool):
-    if not op.is_column:
-        if numeric:
-            return float(op.constant)
-        return op.constant
-    col = ds.columns[ds.col_index(op.column)]
-    if numeric:
-        # NaN when unparsable: no order comparison with it holds
-        return col.parsed.item(rows[op.tuple_sel])
-    return col.raw.item(rows[op.tuple_sel])
+_COMPARE = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "=": operator.eq, "!=": operator.ne
+}
+_TUPLE = {"t1": 0, "t2": 1}
 
 
-def _predicate_holds(ds: Dataset, p: Predicate, rows: dict[str, int]) -> bool:
-    numeric = p.op in NUMERIC_OPS
-    left = _operand_value(ds, p.left, rows, numeric)
-    right = _operand_value(ds, p.right, rows, numeric)
-    if numeric:
-        if p.op == "<":
-            return left < right
-        if p.op == "<=":
-            return left <= right
-        if p.op == ">":
-            return left > right
-        return left >= right
-    # Equality compares raw text; numeric-looking constants compare against raw.
-    if p.op == "=":
-        return left == right
-    return left != right
-
-
-def _violation_cells(ds: Dataset, dc: DenialConstraint, rows: dict[str, int]) -> set[CellRef]:
-    cells = set()
+def _bind(ds: Dataset, dc: DenialConstraint) -> list[tuple]:
+    """Per predicate: its comparison, then per side (tuple position, values by
+    row) for a column or (None, value) for a constant. Order comparisons read
+    parsed floats, NaN when unparsable so none holds; equality reads raw text."""
+    checks = []
     for p in dc.predicates:
-        for sel, col in p.columns():
-            cells.add(CellRef(rows[sel], ds.col_index(col)))
-    return cells
+        numeric = p.op in NUMERIC_OPS
+        sides = []
+        for op in (p.left, p.right):
+            if op.is_column:
+                col = ds.column(op.column)
+                sides.append((_TUPLE[op.tuple_sel], (col.parsed if numeric else col.raw).tolist()))
+            else:
+                sides.append((None, float(op.constant) if numeric else op.constant))
+        checks.append((_COMPARE[p.op], *sides))
+    return checks
+
+
+def _holds(checks: list[tuple], rows: tuple[int, ...]) -> bool:
+    for compare, (lt, lv), (rt, rv) in checks:
+        if not compare(lv if lt is None else lv[rows[lt]], rv if rt is None else rv[rows[rt]]):
+            return False
+    return True
 
 
 def _equality_blocking_key(dc: DenialConstraint) -> list[tuple[str, str]] | None:
@@ -242,25 +238,24 @@ def find_violations(ds: Dataset, dcs: list[DenialConstraint]) -> DetectionMask:
     schema = ds.schema()
     for dc in dcs:
         bind_check(dc, schema)
-    flagged: set[CellRef] = set()
+    flagged = np.zeros((ds.row_count, ds.col_count), dtype=bool)
     for dc in dcs:
+        checks = _bind(ds, dc)
+        # the columns a violation flags in each of its rows (t1, then t2)
+        cols = [
+            sorted({ds.col_index(c) for p in dc.predicates for sel, c in p.columns() if sel == t}) for t in _TUPLE
+        ]
         if dc.scope == "single-tuple":
-            for r in range(ds.row_count):
-                rows = {"t1": r}
-                if all(_predicate_holds(ds, p, rows) for p in dc.predicates):
-                    flagged |= _violation_cells(ds, dc, rows)
-            continue
-        block = _equality_blocking_key(dc)
-        if block is None:
+            pairs = ((r,) for r in range(ds.row_count))
+        elif (block := _equality_blocking_key(dc)) is None:
             pairs = itertools.permutations(range(ds.row_count), 2)
         else:
             groups: dict[tuple, list[int]] = {}
             t2_groups: dict[tuple, list[int]] = {}
-            t1_cols = [ds.col_index(a) for a, _ in block]
-            t2_cols = [ds.col_index(b) for _, b in block]
-            for r in range(ds.row_count):
-                groups.setdefault(tuple(ds.raw(r, c) for c in t1_cols), []).append(r)
-                t2_groups.setdefault(tuple(ds.raw(r, c) for c in t2_cols), []).append(r)
+            for r, key in enumerate(zip(*(ds.column(a).raw for a, _ in block))):
+                groups.setdefault(key, []).append(r)
+            for r, key in enumerate(zip(*(ds.column(b).raw for _, b in block))):
+                t2_groups.setdefault(key, []).append(r)
             pairs = (
                 (r1, r2)
                 for key, members in groups.items()
@@ -268,8 +263,8 @@ def find_violations(ds: Dataset, dcs: list[DenialConstraint]) -> DetectionMask:
                 for r2 in t2_groups.get(key, ())
                 if r1 != r2
             )
-        for r1, r2 in pairs:
-            rows = {"t1": r1, "t2": r2}
-            if all(_predicate_holds(ds, p, rows) for p in dc.predicates):
-                flagged |= _violation_cells(ds, dc, rows)
-    return DetectionMask(frozenset(flagged), source="rule")
+        for rows in pairs:
+            if _holds(checks, rows):
+                for r, c in zip(rows, cols):
+                    flagged[r, c] = True
+    return DetectionMask(flagged, source="rule")

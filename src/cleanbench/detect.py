@@ -18,7 +18,7 @@ from . import models
 from .constraints import DenialConstraint, find_violations
 from .inject import CATEGORICAL_DISGUISE_TOKENS, NUMERIC_DISGUISE_CODES
 from .seeding import derive_rng
-from .tabular import CellRef, Dataset, DetectionMask, union_masks
+from .tabular import Dataset, DetectionMask, bounding_shape, cells_of, union_masks
 
 DETECTOR_KINDS = ("mvd", "fahes", "sd", "iqr", "if", "rule", "dedup", "cl", "mink", "maxent")
 
@@ -79,7 +79,7 @@ def detect_missing(ds: Dataset) -> DetectionMask:
     flagged = _no_flags(ds)
     for j, col in enumerate(ds.columns):
         flagged[:, j] = col.empty_flags()
-    return DetectionMask.from_matrix(flagged, source="mvd")
+    return DetectionMask(flagged, source="mvd")
 
 
 _REPEATED_DIGIT_RE = re.compile(r"^-?(\d)\1*$")
@@ -112,7 +112,7 @@ def detect_disguised(ds: Dataset) -> DetectionMask:
             flagged[outside, j] = [_is_repeated_digit(raw) for raw in col.raw_values()[outside]]
         else:
             flagged[:, j] = [_is_disguise_token(raw) for raw in col.raw_values()]
-    return DetectionMask.from_matrix(flagged, source="fahes")
+    return DetectionMask(flagged, source="fahes")
 
 
 def _unparsable(col) -> np.ndarray:
@@ -135,7 +135,7 @@ def detect_outliers_sd(ds: Dataset, n: float = 3.0) -> DetectionMask:
         if finite.size < 3:
             continue
         flagged[:, j] |= np.abs(parsed - finite.mean()) > n * finite.std(ddof=1)
-    return DetectionMask.from_matrix(flagged, source=f"sd(n={n:g})")
+    return DetectionMask(flagged, source=f"sd(n={n:g})")
 
 
 def quantile(values: np.ndarray, p: float) -> float:
@@ -164,7 +164,7 @@ def detect_outliers_iqr(ds: Dataset, k: float = 1.5) -> DetectionMask:
         q1 = quantile(finite, 0.25)
         q3 = quantile(finite, 0.75)
         flagged[:, j] |= (parsed < q1 - k * (q3 - q1)) | (parsed > q3 + k * (q3 - q1))
-    return DetectionMask.from_matrix(flagged, source=f"iqr(k={k:g})")
+    return DetectionMask(flagged, source=f"iqr(k={k:g})")
 
 
 # Average unsuccessful-search path length in a BST, the isolation-forest
@@ -240,8 +240,12 @@ def iforest_scores(
     if not num_cols:
         raise DetectorError("iforest requires at least one numeric column")
     n = ds.row_count
-    X, _, _ = _iforest_features(ds, num_cols)
     psi = min(subsample, n)
+    if _c_factor(psi) == 0.0:
+        # A subsample of one row isolates nothing, so no row is more anomalous
+        # than another (scikit-learn's convention).
+        return np.full(n, 0.5)
+    X, _, _ = _iforest_features(ds, num_cols)
     limit = max(1, math.ceil(math.log2(max(psi, 2))))
     rng = derive_rng(seed, "iforest")
     paths = np.zeros(n)
@@ -274,7 +278,7 @@ def detect_outliers_iforest(
     if budget == 0 or n == 0:
         if trees < 1:
             raise DetectorError("iforest requires trees >= 1")
-        return DetectionMask(frozenset(), source="if")
+        return DetectionMask(_no_flags(ds), source="if")
 
     _, col_median, col_mad = _iforest_features(ds, num_cols)
     scores = iforest_scores(ds, trees=trees, subsample=subsample, seed=seed)
@@ -290,7 +294,7 @@ def detect_outliers_iforest(
     strong[~strong.any(axis=1)] = True
     flagged = _no_flags(ds)
     flagged[np.ix_(rows, num_cols)] = strong
-    return DetectionMask.from_matrix(flagged, source="if")
+    return DetectionMask(flagged, source="if")
 
 
 def detect_duplicates(ds: Dataset, key_columns: list[str]) -> DetectionMask:
@@ -304,7 +308,7 @@ def detect_duplicates(ds: Dataset, key_columns: list[str]) -> DetectionMask:
     for r, key in enumerate(zip(*(ds.columns[c].raw_values() for c in key_idx))):
         flagged[r] = key in seen
         seen.add(key)
-    return DetectionMask.from_matrix(flagged, source="dedup")
+    return DetectionMask(flagged, source="dedup")
 
 
 def _stratified_folds(labels: list[str], folds: int, rng: np.random.Generator) -> np.ndarray:
@@ -365,7 +369,7 @@ def detect_mislabels(
 
     flagged = _no_flags(ds)
     flagged[confident_learning_flags(probs, labels, classes), label_idx] = True
-    return DetectionMask.from_matrix(flagged, source="cl")
+    return DetectionMask(flagged, source="cl")
 
 
 def confident_learning_flags(
@@ -391,13 +395,9 @@ def ensemble_min_k(runs: list[DetectionMask], k: int) -> DetectionMask:
     """Cells flagged by at least k of the given masks."""
     if not 1 <= k <= len(runs):
         raise DetectorError(f"min_k requires 1 <= k <= {len(runs)}, got {k}")
-    counts: dict[CellRef, int] = {}
-    for mask in runs:
-        for ref in mask.cells:
-            counts[ref] = counts.get(ref, 0) + 1
-    return DetectionMask(
-        frozenset(ref for ref, c in counts.items() if c >= k), source=f"mink(k={k})"
-    )
+    shape = bounding_shape(runs)
+    counts = np.sum([mask.matrix(shape) for mask in runs], axis=0)
+    return DetectionMask(counts >= k, source=f"mink(k={k})")
 
 
 @dataclass
@@ -441,7 +441,7 @@ def ensemble_max_entropy(
     rng = derive_rng(seed, "maxent")
     per_round = label_budget // len(base)
     unexecuted = list(range(len(base)))
-    decided: set[CellRef] = set()
+    decided = union_masks([])
     accepted_masks: list[DetectionMask] = []
     rounds: list[MaxEntropyRound] = []
 
@@ -450,7 +450,7 @@ def ensemble_max_entropy(
         stats = []
         for pos in unexecuted:
             _, mask = base[pos]
-            candidates = sorted(mask.cells - decided)
+            candidates = cells_of(mask.flagged & ~decided.matrix(mask.flagged.shape))
             size = min(share, len(candidates))
             if size:
                 chosen = rng.choice(len(candidates), size=size, replace=False)
@@ -466,29 +466,26 @@ def ensemble_max_entropy(
         name, mask = base[pos]
         if accepted:
             accepted_masks.append(mask)
-        decided |= mask.cells
+        decided = union_masks([decided, mask])
         unexecuted.remove(pos)
         rounds.append(MaxEntropyRound(name, size, entropy, precision, accepted))
 
-    out = union_masks(accepted_masks, source="maxent") if accepted_masks else DetectionMask(
-        frozenset(), source="maxent"
-    )
-    return MaxEntropyResult(out, rounds)
+    return MaxEntropyResult(union_masks(accepted_masks, source="maxent"), rounds)
 
 
 def subsample_mask(mask: DetectionMask, recall: float, seed: int = 0) -> DetectionMask:
     """Keep a seeded fraction of a mask; used for synthetic-recall detectors."""
     if not 0.0 <= recall <= 1.0:
         raise DetectorError("recall must lie in [0, 1]")
-    cells = mask.sorted_cells()
-    keep = int(round(recall * len(cells)))
-    if keep == len(cells):
-        return DetectionMask(mask.cells, source=f"{mask.source}@{recall:g}")
+    rows, cols = np.nonzero(mask.flagged)
+    keep = int(round(recall * rows.size))
+    if keep == rows.size:
+        return DetectionMask(mask.flagged, source=f"{mask.source}@{recall:g}")
     rng = derive_rng(seed, "subsample", recall)
-    idx = rng.choice(len(cells), size=keep, replace=False) if keep else []
-    return DetectionMask(
-        frozenset(cells[i] for i in idx), source=f"{mask.source}@{recall:g}"
-    )
+    idx = rng.choice(rows.size, size=keep, replace=False) if keep else []
+    flagged = np.zeros_like(mask.flagged)
+    flagged[rows[idx], cols[idx]] = True
+    return DetectionMask(flagged, source=f"{mask.source}@{recall:g}")
 
 
 # -- registry ----------------------------------------------------------------
@@ -553,5 +550,5 @@ def run_detector(spec: DetectorSpec, ds: Dataset, ctx: DetectorContext | None = 
     else:
         raise DetectorError(f"unknown detector kind {spec.kind!r}")
     runtime = time.perf_counter() - start
-    mask = DetectionMask(mask.cells, source=spec.name)
+    mask = DetectionMask(mask.flagged, source=spec.name)
     return DetectorRun(spec, mask, runtime)

@@ -14,13 +14,7 @@ import numpy as np
 
 from .constraints import DenialConstraint
 from .seeding import derive_rng
-from .tabular import (
-    CellRef,
-    Dataset,
-    DatasetPair,
-    DetectionMask,
-    union_masks,
-)
+from .tabular import CellRef, Dataset, DatasetPair, DetectionMask, mask_from, union_masks
 
 CELL_KINDS = (
     "explicit_mv",
@@ -459,7 +453,7 @@ def inject(
     )
     cell_total = sum(n for kind, n in totals.items() if kind != "duplicate_row")
     report = InjectionReport(
-        masks={k: DetectionMask(frozenset(m), source=f"inject:{k}") for k, m in masks.items()},
+        masks={k: mask_from(m, source=f"inject:{k}") for k, m in masks.items()},
         totals=totals,
         requested=requested,
         achieved_rate=cell_total / (u * v) if u * v else 0.0,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .tabular import Dataset, DetectionMask
+from .tabular import Dataset, DetectionMask, cells_of
 
 
 class MetricError(Exception):
@@ -55,10 +55,15 @@ class ModelScore:
     per_class: dict[str, float] | None = None
 
 
+def _true_positives(detected: DetectionMask, truth: DetectionMask) -> np.ndarray:
+    """The detected cells that are in the truth, on the truth's grid."""
+    return detected.matrix(truth.flagged.shape) & truth.flagged
+
+
 def detection_metrics(detected: DetectionMask, truth: DetectionMask) -> DetectionScore:
-    tp = len(detected.cells & truth.cells)
-    fp = len(detected.cells - truth.cells)
-    fn = len(truth.cells - detected.cells)
+    tp = int(np.count_nonzero(_true_positives(detected, truth)))
+    fp = len(detected) - tp
+    fn = len(truth) - tp
     precision = _ratio(tp, tp + fp)
     recall = _ratio(tp, tp + fn)
     return DetectionScore(tp, fp, fn, precision, recall, _f1(precision, recall))
@@ -69,12 +74,9 @@ def iou(a: DetectionMask, b: DetectionMask, truth: DetectionMask) -> float:
 
     Both sets empty after truth filtering returns 1.0 by convention.
     """
-    ta = a.cells & truth.cells
-    tb = b.cells & truth.cells
-    if not ta and not tb:
-        return 1.0
-    inter = len(ta & tb)
-    return inter / (len(ta) + len(tb) - inter)
+    ta, tb = _true_positives(a, truth), _true_positives(b, truth)
+    union = int(np.count_nonzero(ta | tb))
+    return int(np.count_nonzero(ta & tb)) / union if union else 1.0
 
 
 def _aligned_gt_row(row: int, gt: Dataset, row_map: list[int] | None, provenance: dict[int, int] | None):
@@ -155,15 +157,18 @@ def repair_metrics_categorical(
     provenance: dict[int, int] | None = None,
 ) -> RepairScore:
     """Precision/recall of categorical repairs against the ground truth."""
-    cat_cols = set(gt.categorical_column_indices())
     if row_map is None:
         row_map = list(range(repaired.row_count))
     dirty_to_repaired = {dirty_row: rep_row for rep_row, dirty_row in enumerate(row_map)}
 
-    repaired_cat = {ref for ref in repaired_mask.cells if ref.col in cat_cols}
-    truth_cat = {ref for ref in truth_mask.cells if ref.col in cat_cols}
+    # Both masks on one grid of gt's columns, with the numeric ones cleared.
+    shape = (max(truth_mask.flagged.shape[0], repaired_mask.flagged.shape[0]), gt.col_count)
+    is_cat = np.isin(np.arange(gt.col_count), gt.categorical_column_indices())
+    repaired_cat = repaired_mask.matrix(shape) & is_cat
+    truth_cat = truth_mask.matrix(shape) & is_cat
+    both = cells_of(repaired_cat & truth_cat)
     correct = 0
-    for ref in repaired_cat & truth_cat:
+    for ref in both:
         rep_row = dirty_to_repaired.get(ref.row)
         if rep_row is None:
             continue  # deleted rows cannot match the ground truth value
@@ -172,13 +177,13 @@ def repair_metrics_categorical(
             continue
         if repaired.raw(rep_row, ref.col) == gt.raw(gt_row, ref.col):
             correct += 1
-    precision = _ratio(correct, len(repaired_cat))
-    recall = _ratio(correct, len(truth_cat))
+    precision = _ratio(correct, int(np.count_nonzero(repaired_cat)))
+    recall = _ratio(correct, int(np.count_nonzero(truth_cat)))
     return RepairScore(
         precision=precision,
         recall=recall,
         f1=_f1(precision, recall),
-        compared_cell_count=len(repaired_cat & truth_cat),
+        compared_cell_count=len(both),
     )
 
 

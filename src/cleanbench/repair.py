@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .tabular import CellRef, Column, Dataset, DatasetPair, DetectionMask
+from .tabular import CellRef, Column, Dataset, DatasetPair, DetectionMask, cells_of
 
 REPAIR_KINDS = ("delete", "mean", "median", "mode", "knn", "iter", "gt")
 
@@ -52,12 +52,12 @@ class RepairedDataset:
     warning: str | None = None
 
 
-def _result(ds, kind, detector, runtime, cells, row_map, warning=None):
+def _result(ds, kind, detector, runtime, repaired, row_map, warning=None):
     return RepairedDataset(
         data=ds,
         strategy=(detector, kind),
         runtime=runtime,
-        repaired_cells=DetectionMask(frozenset(cells), source=f"repair:{kind}"),
+        repaired_cells=DetectionMask(repaired, source=f"repair:{kind}"),
         row_map=row_map,
         warning=warning,
     )
@@ -66,14 +66,11 @@ def _result(ds, kind, detector, runtime, cells, row_map, warning=None):
 def repair_delete(ds: Dataset, mask: DetectionMask, detector: str = "") -> RepairedDataset:
     """Drop every row containing at least one flagged cell, keeping row order."""
     start = time.perf_counter()
-    bad_rows = mask.rows()
-    keep = [r for r in range(ds.row_count) if r not in bad_rows]
-    repaired = ds.take_rows(keep)
-    cells = {
-        CellRef(r, c) for r in bad_rows if r < ds.row_count for c in range(ds.col_count)
-    }
+    bad = mask.matrix((ds.row_count, ds.col_count)).any(axis=1)
+    keep = np.flatnonzero(~bad).tolist()
+    cells = np.repeat(bad[:, None], ds.col_count, axis=1)
     warning = "all rows were flagged; repaired dataset is empty" if not keep else None
-    return _result(repaired, "delete", detector, time.perf_counter() - start, cells, keep, warning)
+    return _result(ds.take_rows(keep), "delete", detector, time.perf_counter() - start, cells, keep, warning)
 
 
 def _numeric_stat(values: np.ndarray, stat: str) -> float:
@@ -120,11 +117,9 @@ def repair_impute_stat(
     flagged = mask.matrix((ds.row_count, ds.col_count))
     fills: dict[int, str | None] = {}
     updates: dict[CellRef, str] = {}
-    repaired_cells: set[CellRef] = set()
+    repaired_cells = np.zeros_like(flagged)
     unfillable = 0
-    for ref in mask.sorted_cells():
-        if ref.row >= ds.row_count:
-            continue
+    for ref in cells_of(flagged):
         if ref.col not in fills:
             fills[ref.col] = _column_fill(ds.columns[ref.col], flagged[:, ref.col], numeric_stat)
         value = fills[ref.col]
@@ -133,7 +128,7 @@ def repair_impute_stat(
             updates[ref] = ""
             continue
         updates[ref] = value
-        repaired_cells.add(ref)
+        repaired_cells[ref] = True
     repaired = ds.replace_cells(updates)
     warning = f"{unfillable} cells had no usable donor values" if unfillable else None
     return _result(
@@ -199,11 +194,9 @@ def repair_impute_knn(
     # distance vector per row serves every flagged cell of that row.
     row, distance = -1, None
     updates: dict[CellRef, str] = {}
-    repaired_cells: set[CellRef] = set()
+    repaired_cells = np.zeros_like(flagged)
     unfillable = 0
-    for ref in mask.sorted_cells():
-        if ref.row >= ds.row_count:
-            continue
+    for ref in cells_of(flagged):
         if ref.row != row:
             row, distance = ref.row, _donor_distances(Z[ref.row], donors_z)
         target_col = ds.columns[ref.col]
@@ -220,7 +213,7 @@ def repair_impute_knn(
             updates[ref] = repr(float(np.mean(target_col.parsed_values()[chosen])))
         else:
             updates[ref] = _mode(Counter(target_col.raw_values()[chosen]))
-        repaired_cells.add(ref)
+        repaired_cells[ref] = True
     repaired = ds.replace_cells(updates)
     warning = f"{unfillable} cells had no eligible donors" if unfillable else None
     return _result(
@@ -252,8 +245,8 @@ def repair_impute_iterative(
     start = time.perf_counter()
     if max_rounds < 1:
         raise RepairError("iterative repair requires max_rounds >= 1")
-    in_grid = [ref for ref in mask.sorted_cells() if ref.row < ds.row_count]
-    clean_rows = ds.row_count - len({ref.row for ref in in_grid})
+    flagged = mask.matrix((ds.row_count, ds.col_count))
+    clean_rows = ds.row_count - int(np.count_nonzero(flagged.any(axis=1)))
     if clean_rows < 10:
         raise RepairError(
             f"iterative repair needs >= 10 fully-unflagged rows, found {clean_rows}"
@@ -262,11 +255,10 @@ def repair_impute_iterative(
     seeded = repair_impute_stat(ds, mask, "mean", detector)
     working = seeded.data
     by_col: dict[int, list[CellRef]] = {}
-    for ref in in_grid:
+    for ref in cells_of(flagged):
         by_col.setdefault(ref.col, []).append(ref)
     col_order = sorted(by_col, key=lambda c: (len(by_col[c]), c))
     fell_back = False
-    flagged = mask.matrix((ds.row_count, ds.col_count))
 
     for _ in range(max_rounds):
         numeric_change2, numeric_n, categorical_changed = 0.0, 0, False
@@ -315,7 +307,7 @@ def repair_impute_iterative(
         "iter",
         detector,
         time.perf_counter() - start,
-        set(seeded.repaired_cells.cells),
+        seeded.repaired_cells.flagged,
         list(range(ds.row_count)),
         warning,
     )
@@ -346,7 +338,7 @@ def repair_ground_truth(
         "gt",
         detector,
         time.perf_counter() - start,
-        set(mask.cells),
+        mask.matrix((dirty.row_count, dirty.col_count)),
         list(range(dirty.row_count)),
     )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -276,62 +277,80 @@ class Dataset:
         return Dataset(name, self.columns, self.null_tokens, dict(self.meta))
 
 
-@dataclass(frozen=True)
-class DetectionMask:
-    """A set of cell coordinates flagged erroneous by one producer."""
+def cells_of(flagged: np.ndarray) -> list[CellRef]:
+    """The True cells of a bool matrix in row-major (sorted) order."""
+    rows, cols = np.nonzero(flagged)
+    return list(map(CellRef, rows.tolist(), cols.tolist()))
 
-    cells: frozenset[CellRef]
+
+@dataclass(frozen=True, eq=False)
+class DetectionMask:
+    """The cells one producer flagged erroneous, as a read-only bool
+    (rows, cols) matrix. A mask is its set of flagged cells (so eq=False):
+    masks of different shapes combine, and apply to a dataset, through
+    `matrix(shape)`, and the shape never changes a result."""
+
+    flagged: np.ndarray
     source: str = ""
 
-    def __len__(self) -> int:
-        return len(self.cells)
+    def __post_init__(self):
+        self.flagged.flags.writeable = False
 
-    def __contains__(self, ref: CellRef) -> bool:
-        return ref in self.cells
+    @cached_property
+    def cells(self) -> frozenset[CellRef]:
+        return frozenset(self.sorted_cells())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.flagged))
+
+    def __contains__(self, ref: tuple[int, int]) -> bool:
+        (row, col), (rows, cols) = ref, self.flagged.shape
+        return 0 <= row < rows and 0 <= col < cols and bool(self.flagged[row, col])
 
     def sorted_cells(self) -> list[CellRef]:
-        return sorted(self.cells)
+        return cells_of(self.flagged)
 
     def rows(self) -> set[int]:
-        return {ref.row for ref in self.cells}
+        return set(np.flatnonzero(self.flagged.any(axis=1)).tolist())
 
     def matrix(self, shape: tuple[int, int]) -> np.ndarray:
-        """Flagged cells as a bool matrix of `shape`; cells outside it are left out."""
-        flagged = np.zeros(shape, dtype=bool)
-        refs = np.array(list(self.cells), dtype=np.int64).reshape(-1, 2)
-        inside = (refs >= 0).all(axis=1) & (refs[:, 0] < shape[0]) & (refs[:, 1] < shape[1])
-        flagged[refs[inside, 0], refs[inside, 1]] = True
-        return flagged
-
-    @staticmethod
-    def from_matrix(flagged: np.ndarray, source: str = "") -> "DetectionMask":
-        """The mask of the True cells of a bool (rows, cols) matrix; the
-        inverse of `matrix`."""
-        rows, cols = np.nonzero(flagged)
-        return DetectionMask(frozenset(map(CellRef, rows.tolist(), cols.tolist())), source)
+        """Flagged cells as a bool matrix of `shape`, cropped or zero-padded;
+        the stored read-only array when the shape already matches."""
+        if self.flagged.shape == tuple(shape):
+            return self.flagged
+        out = np.zeros(shape, dtype=bool)
+        rows, cols = min(shape[0], self.flagged.shape[0]), min(shape[1], self.flagged.shape[1])
+        out[:rows, :cols] = self.flagged[:rows, :cols]
+        return out
 
     def validate(self, ds: Dataset) -> None:
-        for ref in self.cells:
-            if not (0 <= ref.row < ds.row_count and 0 <= ref.col < ds.col_count):
-                raise TabularError(f"mask cell {ref} outside {ds.row_count}x{ds.col_count}")
-
-    def restrict_to_columns(self, cols: Iterable[int], source: str | None = None) -> "DetectionMask":
-        colset = set(cols)
-        return DetectionMask(
-            frozenset(ref for ref in self.cells if ref.col in colset),
-            self.source if source is None else source,
-        )
+        if np.count_nonzero(self.matrix((ds.row_count, ds.col_count))) != len(self):
+            ref = next(r for r in self.sorted_cells() if r.row >= ds.row_count or r.col >= ds.col_count)
+            raise TabularError(f"mask cell {ref} outside {ds.row_count}x{ds.col_count}")
 
 
 def mask_from(cells: Iterable[tuple[int, int]], source: str = "") -> DetectionMask:
-    return DetectionMask(frozenset(CellRef(r, c) for r, c in cells), source)
+    """The mask of the given cells, on the smallest grid that holds them."""
+    refs = np.array(list(cells), dtype=np.intp).reshape(-1, 2)
+    if (refs < 0).any():
+        raise TabularError("mask cells need non-negative coordinates")
+    flagged = np.zeros(tuple(refs.max(axis=0) + 1) if len(refs) else (0, 0), dtype=bool)
+    flagged[refs[:, 0], refs[:, 1]] = True
+    return DetectionMask(flagged, source)
+
+
+def bounding_shape(masks: Iterable[DetectionMask]) -> tuple[int, int]:
+    """The smallest shape that holds every mask's matrix."""
+    return tuple(np.max([(0, 0)] + [m.flagged.shape for m in masks], axis=0).tolist())
 
 
 def union_masks(masks: Iterable[DetectionMask], source: str = "union") -> DetectionMask:
-    cells: set[CellRef] = set()
+    masks = list(masks)
+    shape = bounding_shape(masks)
+    flagged = np.zeros(shape, dtype=bool)
     for m in masks:
-        cells |= m.cells
-    return DetectionMask(frozenset(cells), source)
+        flagged |= m.matrix(shape)
+    return DetectionMask(flagged, source)
 
 
 @dataclass(frozen=True)
@@ -419,7 +438,7 @@ def diff_cells(gt: Dataset, dirty: Dataset) -> DetectionMask:
     changed = np.zeros((gt.row_count, gt.col_count), dtype=bool)
     for j, (a, b) in enumerate(zip(gt.columns, dirty.columns)):
         changed[:, j] = a.raw != b.raw
-    return DetectionMask.from_matrix(changed, source="diff")
+    return DetectionMask(changed, source="diff")
 
 
 def split_indices(row_count: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -452,7 +471,7 @@ def save_mask(mask: DetectionMask, path: str | Path) -> None:
 
 
 def load_mask(path: str | Path) -> DetectionMask:
-    cells = set()
+    cells = []
     sources = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -462,6 +481,9 @@ def load_mask(path: str | Path) -> DetectionMask:
             parts = line.split(",", 2)
             if len(parts) != 3:
                 raise CsvFormatError(f"{path}:{line_no}: expected row,col,source")
-            cells.add(CellRef(int(parts[0]), int(parts[1])))
+            row, col = int(parts[0]), int(parts[1])
+            if row < 0 or col < 0:
+                raise CsvFormatError(f"{path}:{line_no}: negative cell coordinate")
+            cells.append((row, col))
             sources.add(parts[2])
-    return DetectionMask(frozenset(cells), source="+".join(sorted(sources)))
+    return mask_from(cells, source="+".join(sorted(sources)))

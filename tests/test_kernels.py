@@ -5,10 +5,14 @@ prediction, the numeric mode and the column-wise detectors (mvd, fahes, sd,
 iqr and the isolation forest's cell selection) are checked against
 straightforward per-element implementations kept here as references. Results must be equal
 with `==`, not approximately: the kernels promise the same floats and the
-same tie rules.
+same tie rules. The bool-matrix detection masks are checked the same way
+against set arithmetic on cell coordinates.
 """
 
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +20,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cleanbench import detect
+from cleanbench.metrics import RepairScore, detection_metrics, iou, repair_metrics_categorical
 from cleanbench.models import DecisionTree
 from cleanbench.repair import RepairError, _donor_distances, _mode, _numeric_stat, repair_impute_knn
 from cleanbench.seeding import derive_rng
-from cleanbench.tabular import CellRef, Dataset, DetectionMask, mask_from
+from cleanbench.tabular import (
+    CellRef,
+    CsvFormatError,
+    Dataset,
+    DetectionMask,
+    TabularError,
+    diff_cells,
+    load_mask,
+    mask_from,
+    save_mask,
+    union_masks,
+)
 
 # -- scalar references ---------------------------------------------------------
 
@@ -586,3 +602,192 @@ def test_columnwise_detectors_match_per_cell_loops(ds, n, k):
 def test_iforest_cell_selection_matches_per_cell_loop(ds, contamination, seed):
     got = detect.detect_outliers_iforest(ds, trees=3, subsample=8, seed=seed, contamination=contamination)
     assert got.cells == ref_iforest_cells(ds, 3, 8, seed, contamination)
+
+
+def test_iforest_scores_of_one_row_subsamples_are_one_half():
+    # c(1) = 0, so 2^(-h / c) has no value; every row scores 0.5 instead.
+    one_row = Dataset.from_columns("t", [("a", "numeric", ["1"])])
+    rows = Dataset.from_columns("t", [("a", "numeric", ["1", "5", "2"])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert detect.iforest_scores(one_row, trees=3, subsample=8).tolist() == [0.5]
+        assert detect.iforest_scores(rows, trees=3, subsample=1).tolist() == [0.5] * 3
+
+
+# -- detection masks -------------------------------------------------------------
+
+
+def ref_detection_counts(detected: set, truth: set) -> tuple[int, int, int]:
+    return len(detected & truth), len(detected - truth), len(truth - detected)
+
+
+def ref_iou(a: set, b: set, truth: set) -> float:
+    ta, tb = a & truth, b & truth
+    if not ta and not tb:
+        return 1.0
+    inter = len(ta & tb)
+    return inter / (len(ta) + len(tb) - inter)
+
+
+def ref_min_k(runs: list[set], k: int) -> set:
+    counts: dict = {}
+    for cells in runs:
+        for ref in cells:
+            counts[ref] = counts.get(ref, 0) + 1
+    return {ref for ref, c in counts.items() if c >= k}
+
+
+def ref_max_entropy(base: list[tuple[str, set]], oracle: set, label_budget: int, seed: int):
+    """(accepted cells, rounds) of the greedy entropy-ordered ensemble."""
+    rng = derive_rng(seed, "maxent")
+    per_round = label_budget // len(base)
+    unexecuted = list(range(len(base)))
+    decided, accepted, rounds = set(), set(), []
+    while unexecuted:
+        share = max(1, per_round // len(unexecuted))
+        stats = []
+        for pos in unexecuted:
+            candidates = sorted(base[pos][1] - decided)
+            size = min(share, len(candidates))
+            precision = 0.0
+            if size:
+                chosen = rng.choice(len(candidates), size=size, replace=False)
+                sample = [candidates[i] for i in sorted(chosen.tolist())]
+                precision = sum(1 for ref in sample if ref in oracle) / size
+            stats.append((pos, size, detect._binary_entropy(precision), precision))
+        pos, size, entropy, precision = max(stats, key=lambda s: (s[2], -s[0]))
+        name, cells = base[pos]
+        if precision >= 0.5:
+            accepted |= cells
+        decided |= cells
+        unexecuted.remove(pos)
+        rounds.append(detect.MaxEntropyRound(name, size, entropy, precision, precision >= 0.5))
+    return accepted, rounds
+
+
+def ref_repair_categorical(repaired, gt, truth: set, repaired_cells: set, row_map) -> RepairScore:
+    cat_cols = set(gt.categorical_column_indices())
+    dirty_to_repaired = {dirty_row: rep_row for rep_row, dirty_row in enumerate(row_map)}
+    repaired_cat = {ref for ref in repaired_cells if ref[1] in cat_cols}
+    truth_cat = {ref for ref in truth if ref[1] in cat_cols}
+    correct = 0
+    for row, col in repaired_cat & truth_cat:
+        rep_row = dirty_to_repaired.get(row)
+        if rep_row is not None and repaired.raw(rep_row, col) == gt.raw(row, col):
+            correct += 1
+    precision = correct / len(repaired_cat) if repaired_cat else 0.0
+    recall = correct / len(truth_cat) if truth_cat else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return RepairScore(precision=precision, recall=recall, f1=f1, compared_cell_count=len(repaired_cat & truth_cat))
+
+
+@st.composite
+def cell_sets(draw):
+    """Sets of (row, col) within a drawn bound of up to 8 rows and 5 columns."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 4))
+    return draw(st.sets(st.tuples(st.integers(0, rows), st.integers(0, cols)), max_size=16))
+
+
+CELL_SETS = cell_sets()
+
+
+@st.composite
+def masks(draw, cell_sets=CELL_SETS):
+    """(cells, mask): the mask on its smallest grid or on a larger one."""
+    cells = draw(cell_sets)
+    mask = mask_from(cells, source="m")
+    rows, cols = mask.flagged.shape
+    pad_rows, pad_cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if pad_rows or pad_cols:
+        mask = DetectionMask(mask.matrix((rows + pad_rows, cols + pad_cols)), source="m")
+    return {CellRef(r, c) for r, c in cells}, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=masks(), b=masks(), truth=masks())
+def test_mask_metrics_match_set_arithmetic(a, b, truth):
+    (a_cells, a_mask), (b_cells, b_mask), (t_cells, t_mask) = a, b, truth
+    assert len(a_mask) == len(a_cells) and a_mask.cells == a_cells
+    assert a_mask.sorted_cells() == sorted(a_cells)
+    assert all(ref in a_mask for ref in a_cells) and (8, 0) not in a_mask and (0, 5) not in a_mask
+    score = detection_metrics(a_mask, t_mask)
+    assert (score.tp, score.fp, score.fn) == ref_detection_counts(a_cells, t_cells)
+    assert iou(a_mask, b_mask, t_mask) == ref_iou(a_cells, b_cells, t_cells)
+    assert union_masks([a_mask, b_mask, t_mask]).cells == a_cells | b_cells | t_cells
+    assert union_masks([]).cells == frozenset()
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.lists(masks(), min_size=1, max_size=4), data=st.data())
+def test_min_k_matches_counting(runs, data):
+    k = data.draw(st.integers(1, len(runs)))
+    got = detect.ensemble_min_k([m for _, m in runs], k)
+    assert got.cells == ref_min_k([cells for cells, _ in runs], k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.lists(masks(), min_size=1, max_size=4),
+    oracle=masks(),
+    extra_budget=st.integers(0, 12),
+    seed=st.integers(0, 3),
+)
+def test_max_entropy_matches_set_ensemble(base, oracle, extra_budget, seed):
+    named = [(f"d{i}", mask) for i, (_, mask) in enumerate(base)]
+    budget = len(base) + extra_budget
+    got = detect.ensemble_max_entropy(named, oracle[1], budget, seed=seed)
+    cells, rounds = ref_max_entropy([(f"d{i}", c) for i, (c, _) in enumerate(base)], oracle[0], budget, seed)
+    assert got.mask.cells == cells and got.rounds == rounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["numeric", "categorical"]), min_size=1, max_size=4),
+    texts=st.lists(st.sampled_from(["a", "b", "1"]), min_size=24, max_size=24),
+    wrong=st.sets(st.integers(0, 23)),
+    deleted=st.sets(st.integers(0, 5), max_size=2),
+    truth=masks(),
+    data=st.data(),
+)
+def test_repair_metrics_categorical_matches_set_counts(kinds, texts, wrong, deleted, truth, data):
+    # six rows; the masks reach up to eight rows and five columns, and the
+    # repaired cells share some of the truth's
+    gt = Dataset.from_columns("gt", [(f"c{j}", kind, texts[6 * j:6 * j + 6]) for j, kind in enumerate(kinds)])
+    texts = ["z" if i in wrong else t for i, t in enumerate(texts)]
+    row_map = [r for r in range(6) if r not in deleted]
+    repaired = Dataset.from_columns(
+        "r", [(f"c{j}", kind, texts[6 * j:6 * j + 6]) for j, kind in enumerate(kinds)]
+    ).take_rows(row_map)
+    shared = data.draw(st.sets(st.sampled_from(sorted(truth[0])))) if truth[0] else set()
+    repaired_mask = data.draw(masks(CELL_SETS.map(shared.union)))
+    got = repair_metrics_categorical(repaired, gt, truth[1], repaired_mask[1], row_map=row_map)
+    assert got == ref_repair_categorical(repaired, gt, truth[0], repaired_mask[0], row_map)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells=CELL_SETS)
+def test_save_mask_writes_sorted_row_col_source_lines(cells):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.mask"
+        save_mask(mask_from(cells, source="sd"), path)
+        assert path.read_bytes() == "".join(f"{r},{c},sd\n" for r, c in sorted(cells)).encode()
+        assert load_mask(path).cells == {CellRef(r, c) for r, c in cells}
+
+
+def test_negative_mask_coordinates_are_rejected(tmp_path):
+    path = tmp_path / "m.mask"
+    path.write_text("0,0,sd\n-1,2,sd\n")
+    with pytest.raises(CsvFormatError, match=":2: negative"):
+        load_mask(path)
+    with pytest.raises(TabularError):
+        mask_from([(0, -1)])
+
+
+def test_mask_matrices_are_read_only():
+    ds = Dataset.from_columns("t", [("a", "numeric", ["1", "", "3"])])
+    dirty = ds.replace_cells({CellRef(0, 0): "2"})
+    produced = [mask_from([(1, 0)]), detect.detect_missing(ds), diff_cells(ds, dirty), union_masks([])]
+    for mask in produced:
+        with pytest.raises(ValueError):
+            mask.flagged[...] = True
+        assert mask.matrix(mask.flagged.shape) is mask.flagged

@@ -12,7 +12,7 @@ from cleanbench.repair import (
     repair_impute_knn,
     repair_impute_stat,
 )
-from cleanbench.tabular import Dataset, DetectionMask, diff_cells, mask_from
+from cleanbench.tabular import Dataset, diff_cells, mask_from
 
 
 def simple(values, kind="numeric", name="v"):
@@ -212,7 +212,7 @@ class TestGroundTruth:
     def test_empty_mask_keeps_dirty(self):
         gt = make_synthetic("two_class", 50, 2)
         pair, _ = inject(gt, ErrorProfile([ErrorSpec("explicit_mv", 0.1)]), 3)
-        out = repair_ground_truth(pair, DetectionMask(frozenset()))
+        out = repair_ground_truth(pair, mask_from([]))
         assert diff_cells(pair.dirty, out.data).cells == frozenset()
 
     def test_false_negatives_persist_exactly(self):

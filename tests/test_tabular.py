@@ -273,8 +273,3 @@ class TestDetectionMask:
     def test_sorted_cells_deterministic(self):
         mask = mask_from([(2, 1), (0, 0), (2, 0)])
         assert mask.sorted_cells() == [CellRef(0, 0), CellRef(2, 0), CellRef(2, 1)]
-
-    def test_restrict_to_columns(self):
-        mask = mask_from([(0, 0), (0, 1), (1, 1)])
-        out = mask.restrict_to_columns([1])
-        assert out.cells == frozenset({CellRef(0, 1), CellRef(1, 1)})
