@@ -362,7 +362,7 @@ def detect_mislabels(
         train_idx = np.flatnonzero(fold_of != f)
         test_idx = np.flatnonzero(fold_of == f)
         model = models.build_model(spec)
-        model.fit(X[train_idx], np.array([labels[i] for i in train_idx], dtype=object))
+        model.fit(X[train_idx], labels[train_idx])
         fold_probs = model.predict_proba(X[test_idx])
         for col, cls in enumerate(model.classes_):
             probs[test_idx, class_index[cls]] = fold_probs[:, col]
@@ -373,22 +373,22 @@ def detect_mislabels(
 
 
 def confident_learning_flags(
-    probs: np.ndarray, labels: list[str], classes: list[str]
+    probs: np.ndarray, labels: list[str] | np.ndarray, classes: list[str]
 ) -> list[int]:
-    """Indices whose given-label probability falls below the per-class
-    self-confidence threshold while the argmax class disagrees."""
+    """Indices, ascending, whose given-label probability falls below the
+    per-class self-confidence threshold while the argmax class disagrees.
+
+    A class's threshold is the mean probability of that class over the rows
+    labelled with it, or 1.0 when no row is.
+    """
     class_index = {c: i for i, c in enumerate(classes)}
-    thresholds = {}
-    for cls, k in class_index.items():
-        members = [i for i, lab in enumerate(labels) if lab == cls]
-        thresholds[cls] = float(np.mean(probs[members, k])) if members else 1.0
-    flagged = []
-    for i, lab in enumerate(labels):
-        own = probs[i, class_index[lab]]
-        top = classes[int(np.argmax(probs[i]))]
-        if own < thresholds[lab] and top != lab:
-            flagged.append(i)
-    return flagged
+    codes = np.array([class_index[lab] for lab in labels], dtype=np.intp)
+    thresholds = np.ones(len(classes))
+    for k in np.unique(codes):
+        thresholds[k] = probs[codes == k, k].mean()
+    own = probs[np.arange(len(codes)), codes]
+    disagrees = probs.argmax(axis=1) != codes
+    return np.flatnonzero((own < thresholds[codes]) & disagrees).tolist()
 
 
 def ensemble_min_k(runs: list[DetectionMask], k: int) -> DetectionMask:

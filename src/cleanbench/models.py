@@ -8,6 +8,7 @@ is deterministic for a fixed (data, spec, seed).
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -346,9 +347,31 @@ class DecisionTree:
 
 
 def _softmax(Z: np.ndarray) -> np.ndarray:
-    Z = Z - Z.max(axis=1, keepdims=True)
-    E = np.exp(Z)
-    return E / E.sum(axis=1, keepdims=True)
+    """Row-wise softmax of the logits Z, shifted by the row max.
+
+    numpy reduces a row of fewer than 8 values left to right, so up to 7
+    classes the max and the sum go column by column: the same floats without
+    the row reduction's per-call cost. From 8 values numpy's pairwise sum
+    keeps 8 partial sums (Higham, SIAM J. Sci. Comput. 1993) and rounds
+    differently, so the row reduction stays.
+    """
+    if Z.shape[1] >= 8:
+        E = np.exp(Z - Z.max(axis=1, keepdims=True))
+        return E / E.sum(axis=1, keepdims=True)
+    E = np.exp(Z - functools.reduce(np.maximum, Z.T)[:, None])
+    return E / functools.reduce(np.add, E.T)[:, None]
+
+
+def _unbiased(W: np.ndarray) -> np.ndarray:
+    """W with the bias row (the last) zeroed: the weights L2 penalizes."""
+    penalty = W.copy()
+    penalty[-1, :] = 0.0
+    return penalty
+
+
+def _logistic_grad(W: np.ndarray, Xb: np.ndarray, Y: np.ndarray, l2: float, P: np.ndarray) -> np.ndarray:
+    """Gradient of the penalized mean cross-entropy, given P = softmax(Xb @ W)."""
+    return Xb.T @ (P - Y) / Xb.shape[0] + l2 * _unbiased(W)
 
 
 def logistic_loss_and_grad(
@@ -360,11 +383,8 @@ def logistic_loss_and_grad(
     P = _softmax(Xb @ W)
     eps = 1e-12
     loss = -float(np.sum(Y * np.log(P + eps))) / n
-    penalty = W.copy()
-    penalty[-1, :] = 0.0
-    loss += 0.5 * l2 * float(np.sum(penalty**2))
-    grad = Xb.T @ (P - Y) / n + l2 * penalty
-    return loss, grad
+    loss += 0.5 * l2 * float(np.sum(_unbiased(W) ** 2))
+    return loss, _logistic_grad(W, Xb, Y, l2, P)
 
 
 class LogisticModel:
@@ -381,13 +401,12 @@ class LogisticModel:
         self.classes_ = sorted(set(y.tolist()))
         index = {c: i for i, c in enumerate(self.classes_)}
         Y = np.zeros((len(y), len(self.classes_)))
-        for i, label in enumerate(y):
-            Y[i, index[label]] = 1.0
+        codes = np.array([index[label] for label in y], dtype=np.intp)
+        Y[np.arange(len(y)), codes] = 1.0
         Xb = np.hstack([X, np.ones((X.shape[0], 1))])
         W = np.zeros((Xb.shape[1], len(self.classes_)))
         for _ in range(self.epochs):
-            _, grad = logistic_loss_and_grad(W, Xb, Y, self.l2)
-            W -= self.lr * grad
+            W -= self.lr * _logistic_grad(W, Xb, Y, self.l2, _softmax(Xb @ W))
         self.W = W
         return self
 
@@ -398,7 +417,9 @@ class LogisticModel:
 
     def predict(self, data: np.ndarray) -> np.ndarray:
         probs = self.predict_proba(data)
-        return np.array([self.classes_[int(i)] for i in np.argmax(probs, axis=1)], dtype=object)
+        # fromiter keeps each class one element, even a tuple label
+        classes = np.fromiter(self.classes_, dtype=object, count=len(self.classes_))
+        return classes.take(np.argmax(probs, axis=1))
 
 
 # -- ridge regression --------------------------------------------------------

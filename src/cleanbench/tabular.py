@@ -481,7 +481,10 @@ def load_mask(path: str | Path) -> DetectionMask:
             parts = line.split(",", 2)
             if len(parts) != 3:
                 raise CsvFormatError(f"{path}:{line_no}: expected row,col,source")
-            row, col = int(parts[0]), int(parts[1])
+            try:
+                row, col = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise CsvFormatError(f"{path}:{line_no}: cell coordinate is not an integer") from None
             if row < 0 or col < 0:
                 raise CsvFormatError(f"{path}:{line_no}: negative cell coordinate")
             cells.append((row, col))

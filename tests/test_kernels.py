@@ -1,14 +1,16 @@
 """Exact equivalence of the array kernels with scalar reference loops.
 
 The CART split search, kNN imputation, isolation-forest scoring, tree
-prediction, the numeric mode and the column-wise detectors (mvd, fahes, sd,
-iqr and the isolation forest's cell selection) are checked against
+prediction, the numeric mode, the logit's softmax and gradient descent, the
+confident-learning flags and the column-wise detectors (mvd, fahes, sd, iqr
+and the isolation forest's cell selection) are checked against
 straightforward per-element implementations kept here as references. Results must be equal
 with `==`, not approximately: the kernels promise the same floats and the
 same tie rules. The bool-matrix detection masks are checked the same way
 against set arithmetic on cell coordinates.
 """
 
+import functools
 import math
 import tempfile
 import warnings
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from cleanbench import detect
 from cleanbench.metrics import RepairScore, detection_metrics, iou, repair_metrics_categorical
-from cleanbench.models import DecisionTree
+from cleanbench.models import DecisionTree, LogisticModel, _softmax, logistic_loss_and_grad
 from cleanbench.repair import RepairError, _donor_distances, _mode, _numeric_stat, repair_impute_knn
 from cleanbench.seeding import derive_rng
 from cleanbench.tabular import (
@@ -288,6 +290,58 @@ def ref_numeric_mode(values: list[float]) -> float:
     return float(best)
 
 
+def ref_softmax(Z: np.ndarray) -> np.ndarray:
+    Z = Z - Z.max(axis=1, keepdims=True)
+    E = np.exp(Z)
+    return E / E.sum(axis=1, keepdims=True)
+
+
+def ref_logistic_loss_and_grad(W: np.ndarray, Xb: np.ndarray, Y: np.ndarray, l2: float):
+    n = Xb.shape[0]
+    P = ref_softmax(Xb @ W)
+    eps = 1e-12
+    loss = -float(np.sum(Y * np.log(P + eps))) / n
+    penalty = W.copy()
+    penalty[-1, :] = 0.0
+    loss += 0.5 * l2 * float(np.sum(penalty**2))
+    grad = Xb.T @ (P - Y) / n + l2 * penalty
+    return loss, grad
+
+
+def ref_logistic_fit(X: np.ndarray, y: np.ndarray, lr: float, epochs: int, l2: float):
+    """(classes, W) from a per-row one-hot and an epoch loop through the loss."""
+    classes = sorted(set(y.tolist()))
+    index = {c: i for i, c in enumerate(classes)}
+    Y = np.zeros((len(y), len(classes)))
+    for i, label in enumerate(y):
+        Y[i, index[label]] = 1.0
+    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    W = np.zeros((Xb.shape[1], len(classes)))
+    for _ in range(epochs):
+        _, grad = ref_logistic_loss_and_grad(W, Xb, Y, l2)
+        W -= lr * grad
+    return classes, W
+
+
+def ref_logistic_predict(classes: list, W: np.ndarray, data: np.ndarray):
+    probs = ref_softmax(np.hstack([data, np.ones((data.shape[0], 1))]) @ W)
+    return probs, [classes[int(i)] for i in np.argmax(probs, axis=1)]
+
+
+def ref_confident_learning_flags(probs: np.ndarray, labels: list, classes: list) -> set:
+    members = {cls: [i for i, lab in enumerate(labels) if lab == cls] for cls in classes}
+    thresholds = {
+        cls: float(np.mean(probs[rows, k])) if rows else 1.0 for k, (cls, rows) in enumerate(members.items())
+    }
+    flagged = set()
+    for i, lab in enumerate(labels):
+        own = probs[i, classes.index(lab)]
+        top = classes[int(np.argmax(probs[i]))]
+        if own < thresholds[lab] and top != lab:
+            flagged.add(i)
+    return flagged
+
+
 # -- CART split search ---------------------------------------------------------
 
 
@@ -397,6 +451,138 @@ def test_tree_fit_and_predict_match_row_walk(rows, task):
         assert tree.predict(probe).tolist() == [tree.classes_[int(np.argmax(leaf.value))] for leaf in leaves]
         want = [(leaf.value / leaf.value.sum()).tolist() for leaf in leaves]
         assert tree.predict_proba(probe).tolist() == want
+
+
+# -- softmax logit -------------------------------------------------------------
+
+# Moderate logits, magnitudes up to 1e300 (their differences stay finite) and a
+# few repeated values, so that rows tie on their max.
+LOGITS = st.one_of(
+    st.floats(-30, 30),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 700.0, -745.0, 1e300, -1e300]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(1, 10), n=st.integers(1, 12))
+def test_softmax_matches_row_reduction(data, k, n):
+    Z = np.array(data.draw(st.lists(st.lists(LOGITS, min_size=k, max_size=k), min_size=n, max_size=n)))
+    assert np.array_equal(_softmax(Z), ref_softmax(Z))
+
+
+@pytest.mark.parametrize("k", [7, 8, 9])
+def test_softmax_around_the_eight_wide_row_sum(k):
+    Z = np.random.default_rng(k).normal(scale=5.0, size=(64, k))
+    E = np.exp(Z - Z.max(axis=1, keepdims=True))
+    sequential = E / functools.reduce(np.add, E.T)[:, None]
+    # A left-to-right sum of the columns is numpy's row sum up to 7 columns;
+    # from 8 it rounds differently, so this case tells the two apart.
+    assert np.array_equal(sequential, ref_softmax(Z)) == (k <= 7)
+    assert np.array_equal(_softmax(Z), ref_softmax(Z))
+
+
+def assert_logit_matches(X, y, lr, epochs, l2):
+    model = LogisticModel(lr=lr, epochs=epochs, l2=l2).fit(X, y)
+    classes, W = ref_logistic_fit(X, y, lr, epochs, l2)
+    assert model.classes_ == classes
+    assert np.array_equal(model.W, W)
+    probe = np.vstack([X, np.full((1, X.shape[1]), 3.0)])
+    probs, labels = ref_logistic_predict(classes, W, probe)
+    assert np.array_equal(model.predict_proba(probe), probs)
+    got = model.predict(probe)
+    assert got.dtype == object and got.shape == (len(probe),) and got.tolist() == labels
+    return model
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n_features=st.integers(1, 3),
+    n_classes=st.integers(1, 10),
+    lr=st.sampled_from([0.1, 0.5]),
+    epochs=st.integers(1, 15),
+    l2=st.sampled_from([0.0, 1e-3, 0.5]),
+)
+def test_logit_fit_matches_epoch_loop(data, n_features, n_classes, lr, epochs, l2):
+    rows = data.draw(
+        st.lists(
+            st.tuples(st.lists(st.floats(-5, 5), min_size=n_features, max_size=n_features), st.integers(0, n_classes - 1)),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    X = np.array([r[0] for r in rows])
+    y = np.array([f"c{r[1]}" for r in rows], dtype=object)
+    assert_logit_matches(X, y, lr, epochs, l2)
+
+
+def test_logit_fit_with_l2_matches_epoch_loop():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(40, 3))
+    y = np.array(["b", "a", "c", "a"] * 10, dtype=object)
+    assert_logit_matches(X, y, lr=0.1, epochs=50, l2=0.01)
+
+
+def test_logit_with_one_class():
+    X = np.arange(10.0).reshape(5, 2)
+    y = np.array(["only"] * 5, dtype=object)
+    model = assert_logit_matches(X, y, lr=0.1, epochs=20, l2=1e-3)
+    assert model.predict(X).tolist() == ["only"] * 5
+    assert model.predict_proba(X).tolist() == [[1.0]] * 5
+
+
+@pytest.mark.parametrize("names", [["low", "mid", "high"], [(1, "low"), (2, "mid"), (3, "high")]])
+def test_logit_predicts_object_labels(names):
+    X = np.array([[0.0], [0.1], [2.0], [2.1], [4.0], [4.1]])
+    y = np.empty(6, dtype=object)
+    y[:] = [names[i // 2] for i in range(6)]
+    assert assert_logit_matches(X, y, lr=0.5, epochs=200, l2=1e-3).predict(X).tolist() == y.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), k=st.integers(1, 10), n=st.integers(1, 12), l2=st.sampled_from([0.0, 0.3]))
+def test_logistic_loss_and_grad_unchanged(data, k, n, l2):
+    def matrix(rows, cols):
+        return np.array(data.draw(st.lists(st.lists(st.floats(-3, 3), min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+
+    d = data.draw(st.integers(1, 3))
+    Xb = np.hstack([matrix(n, d), np.ones((n, 1))])
+    W = matrix(d + 1, k)
+    Y = np.zeros((n, k))
+    Y[np.arange(n), data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))] = 1.0
+    loss, grad = logistic_loss_and_grad(W, Xb, Y, l2)
+    want_loss, want_grad = ref_logistic_loss_and_grad(W, Xb, Y, l2)
+    assert loss == want_loss and np.array_equal(grad, want_grad)
+
+
+# -- confident-learning flags --------------------------------------------------
+
+
+def assert_cl_flags_match(probs, labels, classes):
+    got = detect.confident_learning_flags(probs, labels, classes)
+    assert got == sorted(ref_confident_learning_flags(probs, labels, classes))
+    assert all(type(i) is int for i in got)
+
+
+def test_cl_flags_with_an_empty_class():
+    # nothing is labelled C; row 1 (labelled A) has argmax C and p(A) below t_A
+    probs = np.array([[0.8, 0.1, 0.1], [0.2, 0.1, 0.7], [0.1, 0.9, 0.0], [0.6, 0.4, 0.0]])
+    labels = ["A", "A", "B", "B"]
+    assert_cl_flags_match(probs, labels, ["A", "B", "C"])
+    assert detect.confident_learning_flags(probs, labels, ["A", "B", "C"]) == [1, 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(2, 5), n=st.integers(0, 30))
+def test_cl_flags_match_set_reference(data, k, n):
+    classes = [f"k{j}" for j in range(k)]
+    used = data.draw(st.integers(1, k))  # classes past `used` have no rows
+    labels = data.draw(st.lists(st.sampled_from(classes[:used]), min_size=n, max_size=n))
+    prob = st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    probs = np.array(data.draw(st.lists(st.lists(prob, min_size=k, max_size=k), min_size=n, max_size=n))).reshape(n, k)
+    assert_cl_flags_match(probs, labels, classes)
+    assert_cl_flags_match(probs, np.array(labels, dtype=object), classes)
 
 
 # -- kNN imputation ------------------------------------------------------------

@@ -171,6 +171,12 @@ class TestMaskIo:
         back = load_mask(path)
         assert back.cells == mask.cells and back.source == "sd"
 
+    def test_non_integer_coordinate_is_a_format_error(self, tmp_path):
+        path = tmp_path / "m.mask"
+        path.write_text("0,1,sd\n0,x,sd\n")
+        with pytest.raises(CsvFormatError, match=r"m\.mask:2: cell coordinate is not an integer"):
+            load_mask(path)
+
     def test_mask_validation(self):
         ds = Dataset.from_rows("t", ["a"], [["1"]])
         mask = mask_from([(5, 0)])
