@@ -162,6 +162,8 @@ class KNNModel:
         self.y = y
         if self.task == "classification":
             self.classes_ = sorted(set(y.tolist()))
+            index = {c: i for i, c in enumerate(self.classes_)}
+            self.codes_ = np.array([index[v] for v in y], dtype=np.intp)
         return self
 
     def _neighbor_labels(self, data: np.ndarray):
@@ -170,28 +172,32 @@ class KNNModel:
         order = np.argsort(dist, axis=1, kind="stable")[:, :k]
         return order
 
+    def _votes(self, data: np.ndarray) -> np.ndarray:
+        """Neighbour count of each class (columns in `classes_` order) per row."""
+        codes = self.codes_[self._neighbor_labels(data)]
+        width = len(self.classes_)
+        flat = (np.arange(codes.shape[0])[:, None] * width + codes).ravel()
+        return np.bincount(flat, minlength=codes.shape[0] * width).reshape(-1, width)
+
     def predict(self, data: np.ndarray) -> np.ndarray:
-        order = self._neighbor_labels(data)
         if self.task == "regression":
-            vals = np.asarray(self.y, dtype=float)[order]
+            vals = np.asarray(self.y, dtype=float)[self._neighbor_labels(data)]
             return vals.mean(axis=1)
-        out = []
-        for row in order:
-            votes: dict[object, int] = {}
-            for idx in row:
-                votes[self.y[idx]] = votes.get(self.y[idx], 0) + 1
-            best = sorted(votes, key=lambda c: (-votes[c], c))[0]
-            out.append(best)
-        return np.array(out, dtype=object)
+        # most votes, then the smallest class: argmax keeps the first maximum
+        return _label_array(self.classes_).take(np.argmax(self._votes(data), axis=1))
 
     def predict_proba(self, data: np.ndarray) -> np.ndarray:
-        order = self._neighbor_labels(data)
-        probs = np.zeros((data.shape[0], len(self.classes_)))
-        class_index = {c: i for i, c in enumerate(self.classes_)}
-        for r, row in enumerate(order):
-            for idx in row:
-                probs[r, class_index[self.y[idx]]] += 1.0
-        return probs / probs.sum(axis=1, keepdims=True)
+        votes = self._votes(data).astype(float)
+        return votes / votes.sum(axis=1, keepdims=True)
+
+
+def _label_array(classes: list) -> np.ndarray:
+    """The class labels as a 1-D object array to `take` predictions from.
+
+    np.fromiter keeps each label one element, even a tuple; np.asarray or a
+    slice assignment would spread a tuple's elements over the array.
+    """
+    return np.fromiter(classes, dtype=object, count=len(classes))
 
 
 # -- CART decision tree ------------------------------------------------------
@@ -227,9 +233,26 @@ def route_rows(X: np.ndarray, root, goes_left):
         stack.append((node.left, rows[left], depth + 1))
 
 
+def _first_best(gains: list) -> int:
+    """Index of the first gain that beats the running best by more than 1e-15.
+
+    This is the split scan's tie rule: a near-tie goes to the earlier split.
+    """
+    best_gain, best_at = None, 0
+    for at, gain in enumerate(gains):
+        if best_gain is None or gain > best_gain + 1e-15:
+            best_gain, best_at = gain, at
+    return best_at
+
+
 class DecisionTree:
     """Greedy CART: Gini impurity for classification, variance reduction for
-    regression, axis-aligned thresholds at midpoints of sorted feature values."""
+    regression, axis-aligned thresholds at midpoints of sorted feature values.
+
+    CART draws nothing at random, so the order in which nodes grow cannot
+    change the tree. `fit` grows it level by level: one split search covers
+    every open node of a depth.
+    """
 
     def __init__(self, task: str, max_depth: int = 8, min_leaf: int = 5):
         if max_depth < 1 or min_leaf < 1:
@@ -244,96 +267,207 @@ class DecisionTree:
         if self.task == "classification":
             self.classes_ = sorted(set(y.tolist()))
             index = {c: i for i, c in enumerate(self.classes_)}
-            codes = np.array([index[v] for v in y])
+            codes = np.array([index[v] for v in y], dtype=np.intp)
         else:
             codes = np.asarray(y, dtype=float)
-        self.root = self._grow(X, codes, depth=0)
+        self.root = self._grow(X, codes)
         return self
 
-    def _leaf(self, y: np.ndarray) -> _TreeNode:
+    def _leaf_value(self, y: np.ndarray):
+        """Class counts or the mean of a node's targets, given in row order."""
         if self.task == "classification":
-            counts = np.bincount(y, minlength=len(self.classes_)).astype(float)
-            return _TreeNode(value=counts)
-        return _TreeNode(value=float(y.mean()))
+            return np.bincount(y, minlength=len(self.classes_)).astype(float)
+        return float(np.mean(y))
 
-    def _impurity_gain(self, col: np.ndarray, y: np.ndarray):
-        """Best (gain, threshold) over the split points of one feature, or None.
+    def _impure(self, y: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Which nodes have targets that differ; y holds each node's in row order.
 
-        Split i sends the first i + 1 rows in sorted order left. All gains are
-        computed in one pass with the element-wise expressions of a running
-        count scan, and the winner is the first gain that beats the running
-        best by more than 1e-15; a plain argmax would settle near-ties
-        differently and change the tree.
+        A regression node is pure when its variance is 0.0, which a constant
+        node such as [0.1] * 3 need not have. A spread above 1e-150 proves a
+        variance above 0, because (spread / 2) ** 2 is a normal float, so
+        only smaller spreads need np.var.
         """
-        order = np.argsort(col, kind="stable")
-        cs, ys = col[order], y[order]
-        n = len(ys)
-        nl = np.arange(1, n)
-        nr = n - nl
-        split = np.flatnonzero((cs[:-1] != cs[1:]) & (nl >= self.min_leaf) & (nr >= self.min_leaf))
-        if split.size == 0:
-            return None
-        nl, nr = nl[split], nr[split]
+        starts = np.cumsum(sizes) - sizes
+        spread = np.maximum.reduceat(y, starts) - np.minimum.reduceat(y, starts)
         if self.task == "classification":
+            return spread != 0
+        impure = spread > 1e-150
+        for i in np.flatnonzero(~impure).tolist():
+            impure[i] = float(np.var(y[starts[i] : starts[i] + sizes[i]])) != 0.0
+        return impure
+
+    def _grow(self, X: np.ndarray, y: np.ndarray) -> _TreeNode:
+        """Grow the tree one depth at a time and return its root.
+
+        `rows` holds the rows of the open nodes as consecutive segments: one
+        line per feature in (value, row) order, as a stable argsort gives,
+        and a last line in row order. A node's segment has the same place on
+        every line. A child's rows are a stable sort of its parent's by
+        child, so every line keeps its order with no sort by value.
+        """
+        n = X.shape[0]
+        XT = np.ascontiguousarray(X.T)
+        rows = np.vstack([np.argsort(X, axis=0, kind="stable").T, np.arange(n)])
+        root = _TreeNode()
+        nodes, sizes = [root], np.array([n])
+        for depth in range(self.max_depth + 1):
+            feature, threshold = self._level_splits(XT, y, rows, sizes, depth)
+            split = feature >= 0
+            ends = np.cumsum(sizes).tolist()
+            for i in np.flatnonzero(~split).tolist():
+                nodes[i].value = self._leaf_value(y[rows[-1, ends[i] - sizes[i] : ends[i]]])
+            if not split.any():
+                break
+            # the left child of the i-th splitting node is 2i and the right
+            # one 2i + 1; the rows of leaves sort last and drop off the end
+            moving = rows[-1, np.repeat(split, sizes)]
+            counts = sizes[split]
+            goes_right = ~(X[moving, np.repeat(feature[split], counts)] <= np.repeat(threshold[split], counts))
+            child = 2 * np.repeat(np.arange(counts.size), counts) + goes_right
+            key = np.full(n, 2 * counts.size, dtype=np.min_scalar_type(2 * counts.size))
+            key[moving] = child
+            order = np.argsort(key[rows], axis=1, kind="stable")[:, : moving.size]
+            rows = np.take_along_axis(rows, order, axis=1)
+            sizes = np.bincount(child, minlength=2 * counts.size)
+            children = []
+            for i in np.flatnonzero(split).tolist():
+                node = nodes[i]
+                node.feature, node.threshold = int(feature[i]), threshold[i]
+                node.left, node.right = _TreeNode(), _TreeNode()
+                children += [node.left, node.right]
+            nodes = children
+        return root
+
+    def _level_splits(self, XT: np.ndarray, y: np.ndarray, rows: np.ndarray, sizes: np.ndarray, depth: int):
+        """Split feature (-1 for a leaf) and threshold of each node of a level."""
+        feature = np.full(sizes.size, -1)
+        threshold = np.zeros(sizes.size)
+        searched = sizes >= 2 * self.min_leaf
+        if depth >= self.max_depth or not searched.any():
+            return feature, threshold
+        sub = rows[:, np.repeat(searched, sizes)]
+        impure = self._impure(y[sub[-1]], sizes[searched])
+        sub = sub[:, np.repeat(impure, sizes[searched])]
+        searched[searched] = impure
+        if not searched.any():
+            return feature, threshold
+        d = XT.shape[0]
+        gains, thresholds = self._best_splits(XT[np.arange(d)[:, None], sub[:d]], y[sub[:d]], sizes[searched])
+        # a later feature must beat the best earlier one by more than 1e-15
+        for at, node_gains, node_thresholds in zip(
+            np.flatnonzero(searched).tolist(), gains.T.tolist(), thresholds.T.tolist()
+        ):
+            best = None
+            for j, gain in enumerate(node_gains):
+                if gain > 1e-12 and (best is None or gain > node_gains[best] + 1e-15):
+                    best = j
+            if best is not None:
+                feature[at], threshold[at] = best, node_thresholds[best]
+        return feature, threshold
+
+    def _best_splits(self, xs: np.ndarray, ys: np.ndarray, sizes: np.ndarray):
+        """Best (gain, threshold) of each feature in each node, indexed
+        [feature, node]; the gain is NaN where a node has no split point.
+
+        Line j of `xs` holds feature j's values over the nodes' rows, each
+        node's segment sorted, and `ys` the targets in the same order;
+        node i has sizes[i] rows. Split p sends a segment's rows up to p
+        left. Every gain comes from the element-wise expressions of a
+        per-node running count scan, evaluated over the whole level:
+        regression sums restart at each node, squares of sums go through
+        pow(). Each (feature, node) keeps the first gain that beats the
+        running best by more than 1e-15 (`_first_best`). When a segment's
+        maximum beats every gain before its first occurrence by more than
+        1e-15, that scan provably stops there; otherwise (near-ties, NaN)
+        the scan runs.
+        """
+        d, m = xs.shape
+        starts = np.cumsum(sizes) - sizes
+        n_at = np.repeat(sizes, sizes)
+        nl_at = np.arange(1, m + 1) - np.repeat(starts, sizes)
+        fits = (nl_at >= self.min_leaf) & (n_at - nl_at >= self.min_leaf)
+        # q indexes the flattened lines; the last row of a line never fits
+        flat = xs.ravel()
+        q = np.flatnonzero((flat[:-1] != flat[1:]) & np.tile(fits, d)[:-1])
+        best_gain = np.full(d * sizes.size, np.nan)
+        best_threshold = np.zeros(d * sizes.size)
+        if not q.size:
+            return best_gain.reshape(d, -1), best_threshold.reshape(d, -1)
+        j = q // m
+        p = q - j * m
+        segment = j * sizes.size + np.repeat(np.arange(sizes.size), sizes)[p]
+        n, nl = n_at[p], nl_at[p]
+        nr = n - nl
+        if self.task == "classification":
+            # counts are exact, so one running count over each line less the
+            # count before a node's start is the node's running count; an
+            # integer count divides like the float count of a scan
             k = len(self.classes_)
-            onehot = np.zeros((n, k))
-            onehot[np.arange(n), ys] = 1.0
-            left = np.cumsum(onehot, axis=0)[split]
-            total = np.bincount(ys, minlength=k).astype(float)
-            right = total - left
-            total_gini = 1.0 - np.sum((total / n) ** 2)
-            gini = (
-                nl / n * (1.0 - np.sum((left / nl[:, None]) ** 2, axis=1))
-                + nr / n * (1.0 - np.sum((right / nr[:, None]) ** 2, axis=1))
+            counts = np.zeros((d, m + 1, k), dtype=np.int32)
+            counts[np.arange(d)[:, None], np.arange(1, m + 1), ys] = 1
+            np.cumsum(counts, axis=1, out=counts)
+            total = counts[0, starts + sizes] - counts[0, starts]
+            total_gini = 1.0 - _row_sum((total / sizes[:, None]) ** 2)
+            before = counts[:, starts].reshape(-1, k)
+            left = counts.reshape(-1, k)[q + j + 1] - before[segment]
+            right = np.tile(total, (d, 1))[segment] - left
+            gini = nl / n * (1.0 - _row_sum((left / nl[:, None]) ** 2)) + nr / n * (
+                1.0 - _row_sum((right / nr[:, None]) ** 2)
             )
-            gains = total_gini - gini
+            gains = np.tile(total_gini, d)[segment] - gini
         else:
             # np.float_power squares through pow() like the scalar `x ** 2` of
             # a per-split scan; `array ** 2` is x * x and can differ in the
-            # last bit.
-            csum = np.cumsum(ys)
-            csum2 = np.cumsum(ys**2)
-            total_var = csum2[-1] - csum[-1] ** 2 / n
-            left_ss = csum2[split] - np.float_power(csum[split], 2.0) / nl
-            right_ss = (csum2[-1] - csum2[split]) - np.float_power(csum[-1] - csum[split], 2.0) / nr
-            gains = total_var - left_ss - right_ss
-        best_gain, best_at = None, 0
-        for at, gain in enumerate(gains.tolist()):
-            if best_gain is None or gain > best_gain + 1e-15:
-                best_gain, best_at = gain, at
-        i = split[best_at]
-        return best_gain, (cs[i] + cs[i + 1]) / 2.0
+            # last bit. A running sum over a line less the sum before a
+            # node's start would round differently, so each node starts anew.
+            both = np.stack([ys, ys**2])
+            sums = np.empty_like(both)
+            for a, b in zip(starts.tolist(), (starts + sizes).tolist()):
+                np.add.accumulate(both[:, :, a:b], axis=2, out=sums[:, :, a:b])
+            csum, csum2 = sums[0].ravel(), sums[1].ravel()
+            ends = (np.arange(d)[:, None] * m + starts + sizes - 1).ravel()
+            total, total2 = csum[ends], csum2[ends]
+            total_var = total2 - np.float_power(total, 2.0) / np.tile(sizes, d)
+            total, total2 = total[segment], total2[segment]
+            left, left2 = csum[q], csum2[q]
+            left_ss = left2 - np.float_power(left, 2.0) / nl
+            right_ss = (total2 - left2) - np.float_power(total - left, 2.0) / nr
+            gains = total_var[segment] - left_ss - right_ss
+        starts_seg = np.empty(q.size, dtype=bool)
+        starts_seg[0] = True
+        np.not_equal(segment[1:], segment[:-1], out=starts_seg[1:])
+        first = np.flatnonzero(starts_seg)
+        seg_of = np.cumsum(starts_seg) - 1
+        top = np.maximum.reduceat(gains, first)
+        at = np.arange(q.size)
+        win = np.minimum.reduceat(np.where(gains == top[seg_of], at, q.size), first)
+        before_win = np.maximum.reduceat(np.where(at < win[seg_of], gains, -np.inf), first)
+        sure = (win < q.size) & (top > before_win + 1e-15)
+        bounds = first.tolist() + [q.size]
+        for s in np.flatnonzero(~sure).tolist():
+            win[s] = bounds[s] + _first_best(gains[bounds[s] : bounds[s + 1]].tolist())
+        best_gain[segment[first]] = gains[win]
+        best_threshold[segment[first]] = (flat[q[win]] + flat[q[win] + 1]) / 2.0
+        return best_gain.reshape(d, -1), best_threshold.reshape(d, -1)
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _TreeNode:
-        n = len(y)
-        pure = (
-            len(set(y.tolist())) == 1
-            if self.task == "classification"
-            else float(np.var(y)) == 0.0
-        )
-        if depth >= self.max_depth or n < 2 * self.min_leaf or pure:
-            return self._leaf(y)
-        best = None
-        for j in range(X.shape[1]):
-            cand = self._impurity_gain(X[:, j], y)
-            if cand is not None and cand[0] > 1e-12 and (best is None or cand[0] > best[0] + 1e-15):
-                best = (cand[0], j, cand[1])
-        if best is None:
-            return self._leaf(y)
-        _, j, thr = best
-        go_left = X[:, j] <= thr
-        node = _TreeNode(feature=j, threshold=thr)
-        node.left = self._grow(X[go_left], y[go_left], depth + 1)
-        node.right = self._grow(X[~go_left], y[~go_left], depth + 1)
-        return node
+    def _impurity_gain(self, col: np.ndarray, y: np.ndarray):
+        """Best (gain, threshold) over the split points of one feature of one
+        node, or None if it has none."""
+        order = np.argsort(col, kind="stable")
+        gains, thresholds = self._best_splits(col[order][None, :], y[order][None, :], np.array([len(y)]))
+        return None if np.isnan(gains[0, 0]) else (float(gains[0, 0]), float(thresholds[0, 0]))
 
     def predict(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=float)
-        regression = self.task == "regression"
-        out = np.empty(data.shape[0], dtype=float if regression else object)
+        if self.task == "regression":
+            out = np.empty(data.shape[0])
+            for leaf, rows, _ in route_rows(data, self.root, np.less_equal):
+                out[rows] = leaf.value
+            return out
+        codes = np.empty(data.shape[0], dtype=np.intp)
         for leaf, rows, _ in route_rows(data, self.root, np.less_equal):
-            out[rows] = leaf.value if regression else self.classes_[int(np.argmax(leaf.value))]
-        return out
+            codes[rows] = np.argmax(leaf.value)
+        return _label_array(self.classes_).take(codes)
 
     def predict_proba(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=float)
@@ -346,20 +480,30 @@ class DecisionTree:
 # -- logistic regression (softmax, full-batch gradient descent) --------------
 
 
+def _row_sum(A: np.ndarray) -> np.ndarray:
+    """A.sum(axis=1), the same floats without the row reduction's per-call cost.
+
+    numpy reduces a row of fewer than 8 values left to right, so up to 7
+    columns the sum goes column by column. From 8 values numpy's pairwise
+    sum keeps 8 partial sums (Higham, SIAM J. Sci. Comput. 1993) and rounds
+    differently, so the row reduction stays.
+    """
+    if A.shape[1] >= 8:
+        return A.sum(axis=1)
+    return functools.reduce(np.add, A.T)
+
+
 def _softmax(Z: np.ndarray) -> np.ndarray:
     """Row-wise softmax of the logits Z, shifted by the row max.
 
-    numpy reduces a row of fewer than 8 values left to right, so up to 7
-    classes the max and the sum go column by column: the same floats without
-    the row reduction's per-call cost. From 8 values numpy's pairwise sum
-    keeps 8 partial sums (Higham, SIAM J. Sci. Comput. 1993) and rounds
-    differently, so the row reduction stays.
+    Up to 7 classes the max goes column by column, like the sum
+    (`_row_sum`); the max is exact either way.
     """
     if Z.shape[1] >= 8:
         E = np.exp(Z - Z.max(axis=1, keepdims=True))
-        return E / E.sum(axis=1, keepdims=True)
-    E = np.exp(Z - functools.reduce(np.maximum, Z.T)[:, None])
-    return E / functools.reduce(np.add, E.T)[:, None]
+    else:
+        E = np.exp(Z - functools.reduce(np.maximum, Z.T)[:, None])
+    return E / _row_sum(E)[:, None]
 
 
 def _unbiased(W: np.ndarray) -> np.ndarray:
@@ -416,10 +560,7 @@ class LogisticModel:
         return _softmax(Xb @ self.W)
 
     def predict(self, data: np.ndarray) -> np.ndarray:
-        probs = self.predict_proba(data)
-        # fromiter keeps each class one element, even a tuple label
-        classes = np.fromiter(self.classes_, dtype=object, count=len(self.classes_))
-        return classes.take(np.argmax(probs, axis=1))
+        return _label_array(self.classes_).take(np.argmax(self.predict_proba(data), axis=1))
 
 
 # -- ridge regression --------------------------------------------------------
@@ -529,10 +670,6 @@ def silhouette(data: np.ndarray, assignments: np.ndarray) -> float:
     clusters = sorted(set(labels.tolist()))
     if len(clusters) < 2:
         raise ModelError("silhouette needs at least 2 non-empty clusters")
-    # Direct differences, not the gram-matrix shortcut: the score must agree
-    # with a naive implementation to near machine precision.
-    diff = X[:, None, :] - X[None, :, :]
-    dist = np.sqrt(np.sum(diff**2, axis=2))
     scores = np.zeros(len(X))
     for i in range(len(X)):
         own = labels == labels[i]
@@ -540,8 +677,12 @@ def silhouette(data: np.ndarray, assignments: np.ndarray) -> float:
         if n_own <= 1:
             scores[i] = 0.0
             continue
-        a = dist[i, own].sum() / (n_own - 1)
-        b = min(dist[i, labels == c].mean() for c in clusters if c != labels[i])
+        # Direct differences, not the gram-matrix shortcut: the score must
+        # agree with a naive implementation to near machine precision. One
+        # row at a time keeps memory at O(n * d).
+        dist = np.sqrt(np.sum((X[i] - X) ** 2, axis=1))
+        a = dist[own].sum() / (n_own - 1)
+        b = min(dist[labels == c].mean() for c in clusters if c != labels[i])
         scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
     return float(scores.mean())
 

@@ -1,10 +1,12 @@
 """Exact equivalence of the array kernels with scalar reference loops.
 
-The CART split search, kNN imputation, isolation-forest scoring, tree
-prediction, the numeric mode, the logit's softmax and gradient descent, the
-confident-learning flags and the column-wise detectors (mvd, fahes, sd, iqr
-and the isolation forest's cell selection) are checked against
-straightforward per-element implementations kept here as references. Results must be equal
+The CART split search and level-by-level tree growth (against the
+recursive grower), kNN imputation, kNN model votes, isolation-forest scoring,
+tree prediction, the numeric mode, the logit's softmax and gradient descent,
+the confident-learning flags, the silhouette, the Wilcoxon exact p and the
+column-wise detectors (mvd, fahes, sd, iqr and the isolation forest's cell
+selection) are checked against straightforward per-element implementations
+kept here as references. Results must be equal
 with `==`, not approximately: the kernels promise the same floats and the
 same tie rules. The bool-matrix detection masks are checked the same way
 against set arithmetic on cell coordinates.
@@ -13,6 +15,7 @@ against set arithmetic on cell coordinates.
 import functools
 import math
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -21,11 +24,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cleanbench import detect
+from cleanbench import detect, models
 from cleanbench.metrics import RepairScore, detection_metrics, iou, repair_metrics_categorical
-from cleanbench.models import DecisionTree, LogisticModel, _softmax, logistic_loss_and_grad
+from cleanbench.models import (
+    DecisionTree,
+    KNNModel,
+    LogisticModel,
+    _softmax,
+    _TreeNode,
+    logistic_loss_and_grad,
+    silhouette,
+)
 from cleanbench.repair import RepairError, _donor_distances, _mode, _numeric_stat, repair_impute_knn
 from cleanbench.seeding import derive_rng
+from cleanbench.stats import PairedSample, _average_ranks, _exact_p, wilcoxon_signed_rank
 from cleanbench.tabular import (
     CellRef,
     CsvFormatError,
@@ -88,6 +100,122 @@ def ref_impurity_gain(tree: DecisionTree, col: np.ndarray, y: np.ndarray):
         if best is None or gain > best[0] + 1e-15:
             best = (gain, threshold)
     return best
+
+
+class RefTree(DecisionTree):
+    """The recursive grower: one node at a time, one split search per feature."""
+
+    def _leaf(self, y: np.ndarray) -> _TreeNode:
+        if self.task == "classification":
+            counts = np.bincount(y, minlength=len(self.classes_)).astype(float)
+            return _TreeNode(value=counts)
+        return _TreeNode(value=float(y.mean()))
+
+    def _impurity_gain(self, col: np.ndarray, y: np.ndarray):
+        order = np.argsort(col, kind="stable")
+        cs, ys = col[order], y[order]
+        n = len(ys)
+        nl = np.arange(1, n)
+        nr = n - nl
+        split = np.flatnonzero((cs[:-1] != cs[1:]) & (nl >= self.min_leaf) & (nr >= self.min_leaf))
+        if split.size == 0:
+            return None
+        nl, nr = nl[split], nr[split]
+        if self.task == "classification":
+            k = len(self.classes_)
+            onehot = np.zeros((n, k))
+            onehot[np.arange(n), ys] = 1.0
+            left = np.cumsum(onehot, axis=0)[split]
+            total = np.bincount(ys, minlength=k).astype(float)
+            right = total - left
+            total_gini = 1.0 - np.sum((total / n) ** 2)
+            gini = (
+                nl / n * (1.0 - np.sum((left / nl[:, None]) ** 2, axis=1))
+                + nr / n * (1.0 - np.sum((right / nr[:, None]) ** 2, axis=1))
+            )
+            gains = total_gini - gini
+        else:
+            csum = np.cumsum(ys)
+            csum2 = np.cumsum(ys**2)
+            total_var = csum2[-1] - csum[-1] ** 2 / n
+            left_ss = csum2[split] - np.float_power(csum[split], 2.0) / nl
+            right_ss = (csum2[-1] - csum2[split]) - np.float_power(csum[-1] - csum[split], 2.0) / nr
+            gains = total_var - left_ss - right_ss
+        best_gain, best_at = None, 0
+        for at, gain in enumerate(gains.tolist()):
+            if best_gain is None or gain > best_gain + 1e-15:
+                best_gain, best_at = gain, at
+        i = split[best_at]
+        return best_gain, (cs[i] + cs[i + 1]) / 2.0
+
+    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int = 0) -> _TreeNode:
+        n = len(y)
+        pure = (
+            len(set(y.tolist())) == 1
+            if self.task == "classification"
+            else float(np.var(y)) == 0.0
+        )
+        if depth >= self.max_depth or n < 2 * self.min_leaf or pure:
+            return self._leaf(y)
+        best = None
+        for j in range(X.shape[1]):
+            cand = self._impurity_gain(X[:, j], y)
+            if cand is not None and cand[0] > 1e-12 and (best is None or cand[0] > best[0] + 1e-15):
+                best = (cand[0], j, cand[1])
+        if best is None:
+            return self._leaf(y)
+        _, j, thr = best
+        go_left = X[:, j] <= thr
+        node = _TreeNode(feature=j, threshold=thr)
+        node.left = self._grow(X[go_left], y[go_left], depth + 1)
+        node.right = self._grow(X[~go_left], y[~go_left], depth + 1)
+        return node
+
+
+def ref_knn_votes(model: KNNModel, data: np.ndarray):
+    """Per-row vote dicts: (labels by most votes then smallest, vote shares)."""
+    order = model._neighbor_labels(data)
+    labels, probs = [], np.zeros((data.shape[0], len(model.classes_)))
+    class_index = {c: i for i, c in enumerate(model.classes_)}
+    for r, row in enumerate(order):
+        votes: dict[object, int] = {}
+        for idx in row:
+            votes[model.y[idx]] = votes.get(model.y[idx], 0) + 1
+            probs[r, class_index[model.y[idx]]] += 1.0
+        labels.append(sorted(votes, key=lambda c: (-votes[c], c))[0])
+    return labels, probs / probs.sum(axis=1, keepdims=True)
+
+
+def ref_silhouette(X: np.ndarray, labels: np.ndarray) -> float:
+    """Silhouette over the full n x n x d difference tensor."""
+    clusters = sorted(set(labels.tolist()))
+    diff = X[:, None, :] - X[None, :, :]
+    dist = np.sqrt(np.sum(diff**2, axis=2))
+    scores = np.zeros(len(X))
+    for i in range(len(X)):
+        own = labels == labels[i]
+        n_own = own.sum()
+        if n_own <= 1:
+            scores[i] = 0.0
+            continue
+        a = dist[i, own].sum() / (n_own - 1)
+        b = min(dist[i, labels == c].mean() for c in clusters if c != labels[i])
+        scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
+    return float(scores.mean())
+
+
+def ref_exact_p(ranks: np.ndarray, w_obs: float) -> float:
+    """Two-tailed Wilcoxon p by enumerating all 2^n sign assignments."""
+    n = len(ranks)
+    count = 0
+    for bits in range(1 << n):
+        w_plus = 0.0
+        for i in range(n):
+            if bits >> i & 1:
+                w_plus += ranks[i]
+        if w_plus <= w_obs + 1e-9:
+            count += 1
+    return min(1.0, 2.0 * count / (1 << n))
 
 
 def ref_tree_leaf(tree: DecisionTree, x: np.ndarray):
@@ -451,6 +579,131 @@ def test_tree_fit_and_predict_match_row_walk(rows, task):
         assert tree.predict(probe).tolist() == [tree.classes_[int(np.argmax(leaf.value))] for leaf in leaves]
         want = [(leaf.value / leaf.value.sum()).tolist() for leaf in leaves]
         assert tree.predict_proba(probe).tolist() == want
+
+
+def assert_same_tree(got, want, path="root"):
+    """Node by node: the same features, thresholds and leaf values."""
+    assert (got.left is None) == (want.left is None), path
+    if want.left is None:
+        if isinstance(want.value, np.ndarray):
+            assert got.value.tolist() == want.value.tolist(), path
+        else:
+            assert got.value == want.value or (math.isnan(got.value) and math.isnan(want.value)), path
+        return
+    assert got.feature == want.feature and got.threshold == want.threshold, path
+    assert_same_tree(got.left, want.left, path + ".left")
+    assert_same_tree(got.right, want.right, path + ".right")
+
+
+def assert_same_fit(task, X, y, max_depth=8, min_leaf=1):
+    got = DecisionTree(task, max_depth=max_depth, min_leaf=min_leaf).fit(X, y)
+    want = RefTree(task, max_depth=max_depth, min_leaf=min_leaf).fit(X, y)
+    assert_same_tree(got.root, want.root)
+    return got
+
+
+# Feature values with duplicates; targets whose sums round differently in
+# another order or from another start.
+TARGETS = [0.1, 0.2, 0.3, -1.5, 1e3, 7.25, 100000000.1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 60),
+    d=st.integers(1, 4),
+    n_classes=st.integers(1, 12),
+    min_leaf=st.integers(1, 6),
+    max_depth=st.integers(1, 8),
+    shape=st.sampled_from(["plain", "constant", "duplicated"]),
+)
+def test_level_grower_matches_recursive_grower(data, n, d, n_classes, min_leaf, max_depth, shape):
+    X = np.array(data.draw(st.lists(st.lists(st.integers(0, 7), min_size=d, max_size=d), min_size=n, max_size=n)), dtype=float)
+    if shape == "constant":
+        X[:, 0] = 3.0
+    elif shape == "duplicated" and d > 1:
+        X[:, 1] = X[:, 0]
+    codes = data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    targets = data.draw(st.lists(st.sampled_from(TARGETS), min_size=n, max_size=n))
+    assert_same_fit("classification", X, np.array(codes, dtype=object), max_depth, min_leaf)
+    assert_same_fit("regression", X, np.array(targets), max_depth, min_leaf)
+
+
+def test_constant_targets_whose_variance_is_not_zero_are_searched():
+    X = np.arange(3.0)[:, None]
+    # np.var of both is above 0, because their mean rounds off the value; the
+    # second one's rounding errors even make a split worth more than 1e-12
+    for value in (0.1, 100000000.1):
+        assert np.var(np.full(3, value)) > 0.0
+        assert_same_fit("regression", X, np.full(3, value))
+    assert assert_same_fit("regression", X, np.full(3, 100000000.1)).root.left is not None
+
+
+def test_targets_spread_below_1e150_with_zero_variance_are_pure():
+    X = np.arange(4.0)[:, None]
+    y = np.array([1e-200, 3e-200, 1e-200, 3e-200])
+    assert np.var(y) == 0.0
+    tree = assert_same_fit("regression", X, y)
+    assert tree.root.left is None
+
+
+@pytest.mark.parametrize(
+    "task, y",
+    [
+        ("classification", [1, 1, 0, 1, 1, 1, 0, 1]),
+        ("regression", [0.1, 0.1, 0.2, 0.1, 0.1]),
+    ],
+)
+def test_near_ties_take_the_scan_fallback(task, y, monkeypatch):
+    scans = []
+
+    def counting(gains):
+        scans.append(gains)
+        return first_best(gains)
+
+    first_best = models._first_best
+    monkeypatch.setattr(models, "_first_best", counting)
+    X = np.arange(len(y), dtype=float)[:, None]
+    assert_same_fit(task, X, np.array(y, dtype=object if task == "classification" else float))
+    assert scans
+
+
+@pytest.mark.parametrize("n_classes", [8, 9, 10])
+def test_trees_around_the_eight_wide_row_sum(n_classes):
+    rng = np.random.default_rng(n_classes)
+    X = rng.integers(0, 6, size=(80, 3)).astype(float)
+    y = np.array(rng.integers(0, n_classes, size=80), dtype=object)
+    for min_leaf in (1, 2, 5):
+        assert_same_fit("classification", X, y, min_leaf=min_leaf)
+
+
+def test_threshold_rounding_up_to_the_right_value_leaves_an_empty_child():
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b  # the midpoint rounds to b, so b goes left too
+    X = np.array([[a], [b], [a], [b]])
+    tree = assert_same_fit("classification", X, np.array(["x", "y", "x", "y"], dtype=object), max_depth=2)
+    assert tree.root.right.left is None and tree.root.right.value.tolist() == [0.0, 0.0]
+
+
+def test_tree_fits_on_real_columns_match_recursive_grower():
+    from cleanbench.inject import make_synthetic
+
+    ds = make_synthetic("two_class", 250, 3)
+    X = np.column_stack([ds.columns[c].parsed_values() for c in ds.numeric_column_indices()])
+    labels = np.array(ds.column("label").raw_values(), dtype=object)
+    assert_same_fit("classification", X, labels, min_leaf=5)
+    for j in range(X.shape[1]):
+        assert_same_fit("regression", np.delete(X, j, axis=1), X[:, j].copy(), min_leaf=5)
+
+
+@pytest.mark.parametrize("labels", [["a", "b"], [(1, "a"), (2, "b")]])
+def test_tree_and_knn_predict_object_labels(labels):
+    X = np.array([[0.0], [0.5], [5.0], [5.5]])
+    y = np.empty(4, dtype=object)
+    y[:] = [labels[0], labels[0], labels[1], labels[1]]
+    for model in (DecisionTree("classification", max_depth=3, min_leaf=1), KNNModel(k=1)):
+        assert model.fit(X, y).predict(X).tolist() == y.tolist()
 
 
 # -- softmax logit -------------------------------------------------------------
@@ -977,3 +1230,61 @@ def test_mask_matrices_are_read_only():
         with pytest.raises(ValueError):
             mask.flagged[...] = True
         assert mask.matrix(mask.flagged.shape) is mask.flagged
+
+
+# -- kNN votes, silhouette and the Wilcoxon exact p -----------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 25),
+    k=st.integers(1, 7),
+    n_classes=st.integers(1, 5),
+)
+def test_knn_votes_match_vote_dicts(data, n, k, n_classes):
+    X = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)[:, None]
+    y = np.array([f"c{v}" for v in data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))], dtype=object)
+    probe = np.array([[-1.0], [0.0], [1.5], [3.0], [9.0]])
+    model = KNNModel(k=k).fit(X, y)
+    labels, probs = ref_knn_votes(model, probe)
+    assert model.predict(probe).tolist() == labels
+    assert model.predict_proba(probe).tolist() == probs.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 30),
+    d=st.integers(1, 12),
+    n_clusters=st.integers(2, 4),
+)
+def test_silhouette_matches_difference_tensor(data, n, d, n_clusters):
+    X = np.array(
+        data.draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d), min_size=n, max_size=n))
+    )
+    labels = np.array(data.draw(st.lists(st.integers(0, n_clusters - 1), min_size=n, max_size=n)))
+    if len(set(labels.tolist())) < 2:
+        labels[0], labels[1] = 0, 1
+    assert silhouette(X, labels) == ref_silhouette(X, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=14), st.data())
+def test_exact_p_count_matches_enumeration(magnitudes, data):
+    # small integer magnitudes tie often, so many ranks are averages
+    ranks = _average_ranks(np.array(magnitudes, dtype=float))
+    positive = np.array(data.draw(st.lists(st.booleans(), min_size=len(ranks), max_size=len(ranks))))
+    w_plus = float(ranks[positive].sum())
+    w = min(w_plus, float(ranks[~positive].sum()))
+    assert _exact_p(ranks, w) == ref_exact_p(ranks, w)
+
+
+def test_exact_p_for_forty_pairs_is_fast():
+    rng = np.random.default_rng(40)
+    diffs = np.round(rng.standard_normal(40), 1)
+    diffs[diffs == 0.0] = 0.05
+    start = time.perf_counter()
+    result = wilcoxon_signed_rank(PairedSample([(float(v), 0.0) for v in diffs]), mode="exact")
+    assert time.perf_counter() - start < 1.0
+    assert result.mode == "exact" and result.n_effective == 40 and 0.0 < result.p_value <= 1.0
