@@ -18,7 +18,7 @@ from . import models
 from .constraints import DenialConstraint, find_violations
 from .inject import CATEGORICAL_DISGUISE_TOKENS, NUMERIC_DISGUISE_CODES
 from .seeding import derive_rng
-from .tabular import Dataset, DetectionMask, bounding_shape, cells_of, union_masks
+from .tabular import Dataset, DetectionMask, bounding_shape, union_masks
 
 DETECTOR_KINDS = ("mvd", "fahes", "sd", "iqr", "if", "rule", "dedup", "cl", "mink", "maxent")
 
@@ -78,7 +78,7 @@ def detect_missing(ds: Dataset) -> DetectionMask:
     """All cells flagged empty: blank text or a configured null token."""
     flagged = _no_flags(ds)
     for j, col in enumerate(ds.columns):
-        flagged[:, j] = col.empty_flags()
+        flagged[:, j] = col.empty
     return DetectionMask(flagged, source="mvd")
 
 
@@ -103,21 +103,21 @@ def detect_disguised(ds: Dataset) -> DetectionMask:
     flagged = _no_flags(ds)
     for j, col in enumerate(ds.columns):
         if col.is_numeric:
-            parsed = col.parsed_values()
+            parsed = col.parsed
             finite = parsed[~np.isnan(parsed)]
             if finite.size == 0:
                 continue
             q1, q3 = np.quantile(finite, [0.25, 0.75])
             outside = (parsed < q1 - 3.0 * (q3 - q1)) | (parsed > q3 + 3.0 * (q3 - q1))
-            flagged[outside, j] = [_is_repeated_digit(raw) for raw in col.raw_values()[outside]]
+            flagged[outside, j] = [_is_repeated_digit(raw) for raw in col.raw[outside]]
         else:
-            flagged[:, j] = [_is_disguise_token(raw) for raw in col.raw_values()]
+            flagged[:, j] = [_is_disguise_token(raw) for raw in col.raw]
     return DetectionMask(flagged, source="fahes")
 
 
 def _unparsable(col) -> np.ndarray:
     # Type-corrupted values: non-empty text in a numeric column with no parse.
-    return ~col.empty_flags() & np.isnan(col.parsed_values())
+    return ~col.empty & np.isnan(col.parsed)
 
 
 def detect_outliers_sd(ds: Dataset, n: float = 3.0) -> DetectionMask:
@@ -130,7 +130,7 @@ def detect_outliers_sd(ds: Dataset, n: float = 3.0) -> DetectionMask:
         if not col.is_numeric:
             continue
         flagged[:, j] = _unparsable(col)
-        parsed = col.parsed_values()
+        parsed = col.parsed
         finite = parsed[~np.isnan(parsed)]
         if finite.size < 3:
             continue
@@ -157,7 +157,7 @@ def detect_outliers_iqr(ds: Dataset, k: float = 1.5) -> DetectionMask:
         if not col.is_numeric:
             continue
         flagged[:, j] = _unparsable(col)
-        parsed = col.parsed_values()
+        parsed = col.parsed
         finite = parsed[~np.isnan(parsed)]
         if finite.size == 0:
             continue
@@ -219,7 +219,7 @@ def _iso_path_lengths(X: np.ndarray, root: _IsoNode) -> np.ndarray:
 
 
 def _iforest_features(ds: Dataset, num_cols: list[int]):
-    X = np.column_stack([ds.columns[c].parsed_values() for c in num_cols])
+    X = np.column_stack([ds.columns[c].parsed for c in num_cols])
     col_median = np.zeros(len(num_cols))
     col_mad = np.zeros(len(num_cols))
     for j in range(len(num_cols)):
@@ -287,7 +287,7 @@ def detect_outliers_iforest(
     # Robust z-scores of the flagged rows' cells; NaN (never strong) where a
     # cell has no parse, inf where the column has no spread but the cell
     # deviates from the median.
-    dev = np.abs(np.column_stack([ds.columns[c].parsed_values()[rows] for c in num_cols]) - col_median)
+    dev = np.abs(np.column_stack([ds.columns[c].parsed[rows] for c in num_cols]) - col_median)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(col_mad > 0, dev / (1.4826 * col_mad), np.where(dev > 0, np.inf, 0.0))
     strong = z > 3.0
@@ -305,7 +305,7 @@ def detect_duplicates(ds: Dataset, key_columns: list[str]) -> DetectionMask:
     key_idx = [ds.col_index(c) for c in key_columns]
     seen: set[tuple] = set()
     flagged = _no_flags(ds)
-    for r, key in enumerate(zip(*(ds.columns[c].raw_values() for c in key_idx))):
+    for r, key in enumerate(zip(*(ds.columns[c].raw for c in key_idx))):
         flagged[r] = key in seen
         seen.add(key)
     return DetectionMask(flagged, source="dedup")
@@ -345,7 +345,7 @@ def detect_mislabels(
     if folds < 2:
         raise DetectorError("mislabel detection requires folds >= 2")
     label_idx = ds.col_index(label_column)
-    labels = ds.column(label_column).raw_values()
+    labels = ds.column(label_column).raw
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise DetectorError("label column must carry at least 2 classes")
@@ -450,13 +450,12 @@ def ensemble_max_entropy(
         stats = []
         for pos in unexecuted:
             _, mask = base[pos]
-            candidates = cells_of(mask.flagged & ~decided.matrix(mask.flagged.shape))
-            size = min(share, len(candidates))
+            rows, cols = np.nonzero(mask.flagged & ~decided.matrix(mask.flagged.shape))
+            size = min(share, rows.size)
             if size:
-                chosen = rng.choice(len(candidates), size=size, replace=False)
-                sample = [candidates[i] for i in sorted(chosen.tolist())]
-                dirty = sum(1 for ref in sample if ref in oracle_mask)
-                precision = dirty / size
+                chosen = rng.choice(rows.size, size=size, replace=False)
+                dirty = oracle_mask.matrix(mask.flagged.shape)[rows[chosen], cols[chosen]]
+                precision = int(np.count_nonzero(dirty)) / size
             else:
                 precision = 0.0
             stats.append((pos, size, _binary_entropy(precision), precision))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .constraints import DenialConstraint
 from .seeding import derive_rng
-from .tabular import CellRef, Dataset, DatasetPair, DetectionMask, mask_from, union_masks
+from .tabular import Dataset, DatasetPair, DetectionMask, mask_from, union_masks
 
 CELL_KINDS = (
     "explicit_mv",
@@ -193,43 +193,44 @@ def _disguise_code(col_max: float) -> str:
     return "-1"
 
 
-def _sample_refs(eligible: list[CellRef], count: int, rng: np.random.Generator, kind: str) -> list[CellRef]:
-    if count > len(eligible):
+def _sample_cells(
+    eligible: tuple[np.ndarray, np.ndarray], count: int, rng: np.random.Generator, kind: str
+) -> list[tuple[int, int]]:
+    """`count` of the (rows, cols) eligible cells, drawn without replacement,
+    as (row, col) pairs in row-major order."""
+    rows, cols = eligible
+    if count > rows.size:
         raise InjectionError(
-            f"{kind}: rate infeasible, wanted {count} cells but only {len(eligible)} eligible"
+            f"{kind}: rate infeasible, wanted {count} cells but only {rows.size} eligible"
         )
     if count == 0:
         return []
-    idx = rng.choice(len(eligible), size=count, replace=False)
-    return [eligible[i] for i in sorted(idx.tolist())]
+    idx = np.sort(rng.choice(rows.size, size=count, replace=False))
+    return list(zip(rows[idx].tolist(), cols[idx].tolist()))
 
 
 class _Grid:
     """Mutable working copy of the ground-truth raw texts."""
 
     def __init__(self, gt: Dataset):
-        self.cols = [c.raw_values().copy() for c in gt.columns]
+        self.cols = [c.raw.copy() for c in gt.columns]
         # cells already injected or frozen as one side of a rule violation
         self.busy = np.zeros((gt.row_count, gt.col_count), dtype=bool)
 
     def raw(self, r: int, c: int) -> str:
         return self.cols[c][r]
 
-    def set(self, ref: CellRef, value: str) -> None:
-        self.cols[ref.col][ref.row] = value
-        self.busy[ref.row, ref.col] = True
+    def set(self, r: int, c: int, value: str) -> None:
+        self.cols[c][r] = value
+        self.busy[r, c] = True
 
-    def free(self, ref: CellRef) -> bool:
-        return not self.busy[ref.row, ref.col]
-
-    def eligible(self, ok_in_column) -> list[CellRef]:
-        """Free cells, in row-major order, where the bool array (or scalar)
-        `ok_in_column(c)` holds."""
+    def eligible(self, ok_in_column) -> tuple[np.ndarray, np.ndarray]:
+        """The (rows, cols) index arrays, in row-major order, of the free
+        cells where the bool array (or scalar) `ok_in_column(c)` holds."""
         ok = np.zeros_like(self.busy)
         for c in range(ok.shape[1]):
             ok[:, c] = ok_in_column(c)
-        rows, cols = np.nonzero(ok & ~self.busy)
-        return list(map(CellRef, rows.tolist(), cols.tolist()))
+        return np.nonzero(ok & ~self.busy)
 
 
 def _fd_shape(dc: DenialConstraint) -> tuple[list[str], str]:
@@ -258,7 +259,7 @@ def inject(
     """Dirty `gt` per the profile; the report masks exactly cover changed cells."""
     u, v = gt.row_count, gt.col_count
     grid = _Grid(gt)
-    masks: dict[str, set[CellRef]] = {}
+    masks: dict[str, set[tuple[int, int]]] = {}
     totals: dict[str, int] = {}
     requested: dict[str, int] = {}
     provenance: dict[int, int] = {}
@@ -269,40 +270,39 @@ def inject(
         if entry is None:
             continue
         rng = derive_rng(seed, "inject", kind)
-        mask: set[CellRef] = set()
+        mask: set[tuple[int, int]] = set()
 
         if kind == "explicit_mv":
             target = cell_budget(entry.rate, u, v)
             requested[kind] = target
             eligible = grid.eligible(lambda c: grid.cols[c] != "")
-            for ref in _sample_refs(eligible, target, rng, kind):
-                grid.set(ref, "")
-                mask.add(ref)
+            for r, c in _sample_cells(eligible, target, rng, kind):
+                grid.set(r, c, "")
+                mask.add((r, c))
 
         elif kind == "implicit_mv":
             target = cell_budget(entry.rate, u, v)
             requested[kind] = target
             numeric_code: dict[int, str | None] = {}
             for c in gt.numeric_column_indices():
-                parsed = gt.columns[c].parsed_values()
+                parsed = gt.columns[c].parsed
                 finite = parsed[~np.isnan(parsed)]
                 numeric_code[c] = _disguise_code(float(finite.max())) if finite.size else None
 
             def disguisable(c: int):
                 col = gt.columns[c]
                 if not col.is_numeric:
-                    return ~col.empty_flags()
+                    return ~col.empty
                 code = numeric_code[c]
-                return code is not None and ~np.isnan(col.parsed_values()) & (grid.cols[c] != code)
+                return code is not None and ~np.isnan(col.parsed) & (grid.cols[c] != code)
 
-            for ref in _sample_refs(grid.eligible(disguisable), target, rng, kind):
-                col = gt.columns[ref.col]
-                if col.is_numeric:
-                    grid.set(ref, numeric_code[ref.col])
+            for r, c in _sample_cells(grid.eligible(disguisable), target, rng, kind):
+                if gt.columns[c].is_numeric:
+                    grid.set(r, c, numeric_code[c])
                 else:
-                    options = [t for t in CATEGORICAL_DISGUISE_TOKENS if t != grid.raw(ref.row, ref.col)]
-                    grid.set(ref, options[rng.integers(len(options))])
-                mask.add(ref)
+                    options = [t for t in CATEGORICAL_DISGUISE_TOKENS if t != grid.raw(r, c)]
+                    grid.set(r, c, options[rng.integers(len(options))])
+                mask.add((r, c))
 
         elif kind == "gaussian_outlier":
             target = cell_budget(entry.rate, u, v)
@@ -310,32 +310,32 @@ def inject(
             degree = float(entry.params.get("degree", 4.0))
             stats: dict[int, tuple[float, float]] = {}
             for c in gt.numeric_column_indices():
-                parsed = gt.columns[c].parsed_values()
+                parsed = gt.columns[c].parsed
                 finite = parsed[~np.isnan(parsed)]
                 if finite.size >= 2:
                     sd = float(finite.std(ddof=1))
                     if sd > 0:
                         stats[c] = (float(finite.mean()), sd)
-            eligible = grid.eligible(lambda c: c in stats and ~np.isnan(gt.columns[c].parsed_values()))
-            for ref in _sample_refs(eligible, target, rng, kind):
-                mu, sigma = stats[ref.col]
+            eligible = grid.eligible(lambda c: c in stats and ~np.isnan(gt.columns[c].parsed))
+            for r, c in _sample_cells(eligible, target, rng, kind):
+                mu, sigma = stats[c]
                 for _ in range(16):
                     sign = 1.0 if rng.integers(2) else -1.0
                     g = abs(float(rng.standard_normal()))
                     value = mu + sign * (degree * sigma + g * sigma)
                     text = repr(value)
-                    if text != grid.raw(ref.row, ref.col):
+                    if text != grid.raw(r, c):
                         break
-                grid.set(ref, text)
-                mask.add(ref)
+                grid.set(r, c, text)
+                mask.add((r, c))
 
         elif kind == "keyboard_typo":
             target = cell_budget(entry.rate, u, v)
             requested[kind] = target
-            eligible = grid.eligible(lambda c: ~gt.columns[c].empty_flags())
-            for ref in _sample_refs(eligible, target, rng, kind):
-                grid.set(ref, apply_keyboard_typo(grid.raw(ref.row, ref.col), rng))
-                mask.add(ref)
+            eligible = grid.eligible(lambda c: ~gt.columns[c].empty)
+            for r, c in _sample_cells(eligible, target, rng, kind):
+                grid.set(r, c, apply_keyboard_typo(grid.raw(r, c), rng))
+                mask.add((r, c))
 
         elif kind == "value_swap":
             budget = cell_budget(entry.rate, u, v)
@@ -348,11 +348,7 @@ def inject(
                 if attempts > 500 * max(n_swaps, 1):
                     raise InjectionError("value_swap: rate infeasible, no swappable row found")
                 r = int(rng.integers(u))
-                cols = [
-                    c
-                    for c in range(v)
-                    if grid.free(CellRef(r, c))
-                ]
+                cols = np.flatnonzero(~grid.busy[r]).tolist()
                 pairs = [
                     (a, b)
                     for i, a in enumerate(cols)
@@ -363,9 +359,9 @@ def inject(
                     continue
                 a, b = pairs[rng.integers(len(pairs))]
                 va, vb = grid.raw(r, a), grid.raw(r, b)
-                grid.set(CellRef(r, a), vb)
-                grid.set(CellRef(r, b), va)
-                mask.update({CellRef(r, a), CellRef(r, b)})
+                grid.set(r, a, vb)
+                grid.set(r, b, va)
+                mask.update({(r, a), (r, b)})
                 done += 1
 
         elif kind == "mislabel":
@@ -373,18 +369,14 @@ def inject(
             target = int(round(entry.rate * u))
             requested[kind] = target
             col = gt.columns[label_col]
-            classes = sorted(set(col.raw_values()[~col.empty_flags()]))
+            classes = sorted(set(col.raw[~col.empty]))
             if len(classes) < 2:
                 raise InjectionError("mislabel: label column has fewer than 2 classes")
-            eligible = [
-                CellRef(r, label_col)
-                for r in range(u)
-                if grid.free(CellRef(r, label_col)) and grid.raw(r, label_col) in classes
-            ]
-            for ref in _sample_refs(eligible, target, rng, kind):
-                options = [c for c in classes if c != grid.raw(ref.row, ref.col)]
-                grid.set(ref, options[rng.integers(len(options))])
-                mask.add(ref)
+            eligible = grid.eligible(lambda c: c == label_col and np.isin(grid.cols[c], classes))
+            for r, c in _sample_cells(eligible, target, rng, kind):
+                options = [label for label in classes if label != grid.raw(r, c)]
+                grid.set(r, c, options[rng.integers(len(options))])
+                mask.add((r, c))
 
         elif kind == "rule_violation":
             budget = cell_budget(entry.rate, u, v)
@@ -407,16 +399,14 @@ def inject(
                 r1, r2 = rng.choice(u, size=2, replace=False).tolist()
                 if grid.raw(r1, rhs_col) == grid.raw(r2, rhs_col):
                     continue
-                t2_refs = [CellRef(r2, c) for c in lhs_cols]
-                if not all(grid.free(ref) for ref in t2_refs):
+                if grid.busy[r2, lhs_cols].any():
                     continue
                 changed = [c for c in lhs_cols if grid.raw(r1, c) != grid.raw(r2, c)]
                 if not changed or len(changed) > budget - injected:
                     continue
                 for c in changed:
-                    ref = CellRef(r2, c)
-                    grid.set(ref, grid.raw(r1, c))
-                    mask.add(ref)
+                    grid.set(r2, c, grid.raw(r1, c))
+                    mask.add((r2, c))
                 # Freeze both sides of the created violation so later pairs
                 # cannot overwrite them and dissolve it.
                 grid.busy[np.ix_([r1, r2], lhs_cols + [rhs_col])] = True
@@ -439,7 +429,7 @@ def inject(
                         row[c] = apply_keyboard_typo(row[c], rng)
                 appended_rows.append(tuple(row))
                 provenance[new_row] = int(src)
-                mask.update(CellRef(new_row, c) for c in range(v))
+                mask.update((new_row, c) for c in range(v))
 
         masks[kind] = mask
         totals[kind] = len(mask)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .tabular import Dataset, DetectionMask, cells_of
+from .tabular import Dataset, DetectionMask
 
 
 class MetricError(Exception):
@@ -90,7 +90,7 @@ def _aligned_gt_row(row: int, gt: Dataset, row_map: list[int] | None, provenance
 
 
 def _gt_column_scale(gt: Dataset, col: int) -> tuple[float, float]:
-    parsed = gt.columns[col].parsed_values()
+    parsed = gt.columns[col].parsed
     finite = parsed[~np.isnan(parsed)]
     mean = float(finite.mean()) if finite.size else 0.0
     std = float(finite.std(ddof=1)) if finite.size >= 2 else 0.0
@@ -120,10 +120,11 @@ def repair_metrics_numeric(
     residuals = []
     excluded = 0
     scale_cache: dict[int, tuple[float, float]] = {}
-    for ref in truth_mask.sorted_cells():
-        if ref.col not in numeric_cols:
+    rows, cols = np.nonzero(truth_mask.flagged)
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        if col not in numeric_cols:
             continue
-        rep_row = dirty_to_repaired.get(ref.row)
+        rep_row = dirty_to_repaired.get(row)
         if rep_row is None:
             excluded += 1  # row deleted during repair; nothing to compare
             continue
@@ -131,14 +132,14 @@ def repair_metrics_numeric(
         if gt_row is None:
             excluded += 1
             continue
-        rep_cell = repaired.cell(rep_row, ref.col)
-        gt_cell = gt.cell(gt_row, ref.col)
+        rep_cell = repaired.cell(rep_row, col)
+        gt_cell = gt.cell(gt_row, col)
         if rep_cell.parsed is None or gt_cell.parsed is None:
             excluded += 1
             continue
-        if ref.col not in scale_cache:
-            scale_cache[ref.col] = _gt_column_scale(gt, ref.col)
-        _, std = scale_cache[ref.col]
+        if col not in scale_cache:
+            scale_cache[col] = _gt_column_scale(gt, col)
+        _, std = scale_cache[col]
         residuals.append((rep_cell.parsed - gt_cell.parsed) / std)
     if not residuals:
         return RepairScore(numeric_rmse=None, compared_cell_count=0, excluded_unparsable=excluded)
@@ -166,16 +167,16 @@ def repair_metrics_categorical(
     is_cat = np.isin(np.arange(gt.col_count), gt.categorical_column_indices())
     repaired_cat = repaired_mask.matrix(shape) & is_cat
     truth_cat = truth_mask.matrix(shape) & is_cat
-    both = cells_of(repaired_cat & truth_cat)
+    rows, cols = np.nonzero(repaired_cat & truth_cat)
     correct = 0
-    for ref in both:
-        rep_row = dirty_to_repaired.get(ref.row)
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        rep_row = dirty_to_repaired.get(row)
         if rep_row is None:
             continue  # deleted rows cannot match the ground truth value
         gt_row = _aligned_gt_row(rep_row, gt, row_map, provenance)
         if gt_row is None:
             continue
-        if repaired.raw(rep_row, ref.col) == gt.raw(gt_row, ref.col):
+        if repaired.raw(rep_row, col) == gt.raw(gt_row, col):
             correct += 1
     precision = _ratio(correct, int(np.count_nonzero(repaired_cat)))
     recall = _ratio(correct, int(np.count_nonzero(truth_cat)))
@@ -183,7 +184,7 @@ def repair_metrics_categorical(
         precision=precision,
         recall=recall,
         f1=_f1(precision, recall),
-        compared_cell_count=len(both),
+        compared_cell_count=rows.size,
     )
 
 

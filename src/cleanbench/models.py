@@ -58,7 +58,7 @@ def _fit_encoder(train: Dataset, target: str | None) -> EncoderState:
         if target is not None and col.name == target:
             continue
         if col.is_numeric:
-            parsed = col.parsed_values()
+            parsed = col.parsed
             finite = parsed[~np.isnan(parsed)]
             if finite.size < 2:
                 dropped.append(col.name)
@@ -70,7 +70,7 @@ def _fit_encoder(train: Dataset, target: str | None) -> EncoderState:
                 continue
             numeric.append((col.name, mean, std))
         else:
-            counts = Counter(col.raw_values())
+            counts = Counter(col.raw)
             ranked = sorted(counts, key=lambda cat: (-counts[cat], cat))
             kept = sorted(ranked[:MAX_ONE_HOT])
             other = set(ranked[MAX_ONE_HOT:])
@@ -82,7 +82,7 @@ def _fit_encoder(train: Dataset, target: str | None) -> EncoderState:
         tcol = train.column(target)
         target_kind = "numeric" if tcol.is_numeric else "categorical"
         if target_kind == "numeric":
-            parsed = tcol.parsed_values()
+            parsed = tcol.parsed
             finite = parsed[~np.isnan(parsed)]
             target_mean = float(finite.mean()) if finite.size else 0.0
     return EncoderState(numeric, categorical, dropped, target, target_kind, target_mean)
@@ -93,7 +93,7 @@ def _transform(ds: Dataset, state: EncoderState) -> EncodedMatrix:
     names: list[str] = []
     n = ds.row_count
     for col_name, mean, std in state.numeric:
-        parsed = ds.column(col_name).parsed_values().copy()
+        parsed = ds.column(col_name).parsed.copy()
         parsed[np.isnan(parsed)] = mean  # unparsable and empty cells take the train mean
         blocks.append(((parsed - mean) / std).reshape(-1, 1))
         names.append(col_name)
@@ -101,7 +101,7 @@ def _transform(ds: Dataset, state: EncoderState) -> EncodedMatrix:
         index = {cat: i for i, cat in enumerate(kept)}
         width = len(kept) + (1 if other else 0)
         block = np.zeros((n, width))
-        raws = ds.column(col_name).raw_values()
+        raws = ds.column(col_name).raw
         for r, raw in enumerate(raws):
             if raw in index:
                 block[r, index[raw]] = 1.0
@@ -120,10 +120,10 @@ def _transform(ds: Dataset, state: EncoderState) -> EncodedMatrix:
     if state.target_column is not None:
         tcol = ds.column(state.target_column)
         if state.target_kind == "numeric":
-            target = tcol.parsed_values().copy()
+            target = tcol.parsed.copy()
             target[np.isnan(target)] = state.target_mean
         else:
-            target = np.array(tcol.raw_values(), dtype=object)
+            target = np.array(tcol.raw, dtype=object)
     return EncodedMatrix(features, target, names, state)
 
 

@@ -7,6 +7,7 @@ so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .tabular import CellRef, Column, Dataset, DatasetPair, DetectionMask, cells_of
+from .tabular import Column, Dataset, DatasetPair, DetectionMask
 
 REPAIR_KINDS = ("delete", "mean", "median", "mode", "knn", "iter", "gt")
 
@@ -95,7 +96,7 @@ def _mode(counts: dict[str, int]) -> str | None:
 
 def _missing(col: Column) -> np.ndarray:
     """Cells a column cannot take a value from: unparsed when numeric, empty otherwise."""
-    return np.isnan(col.parsed_values()) if col.is_numeric else col.empty_flags()
+    return np.isnan(col.parsed) if col.is_numeric else col.empty
 
 
 def _column_fill(col: Column, flagged: np.ndarray, numeric_stat: str) -> str | None:
@@ -103,9 +104,9 @@ def _column_fill(col: Column, flagged: np.ndarray, numeric_stat: str) -> str | N
     cell is usable."""
     usable = ~flagged & ~_missing(col)
     if col.is_numeric:
-        pool = col.parsed_values()[usable]
+        pool = col.parsed[usable]
         return repr(_numeric_stat(pool, numeric_stat)) if pool.size else None
-    return _mode(Counter(col.raw_values()[usable]))
+    return _mode(Counter(col.raw[usable]))
 
 
 def repair_impute_stat(
@@ -115,20 +116,18 @@ def repair_impute_stat(
     values; flagged categorical cells take the unflagged mode."""
     start = time.perf_counter()
     flagged = mask.matrix((ds.row_count, ds.col_count))
-    fills: dict[int, str | None] = {}
-    updates: dict[CellRef, str] = {}
+    updates = {}
     repaired_cells = np.zeros_like(flagged)
     unfillable = 0
-    for ref in cells_of(flagged):
-        if ref.col not in fills:
-            fills[ref.col] = _column_fill(ds.columns[ref.col], flagged[:, ref.col], numeric_stat)
-        value = fills[ref.col]
+    for c in np.flatnonzero(flagged.any(axis=0)).tolist():
+        rows = np.flatnonzero(flagged[:, c])
+        value = _column_fill(ds.columns[c], flagged[:, c], numeric_stat)
         if value is None:
-            unfillable += 1
-            updates[ref] = ""
-            continue
-        updates[ref] = value
-        repaired_cells[ref] = True
+            unfillable += rows.size
+            value = ""
+        else:
+            repaired_cells[rows, c] = True
+        updates[c] = (rows, [value] * rows.size)
     repaired = ds.replace_cells(updates)
     warning = f"{unfillable} cells had no usable donor values" if unfillable else None
     return _result(
@@ -180,7 +179,7 @@ def repair_impute_knn(
     num_cols = ds.numeric_column_indices()
     Z = np.full((ds.row_count, len(num_cols)), np.nan)
     for j, c in enumerate(num_cols):
-        parsed = ds.columns[c].parsed_values()
+        parsed = ds.columns[c].parsed
         usable = ~flagged[:, c] & ~np.isnan(parsed)
         values = parsed[usable]
         if values.size >= 2:
@@ -188,32 +187,33 @@ def repair_impute_knn(
             if std > 0:
                 Z[usable, j] = (values - float(values.mean())) / std
     donors_z = Z[donors]
-    eligible = [~_missing(col)[donors] for col in ds.columns]
 
-    # A flagged row's own cell in the target column is NaN in Z, so one
-    # distance vector per row serves every flagged cell of that row.
-    row, distance = -1, None
-    updates: dict[CellRef, str] = {}
+    # A flagged cell is NaN in Z, so its own column never adds to a distance.
+    updates = {}
     repaired_cells = np.zeros_like(flagged)
     unfillable = 0
-    for ref in cells_of(flagged):
-        if ref.row != row:
-            row, distance = ref.row, _donor_distances(Z[ref.row], donors_z)
-        target_col = ds.columns[ref.col]
-        usable, usable_distance = donors[eligible[ref.col]], distance[eligible[ref.col]]
-        nearest = np.argsort(usable_distance, kind="stable")[:k]
-        finite = nearest[np.isfinite(usable_distance[nearest])]
-        if finite.size:
-            nearest = finite
-        if nearest.size == 0:
-            unfillable += 1
-            continue
-        chosen = usable[nearest]
-        if target_col.is_numeric:
-            updates[ref] = repr(float(np.mean(target_col.parsed_values()[chosen])))
-        else:
-            updates[ref] = _mode(Counter(target_col.raw_values()[chosen]))
-        repaired_cells[ref] = True
+    for c in np.flatnonzero(flagged.any(axis=0)).tolist():
+        col = ds.columns[c]
+        eligible = ~_missing(col)[donors]
+        usable, usable_z = donors[eligible], donors_z[eligible]
+        rows, texts = [], []
+        for r in np.flatnonzero(flagged[:, c]).tolist():
+            distance = _donor_distances(Z[r], usable_z)
+            nearest = np.argsort(distance, kind="stable")[:k]
+            finite = nearest[np.isfinite(distance[nearest])]
+            if finite.size:
+                nearest = finite
+            if nearest.size == 0:
+                unfillable += 1
+                continue
+            chosen = usable[nearest]
+            rows.append(r)
+            if col.is_numeric:
+                texts.append(repr(float(np.mean(col.parsed[chosen]))))
+            else:
+                texts.append(_mode(Counter(col.raw[chosen])))
+        updates[c] = (rows, texts)
+        repaired_cells[rows, c] = True
     repaired = ds.replace_cells(updates)
     warning = f"{unfillable} cells had no eligible donors" if unfillable else None
     return _result(
@@ -254,24 +254,21 @@ def repair_impute_iterative(
 
     seeded = repair_impute_stat(ds, mask, "mean", detector)
     working = seeded.data
-    by_col: dict[int, list[CellRef]] = {}
-    for ref in cells_of(flagged):
-        by_col.setdefault(ref.col, []).append(ref)
-    col_order = sorted(by_col, key=lambda c: (len(by_col[c]), c))
+    target_rows = {c: np.flatnonzero(flagged[:, c]) for c in np.flatnonzero(flagged.any(axis=0)).tolist()}
+    col_order = sorted(target_rows, key=lambda c: (target_rows[c].size, c))
     fell_back = False
 
     for _ in range(max_rounds):
         numeric_change2, numeric_n, categorical_changed = 0.0, 0, False
         for c in col_order:
-            col = working.columns[c]
-            target_rows = [ref.row for ref in by_col[c]]
+            col, rows = working.columns[c], target_rows[c]
             train_rows = np.flatnonzero(~flagged[:, c] & ~_missing(col)).tolist()
             if len(train_rows) < 2:
                 fell_back = True
                 continue
             try:
                 train = working.take_rows(train_rows)
-                predict_on = working.take_rows(target_rows)
+                predict_on = working.take_rows(rows)
                 tr_mat, pr_mat = models.encode(train, predict_on, target=col.name)
                 task = "regression" if col.is_numeric else "classification"
                 if task == "classification" and len(set(tr_mat.target.tolist())) < 2:
@@ -282,21 +279,18 @@ def repair_impute_iterative(
             except models.ModelError:
                 fell_back = True
                 continue
-            updates = {}
-            for ref, value in zip(by_col[c], preds):
-                if col.is_numeric:
-                    old = working.cell(ref.row, ref.col).parsed
+            if col.is_numeric:
+                texts = []
+                for old, value in zip(col.parsed[rows].tolist(), preds):
                     new = float(value)
-                    if old is not None:
+                    if not math.isnan(old):
                         numeric_change2 += (new - old) ** 2
                         numeric_n += 1
-                    updates[ref] = repr(new)
-                else:
-                    new = str(value)
-                    if new != working.raw(ref.row, ref.col):
-                        categorical_changed = True
-                    updates[ref] = new
-            working = working.replace_cells(updates)
+                    texts.append(repr(new))
+            else:
+                texts = [str(value) for value in preds]
+                categorical_changed |= texts != col.raw[rows].tolist()
+            working = working.replace_cells({c: (rows, texts)})
         rms = np.sqrt(numeric_change2 / numeric_n) if numeric_n else 0.0
         if rms < tolerance and not categorical_changed:
             break
@@ -322,16 +316,15 @@ def repair_ground_truth(
     """
     start = time.perf_counter()
     gt, dirty = pair.ground_truth, pair.dirty
-    updates: dict[CellRef, str] = {}
-    for ref in mask.sorted_cells():
-        if ref.row < gt.row_count:
-            updates[ref] = gt.raw(ref.row, ref.col)
-        else:
-            if not pair.row_provenance or ref.row not in pair.row_provenance:
-                raise RepairError(
-                    f"row {ref.row} is beyond ground truth and has no provenance"
-                )
-            updates[ref] = gt.raw(pair.row_provenance[ref.row], ref.col)
+    provenance = pair.row_provenance or {}
+    orphan = min((r for r in mask.rows() if r >= gt.row_count and r not in provenance), default=None)
+    if orphan is not None:
+        raise RepairError(f"row {orphan} is beyond ground truth and has no provenance")
+    updates = {}
+    for c in np.flatnonzero(mask.flagged.any(axis=0)).tolist():
+        rows = np.flatnonzero(mask.flagged[:, c]).tolist()
+        source = [r if r < gt.row_count else provenance[r] for r in rows]
+        updates[c] = (rows, gt.columns[c].raw[source])
     repaired = dirty.replace_cells(updates)
     return _result(
         repaired,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -92,16 +91,6 @@ class Column:
 
     def __len__(self) -> int:
         return len(self.raw)
-
-    def raw_values(self) -> np.ndarray:
-        return self.raw
-
-    def parsed_values(self) -> np.ndarray:
-        """Cell values as floats, NaN where no parse exists."""
-        return self.parsed
-
-    def empty_flags(self) -> np.ndarray:
-        return self.empty
 
     @property
     def is_numeric(self) -> bool:
@@ -235,23 +224,23 @@ class Dataset:
 
     # -- derivation ---------------------------------------------------------
 
-    def replace_cells(self, updates: Mapping[CellRef, str], name: str | None = None) -> "Dataset":
-        """New dataset with the given raw cell texts substituted."""
-        by_col: dict[int, dict[int, str]] = {}
-        for ref, raw in updates.items():
-            if not (0 <= ref.row < self.row_count and 0 <= ref.col < self.col_count):
-                raise TabularError(f"cell {ref} outside {self.row_count}x{self.col_count}")
-            by_col.setdefault(ref.col, {})[ref.row] = raw
-        columns = []
-        for j, col in enumerate(self.columns):
-            if j not in by_col:
-                columns.append(col)
-                continue
-            rows = np.fromiter(by_col[j], dtype=np.intp, count=len(by_col[j]))
+    def replace_cells(
+        self, updates: Mapping[int, tuple[Sequence[int], Sequence[str]]], name: str | None = None
+    ) -> "Dataset":
+        """New dataset with raw cell texts substituted column by column:
+        `updates` maps a column index to the rows to edit and their new texts."""
+        columns = list(self.columns)
+        for j, (rows, texts) in updates.items():
+            rows = np.asarray(rows, dtype=np.intp)
+            if not 0 <= j < self.col_count or ((rows < 0) | (rows >= self.row_count)).any():
+                raise TabularError(f"cells of column {j} outside {self.row_count}x{self.col_count}")
+            if rows.shape != (len(texts),):
+                raise TabularError(f"column {j}: {rows.size} rows but {len(texts)} texts")
+            col = columns[j]
             arrays = tuple(a.copy() for a in (col.raw, col.parsed, col.empty))
-            for a, new in zip(arrays, _parse_texts(list(by_col[j].values()), self.null_tokens)):
+            for a, new in zip(arrays, _parse_texts(list(texts), self.null_tokens)):
                 a[rows] = new
-            columns.append(Column(col.name, col.declared_type, *arrays, col.numeric_ratio))
+            columns[j] = Column(col.name, col.declared_type, *arrays, col.numeric_ratio)
         return Dataset(name or self.name, tuple(columns), self.null_tokens, dict(self.meta))
 
     def take_rows(self, indices: Sequence[int], name: str | None = None) -> "Dataset":
@@ -277,12 +266,6 @@ class Dataset:
         return Dataset(name, self.columns, self.null_tokens, dict(self.meta))
 
 
-def cells_of(flagged: np.ndarray) -> list[CellRef]:
-    """The True cells of a bool matrix in row-major (sorted) order."""
-    rows, cols = np.nonzero(flagged)
-    return list(map(CellRef, rows.tolist(), cols.tolist()))
-
-
 @dataclass(frozen=True, eq=False)
 class DetectionMask:
     """The cells one producer flagged erroneous, as a read-only bool
@@ -296,10 +279,6 @@ class DetectionMask:
     def __post_init__(self):
         self.flagged.flags.writeable = False
 
-    @cached_property
-    def cells(self) -> frozenset[CellRef]:
-        return frozenset(self.sorted_cells())
-
     def __len__(self) -> int:
         return int(np.count_nonzero(self.flagged))
 
@@ -308,7 +287,9 @@ class DetectionMask:
         return 0 <= row < rows and 0 <= col < cols and bool(self.flagged[row, col])
 
     def sorted_cells(self) -> list[CellRef]:
-        return cells_of(self.flagged)
+        """The flagged cells in row-major (sorted) order."""
+        rows, cols = np.nonzero(self.flagged)
+        return list(map(CellRef, rows.tolist(), cols.tolist()))
 
     def rows(self) -> set[int]:
         return set(np.flatnonzero(self.flagged.any(axis=1)).tolist())

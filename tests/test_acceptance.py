@@ -37,6 +37,7 @@ from cleanbench.models import ModelSpec, logistic_loss_and_grad, silhouette
 from cleanbench.repair import RepairSpec, repair_ground_truth
 from cleanbench.stats import PairedSample, wilcoxon_signed_rank
 from cleanbench.tabular import CellRef, Dataset, diff_cells, mask_from
+from helpers import mask_cells
 
 _SUITE_START = time.perf_counter()
 
@@ -70,9 +71,10 @@ def test_criterion_01_metric_oracles():
             a = _random_mask(rng, rows, 5, 0.2)
             b = _random_mask(rng, rows, 5, 0.2)
             score = detection_metrics(a, b)
-            tp = len([c for c in a.cells if c in b.cells])
-            fp = len([c for c in a.cells if c not in b.cells])
-            fn = len([c for c in b.cells if c not in a.cells])
+            cells_a, cells_b = mask_cells(a), mask_cells(b)
+            tp = len([c for c in cells_a if c in cells_b])
+            fp = len([c for c in cells_a if c not in cells_b])
+            fn = len([c for c in cells_b if c not in cells_a])
             assert (score.tp, score.fp, score.fn) == (tp, fp, fn)
             p = tp / (tp + fp) if tp + fp else 0.0
             r = tp / (tp + fn) if tp + fn else 0.0
@@ -86,7 +88,7 @@ def test_criterion_01_metric_oracles():
             a = _random_mask(rng, rows, 4, 0.25)
             b = _random_mask(rng, rows, 4, 0.25)
             t = _random_mask(rng, rows, 4, 0.4)
-            ta, tb = a.cells & t.cells, b.cells & t.cells
+            ta, tb = mask_cells(a) & mask_cells(t), mask_cells(b) & mask_cells(t)
             if not ta and not tb:
                 want = 1.0
             else:
@@ -97,10 +99,10 @@ def test_criterion_01_metric_oracles():
             rows = int(rng.integers(5, 120))
             masks = [_random_mask(rng, rows, 3, 0.3) for _ in range(int(rng.integers(2, 6)))]
             k = int(rng.integers(1, len(masks) + 1))
-            got = ensemble_min_k(masks, k).cells
+            got = mask_cells(ensemble_min_k(masks, k))
             counts = {}
             for m in masks:
-                for cell in m.cells:
+                for cell in mask_cells(m):
                     counts[cell] = counts.get(cell, 0) + 1
             want = {cell for cell, n in counts.items() if n >= k}
             assert got == frozenset(want)
@@ -140,7 +142,7 @@ def test_criterion_01_metric_oracles():
                 "t", ["zip", "city", "x"], rows,
                 schema={"zip": "categorical", "city": "categorical", "x": "numeric"},
             )
-            got = find_violations(ds, rules).cells
+            got = mask_cells(find_violations(ds, rules))
             want = set()
             zc, cc, xc = 0, 1, 2
             for i in range(n):
@@ -218,8 +220,8 @@ def test_criterion_02_injection_exactness():
                 )
             all_masks = list(report.masks.values())
             for a, b in itertools.combinations(all_masks, 2):
-                assert not (a.cells & b.cells), f"trial {trial}: overlapping kind masks"
-            assert diff_cells(gt, pair.dirty).cells == pair.error_mask.cells, (
+                assert not (mask_cells(a) & mask_cells(b)), f"trial {trial}: overlapping kind masks"
+            assert mask_cells(diff_cells(gt, pair.dirty)) == mask_cells(pair.error_mask), (
                 f"trial {trial}: diff does not reproduce the union mask"
             )
 
@@ -316,10 +318,10 @@ def test_criterion_05_outlier_degree_guarantee():
             pair, report = inject(gt, profile, 1000 + seed)
             stats = {}
             for c in gt.numeric_column_indices():
-                parsed = gt.columns[c].parsed_values()
+                parsed = gt.columns[c].parsed
                 finite = parsed[~np.isnan(parsed)]
                 stats[c] = (float(finite.mean()), float(finite.std(ddof=1)))
-            for ref in report.masks["gaussian_outlier"].cells:
+            for ref in mask_cells(report.masks["gaussian_outlier"]):
                 mu, sd = stats[ref.col]
                 value = pair.dirty.cell(ref.row, ref.col).parsed
                 total += 1

@@ -12,7 +12,8 @@ from cleanbench.metrics import (
     repair_metrics_numeric,
     rmse,
 )
-from cleanbench.tabular import CellRef, Dataset, mask_from
+from cleanbench.tabular import Dataset, mask_from
+from helpers import mask_cells
 
 
 def random_mask(rng, rows=20, cols=5, density=0.3):
@@ -43,9 +44,10 @@ class TestDetectionMetrics:
         for _ in range(100):
             a, b = random_mask(rng), random_mask(rng)
             score = detection_metrics(a, b)
-            tp = sum(1 for c in a.cells if c in b.cells)
-            fp = sum(1 for c in a.cells if c not in b.cells)
-            fn = sum(1 for c in b.cells if c not in a.cells)
+            cells_a, cells_b = mask_cells(a), mask_cells(b)
+            tp = sum(1 for c in cells_a if c in cells_b)
+            fp = sum(1 for c in cells_a if c not in cells_b)
+            fn = sum(1 for c in cells_b if c not in cells_a)
             assert (score.tp, score.fp, score.fn) == (tp, fp, fn)
 
     def test_min_side_bound(self):
@@ -98,9 +100,7 @@ def gt_dirty_repaired():
             ("c", "categorical", ["a", "b", "a", "b"]),
         ],
     )
-    dirty = gt.replace_cells(
-        {CellRef(0, 0): "10", CellRef(1, 0): "12x", CellRef(2, 1): "zzz"}
-    )
+    dirty = gt.replace_cells({0: ([0, 1], ["10", "12x"]), 1: ([2], ["zzz"])})
     return gt, dirty
 
 
@@ -108,7 +108,7 @@ class TestRepairNumeric:
     def test_identity_rmse_zero(self):
         gt, dirty = gt_dirty_repaired()
         truth = mask_from([(0, 0), (1, 0), (2, 1)])
-        repaired = dirty.replace_cells({CellRef(0, 0): "1", CellRef(1, 0): "2"})
+        repaired = dirty.replace_cells({0: ([0, 1], ["1", "2"])})
         score = repair_metrics_numeric(repaired, gt, truth)
         assert score.numeric_rmse == 0.0
         assert score.compared_cell_count == 2
@@ -126,7 +126,7 @@ class TestRepairNumeric:
         gt = Dataset.from_columns("gt", [("x", "numeric", ["0", "1", "2", "3"])])
         # gt column std (ddof=1) of {0,1,2,3} = 1.29099...
         std = float(np.std([0, 1, 2, 3], ddof=1))
-        repaired = gt.replace_cells({CellRef(0, 0): repr(0 + std), CellRef(1, 0): repr(1 + 2 * std)})
+        repaired = gt.replace_cells({0: ([0, 1], [repr(0 + std), repr(1 + 2 * std)])})
         truth = mask_from([(0, 0), (1, 0)])
         score = repair_metrics_numeric(repaired, gt, truth)
         assert score.numeric_rmse == pytest.approx(np.sqrt((1 + 4) / 2))
@@ -167,7 +167,7 @@ class TestRepairCategorical:
         gt = Dataset.from_columns("gt", [("c", "categorical", [f"v{i}" for i in range(20)])])
         truth = mask_from([(i, 0) for i in range(10)])
         repaired_mask = mask_from([(i, 0) for i in range(12)])
-        repaired = gt.replace_cells({CellRef(i, 0): "wrong" for i in range(8, 12)})
+        repaired = gt.replace_cells({0: (list(range(8, 12)), ["wrong"] * 4)})
         score = repair_metrics_categorical(repaired, gt, truth, repaired_mask)
         assert score.precision == pytest.approx(8 / 12)
         assert score.recall == pytest.approx(8 / 10)

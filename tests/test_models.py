@@ -187,7 +187,7 @@ class TestKMeans:
     def test_recovers_blob_centers(self):
         for seed in range(10):
             ds = make_synthetic("blobs", 120, seed, centers=((0.0, 0.0), (10.0, 10.0)))
-            X = np.column_stack([ds.column(f"x{j}").parsed_values() for j in range(2)])
+            X = np.column_stack([ds.column(f"x{j}").parsed for j in range(2)])
             model = KMeansModel(k=2, restarts=5, seed=seed).fit(X)
             centers = model.centers_[np.argsort(model.centers_[:, 0])]
             assert np.abs(centers[0] - [0.0, 0.0]).max() < 0.5

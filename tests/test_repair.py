@@ -12,7 +12,8 @@ from cleanbench.repair import (
     repair_impute_knn,
     repair_impute_stat,
 )
-from cleanbench.tabular import Dataset, diff_cells, mask_from
+from cleanbench.tabular import Dataset, DatasetPair, diff_cells, mask_from
+from helpers import mask_cells
 
 
 def simple(values, kind="numeric", name="v"):
@@ -213,7 +214,7 @@ class TestGroundTruth:
         gt = make_synthetic("two_class", 50, 2)
         pair, _ = inject(gt, ErrorProfile([ErrorSpec("explicit_mv", 0.1)]), 3)
         out = repair_ground_truth(pair, mask_from([]))
-        assert diff_cells(pair.dirty, out.data).cells == frozenset()
+        assert mask_cells(diff_cells(pair.dirty, out.data)) == frozenset()
 
     def test_false_negatives_persist_exactly(self):
         gt = make_synthetic("two_class", 127, 4)
@@ -232,6 +233,18 @@ class TestGroundTruth:
         for new_row, src in pair.row_provenance.items():
             assert out.data.row(new_row) == gt.row(src)
 
+    def test_rows_beyond_ground_truth_need_a_provenance_entry(self):
+        gt = make_synthetic("two_class", 40, 6)
+        pair, report = inject(gt, ErrorProfile([ErrorSpec("duplicate_row", 0.2)]), 7)
+        orphan = min(pair.row_provenance)
+        provenance = {row: src for row, src in pair.row_provenance.items() if row != orphan}
+        partial = DatasetPair(gt, pair.dirty, pair.error_mask, provenance)
+        with pytest.raises(RepairError, match=f"row {orphan} is beyond ground truth"):
+            repair_ground_truth(partial, report.masks["duplicate_row"])
+        plain, _ = inject(gt, ErrorProfile([ErrorSpec("explicit_mv", 0.1)]), 7)
+        with pytest.raises(RepairError, match="row 40 is beyond ground truth"):
+            repair_ground_truth(plain, mask_from([(3, 0), (40, 1)]))
+
 
 class TestOnlyFlaggedCellsChange:
     @pytest.mark.parametrize("kind", ["mean", "median", "mode", "knn", "iter", "gt"])
@@ -241,7 +254,7 @@ class TestOnlyFlaggedCellsChange:
         mask = report.union_mask()
         out = apply_repair(RepairSpec(kind), pair.dirty, mask, pair=pair)
         changed = diff_cells(pair.dirty, out.data)
-        assert changed.cells <= mask.cells
+        assert mask_cells(changed) <= mask_cells(mask)
 
 
 class TestDispatch:

@@ -11,6 +11,7 @@ from cleanbench.tabular import (
     ShapeMismatchError,
     SplitError,
     SplitSpec,
+    TabularError,
     diff_cells,
     infer_column_type,
     DEFAULT_NULL_TOKENS,
@@ -23,6 +24,7 @@ from cleanbench.tabular import (
     split,
     split_indices,
 )
+from helpers import mask_cells
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -107,12 +109,12 @@ class TestDiffCells:
 
     def test_single_edit(self):
         gt = Dataset.from_rows("t", ["a", "b"], [["1", "x"], ["2", "y"]])
-        dirty = gt.replace_cells({CellRef(0, 1): "z"})
-        assert diff_cells(gt, dirty).cells == frozenset({CellRef(0, 1)})
+        dirty = gt.replace_cells({1: ([0], ["z"])})
+        assert mask_cells(diff_cells(gt, dirty)) == frozenset({CellRef(0, 1)})
 
     def test_textual_difference_counts(self):
         gt = Dataset.from_rows("t", ["a"], [["5"]])
-        dirty = gt.replace_cells({CellRef(0, 0): "5.0"})
+        dirty = gt.replace_cells({0: ([0], ["5.0"])})
         assert len(diff_cells(gt, dirty)) == 1
 
     def test_shape_mismatch(self):
@@ -169,7 +171,7 @@ class TestMaskIo:
         path = tmp_path / "m.mask"
         save_mask(mask, path)
         back = load_mask(path)
-        assert back.cells == mask.cells and back.source == "sd"
+        assert mask_cells(back) == mask_cells(mask) and back.source == "sd"
 
     def test_non_integer_coordinate_is_a_format_error(self, tmp_path):
         path = tmp_path / "m.mask"
@@ -198,9 +200,22 @@ class TestDatasetInvariants:
 
     def test_replace_preserves_other_cells(self):
         ds = Dataset.from_rows("t", ["a", "b"], [["1", "x"], ["2", "y"]])
-        out = ds.replace_cells({CellRef(1, 0): "99"})
+        out = ds.replace_cells({0: ([1], ["99"])})
         assert out.raw(1, 0) == "99" and out.raw(0, 0) == "1" and out.raw(1, 1) == "y"
         assert ds.raw(1, 0) == "2"  # original untouched
+
+    def test_replace_rejects_cells_outside_the_table(self):
+        ds = Dataset.from_rows("t", ["a", "b"], [["1", "x"], ["2", "y"]])
+        for updates in (
+            {0: ([-1], ["9"])},
+            {0: ([0], ["9"]), 1: ([0, 2], ["9", "9"])},
+            {2: ([0], ["9"])},
+            {-1: ([0], ["9"])},
+        ):
+            with pytest.raises(TabularError):
+                ds.replace_cells(updates)
+        assert list(ds.iter_rows()) == [("1", "x"), ("2", "y")]
+        assert ds.columns[0].parsed.tolist() == [1.0, 2.0]
 
     def test_take_and_append_rows(self):
         ds = Dataset.from_rows("t", ["a"], [["0"], ["1"], ["2"]])
@@ -252,11 +267,15 @@ class TestColumnArrays:
         picks = [p % len(rows) for p in picks]
         for idx in (picks, picks + picks, []):
             assert_cells_follow_make_cell(ds.take_rows(idx), [rows[i] for i in idx])
-        edits = {CellRef(r % len(rows), c): text for (r, c), text in edits.items()}
+        edits = {(r % len(rows), c): text for (r, c), text in edits.items()}
         edited = [list(r) for r in rows]
-        for ref, text in edits.items():
-            edited[ref.row][ref.col] = text
-        assert_cells_follow_make_cell(ds.replace_cells(edits), edited)
+        updates = {}
+        for (r, c), text in edits.items():
+            edited[r][c] = text
+            col_rows, col_texts = updates.setdefault(c, ([], []))
+            col_rows.append(r)
+            col_texts.append(text)
+        assert_cells_follow_make_cell(ds.replace_cells(updates), edited)
         assert_cells_follow_make_cell(ds.append_rows(extra), rows + [list(r) for r in extra])
 
         path = tmp_path_factory.mktemp("csv") / "t.csv"
@@ -269,8 +288,8 @@ class TestColumnArrays:
 
     def test_column_arrays_are_read_only(self):
         ds = Dataset.from_rows("t", ["a"], [["1"], [""]])
-        col = ds.replace_cells({CellRef(0, 0): "2"}).take_rows([1, 0]).append_rows([["3"]]).column("a")
-        for values, item in ((col.raw_values(), "4"), (col.parsed_values(), 4.0), (col.empty_flags(), True)):
+        col = ds.replace_cells({0: ([0], ["2"])}).take_rows([1, 0]).append_rows([["3"]]).column("a")
+        for values, item in ((col.raw, "4"), (col.parsed, 4.0), (col.empty, True)):
             with pytest.raises(ValueError):
                 values[0] = item
 
