@@ -180,42 +180,69 @@ def _c_factor(n: int) -> float:
     return 2.0 * (math.log(n - 1) + _EULER_GAMMA) - 2.0 * (n - 1) / n
 
 
-class _IsoNode:
-    __slots__ = ("feature", "threshold", "left", "right", "size")
+def _grow_iso_tree(sample: list, limit: int, rng: np.random.Generator, c_table: list, names: list):
+    """Grow one isolation tree on `sample` (rows as lists of floats) as flat
+    node arrays `(feature, threshold, kids, h)`.
 
-    def __init__(self, size):
-        self.size = size
-        self.feature = None
-        self.threshold = None
-        self.left = None
-        self.right = None
+    Node 0 is the root. A row x at internal node i goes to `kids[2i]` when
+    `x[feature[i]] < threshold[i]`, else to `kids[2i + 1]`; a leaf's kids are
+    itself, and `h[i]` is its depth plus `c_table[size]`. Nodes grow from an
+    explicit stack, depth first and left before right, so the generator sees
+    one `integers` and one `uniform` call per split in that order.
+
+    The sample holds no NaN (`_iforest_features` fills it with the median),
+    so a column's max - min > 0 exactly when its values are not all equal:
+    distinct floats differ by a positive amount, -0.0 and 0.0 by zero and
+    equal infinities by NaN. Only the drawn column needs its min and max. At
+    the depth limit both children are leaves, so only their sizes are needed.
+    `names` label the columns in errors.
+    """
+    feature, threshold, kids, h = [0], [0.0], [0, 0], [c_table[len(sample)]]
+    stack = [(0, sample, 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        size = len(rows)
+        cols = list(zip(*rows))
+        usable = [q for q, col in enumerate(cols) if col.count(col[0]) != size]
+        if not usable:
+            continue
+        q = usable[rng.integers(len(usable))]
+        lo, hi = min(cols[q]), max(cols[q])
+        if hi - lo == math.inf:
+            raise DetectorError(f"iforest cannot draw a threshold in column {names[q]!r}: its range overflows")
+        p = rng.uniform(lo, hi)
+        feature[node], threshold[node] = q, p
+        depth += 1
+        at = len(h)
+        kids[2 * node], kids[2 * node + 1] = at, at + 1
+        feature += (0, 0)
+        threshold += (0.0, 0.0)
+        kids += (at, at, at + 1, at + 1)
+        left = [r for r in rows if r[q] < p]
+        if depth == limit:
+            h += (depth + c_table[len(left)], depth + c_table[size - len(left)])
+            continue
+        right = [r for r in rows if not r[q] < p]
+        h += (depth + c_table[len(left)], depth + c_table[len(right)])
+        if len(right) > 1:
+            stack.append((at + 1, right, depth))
+        if len(left) > 1:
+            stack.append((at, left, depth))
+    return np.array(feature), np.array(threshold), np.array(kids), np.array(h)
 
 
-def _grow_iso_tree(X: np.ndarray, depth: int, limit: int, rng: np.random.Generator) -> _IsoNode:
-    node = _IsoNode(X.shape[0])
-    if depth >= limit or X.shape[0] <= 1:
-        return node
-    lows, highs = X.min(axis=0), X.max(axis=0)
-    usable = np.flatnonzero(highs - lows > 0)
-    if usable.size == 0:
-        return node
-    q = int(usable[rng.integers(usable.size)])
-    lo, hi = float(lows[q]), float(highs[q])
-    p = float(rng.uniform(lo, hi))
-    mask = X[:, q] < p
-    node.feature, node.threshold = q, p
-    node.left = _grow_iso_tree(X[mask], depth + 1, limit, rng)
-    node.right = _grow_iso_tree(X[~mask], depth + 1, limit, rng)
-    return node
-
-
-def _iso_path_lengths(X: np.ndarray, root: _IsoNode) -> np.ndarray:
-    """Path length h(x) of every row of X in one tree: the depth of its leaf
-    plus c(size) for the rows the depth limit left unisolated."""
-    h = np.empty(X.shape[0])
-    for leaf, rows, depth in models.route_rows(X, root, np.less):
-        h[rows] = depth + _c_factor(leaf.size)
-    return h
+def _iso_path_lengths(Xt: np.ndarray, tree, limit: int) -> np.ndarray:
+    """Path length h(x) of every column of Xt (the rows of X) in one tree: the
+    depth of its leaf plus c(size) for the rows the depth limit left
+    unisolated. Each step moves every row one level down; a row at a leaf
+    stays there, so `limit` steps reach every leaf."""
+    feature, threshold, kids, h = tree
+    n = Xt.shape[1]
+    flat, rows = Xt.ravel(), np.arange(n)
+    node = np.zeros(n, dtype=np.intp)
+    for _ in range(limit):
+        node = kids[2 * node + ~(flat[feature[node] * n + rows] < threshold[node])]
+    return h[node]
 
 
 def _iforest_features(ds: Dataset, num_cols: list[int]):
@@ -230,6 +257,26 @@ def _iforest_features(ds: Dataset, num_cols: list[int]):
     return X, col_median, col_mad
 
 
+def _forest_scores(X: np.ndarray, trees: int, subsample: int, seed: int, names: list) -> np.ndarray:
+    """`iforest_scores` of the feature matrix X from `_iforest_features`."""
+    n = X.shape[0]
+    psi = min(subsample, n)
+    if _c_factor(psi) == 0.0:
+        # A subsample of one row isolates nothing, so no row is more anomalous
+        # than another (scikit-learn's convention).
+        return np.full(n, 0.5)
+    limit = max(1, math.ceil(math.log2(max(psi, 2))))
+    c_table = [_c_factor(size) for size in range(psi + 1)]
+    Xt = np.ascontiguousarray(X.T)
+    rng = derive_rng(seed, "iforest")
+    paths = np.zeros(n)
+    for _ in range(trees):
+        idx = rng.choice(n, size=psi, replace=False)
+        tree = _grow_iso_tree(X[idx].tolist(), limit, rng, c_table, names)
+        paths += _iso_path_lengths(Xt, tree, limit)
+    return np.power(2.0, -(paths / trees) / _c_factor(psi))
+
+
 def iforest_scores(
     ds: Dataset, trees: int = 100, subsample: int = 256, seed: int = 0
 ) -> np.ndarray:
@@ -239,21 +286,8 @@ def iforest_scores(
     num_cols = ds.numeric_column_indices()
     if not num_cols:
         raise DetectorError("iforest requires at least one numeric column")
-    n = ds.row_count
-    psi = min(subsample, n)
-    if _c_factor(psi) == 0.0:
-        # A subsample of one row isolates nothing, so no row is more anomalous
-        # than another (scikit-learn's convention).
-        return np.full(n, 0.5)
     X, _, _ = _iforest_features(ds, num_cols)
-    limit = max(1, math.ceil(math.log2(max(psi, 2))))
-    rng = derive_rng(seed, "iforest")
-    paths = np.zeros(n)
-    for _ in range(trees):
-        idx = rng.choice(n, size=psi, replace=False)
-        root = _grow_iso_tree(X[idx], 0, limit, rng)
-        paths += _iso_path_lengths(X, root)
-    return np.power(2.0, -(paths / trees) / _c_factor(psi))
+    return _forest_scores(X, trees, subsample, seed, [ds.columns[c].name for c in num_cols])
 
 
 def detect_outliers_iforest(
@@ -273,15 +307,15 @@ def detect_outliers_iforest(
     num_cols = ds.numeric_column_indices()
     if not num_cols:
         raise DetectorError("iforest requires at least one numeric column")
+    if trees < 1:
+        raise DetectorError("iforest requires trees >= 1")
     n = ds.row_count
     budget = math.ceil(contamination * n)
     if budget == 0 or n == 0:
-        if trees < 1:
-            raise DetectorError("iforest requires trees >= 1")
         return DetectionMask(_no_flags(ds), source="if")
 
-    _, col_median, col_mad = _iforest_features(ds, num_cols)
-    scores = iforest_scores(ds, trees=trees, subsample=subsample, seed=seed)
+    X, col_median, col_mad = _iforest_features(ds, num_cols)
+    scores = _forest_scores(X, trees, subsample, seed, [ds.columns[c].name for c in num_cols])
     rows = np.argsort(-scores, kind="stable")[:budget]
 
     # Robust z-scores of the flagged rows' cells; NaN (never strong) where a

@@ -212,25 +212,24 @@ class _TreeNode:
     value: np.ndarray | float | None = None  # class counts or mean at leaves
 
 
-def route_rows(X: np.ndarray, root, goes_left):
-    """Push all rows of X down a binary tree together.
+def route_rows(X: np.ndarray, root):
+    """Push all rows of X down a fitted `DecisionTree` together.
 
     Nodes carry `feature`, `threshold`, `left` and `right`; a node without a
-    left child is a leaf. `goes_left(values, threshold)` picks the rows that
-    go left. Yields `(leaf, row indices, depth)` for every leaf some row
-    reaches.
+    left child is a leaf. A row goes left when its value is <= the threshold.
+    Yields `(leaf, row indices)` for every leaf some row reaches.
     """
-    stack = [(root, np.arange(X.shape[0]), 0)]
+    stack = [(root, np.arange(X.shape[0]))]
     while stack:
-        node, rows, depth = stack.pop()
+        node, rows = stack.pop()
         if rows.size == 0:
             continue
         if node.left is None:
-            yield node, rows, depth
+            yield node, rows
             continue
-        left = goes_left(X[rows, node.feature], node.threshold)
-        stack.append((node.right, rows[~left], depth + 1))
-        stack.append((node.left, rows[left], depth + 1))
+        left = X[rows, node.feature] <= node.threshold
+        stack.append((node.right, rows[~left]))
+        stack.append((node.left, rows[left]))
 
 
 def _first_best(gains: list) -> int:
@@ -461,18 +460,18 @@ class DecisionTree:
         data = np.asarray(data, dtype=float)
         if self.task == "regression":
             out = np.empty(data.shape[0])
-            for leaf, rows, _ in route_rows(data, self.root, np.less_equal):
+            for leaf, rows in route_rows(data, self.root):
                 out[rows] = leaf.value
             return out
         codes = np.empty(data.shape[0], dtype=np.intp)
-        for leaf, rows, _ in route_rows(data, self.root, np.less_equal):
+        for leaf, rows in route_rows(data, self.root):
             codes[rows] = np.argmax(leaf.value)
         return _label_array(self.classes_).take(codes)
 
     def predict_proba(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=float)
         probs = np.zeros((data.shape[0], len(self.classes_)))
-        for leaf, rows, _ in route_rows(data, self.root, np.less_equal):
+        for leaf, rows in route_rows(data, self.root):
             probs[rows] = leaf.value / leaf.value.sum()
         return probs
 

@@ -144,6 +144,14 @@ class TestIsolationForest:
         with pytest.raises(DetectorError):
             detect_outliers_iforest(ds)
 
+    def test_range_beyond_the_largest_float_rejected(self):
+        # 1e308 - (-1e308) overflows, so no threshold can be drawn between them.
+        ds = column(["1e308", "-1e308", "1", "2"], name="wide")
+        with pytest.raises(DetectorError, match="'wide'"):
+            detect_outliers_iforest(ds, trees=3, contamination=0.5)
+        # A wide but finite range still splits.
+        assert len(detect_outliers_iforest(column(["1e308", "0", "1", "2"]), trees=3, contamination=0.25)) == 1
+
 
 class TestDuplicates:
     def test_second_occurrence_flagged_whole(self):

@@ -1,8 +1,9 @@
 """Exact equivalence of the array kernels with scalar reference loops.
 
 The CART split search and level-by-level tree growth (against the
-recursive grower), kNN imputation, kNN model votes, isolation-forest scoring,
-tree prediction, the numeric mode, the logit's softmax and gradient descent,
+recursive grower), kNN imputation, kNN model votes, isolation-tree growth and
+scoring (against the recursive grower, its generator state and a per-row
+walk), tree prediction, the numeric mode, the logit's softmax and gradient descent,
 the confident-learning flags, the silhouette, the Wilcoxon exact p and the
 column-wise detectors (mvd, fahes, sd, iqr and the isolation forest's cell
 selection) are checked against straightforward per-element implementations
@@ -226,6 +227,37 @@ def ref_tree_leaf(tree: DecisionTree, x: np.ndarray):
     return node
 
 
+class RefIsoNode:
+    __slots__ = ("feature", "threshold", "left", "right", "size")
+
+    def __init__(self, size):
+        self.size = size
+        self.feature = None
+        self.threshold = None
+        self.left = None
+        self.right = None
+
+
+def ref_grow_iso_tree(X: np.ndarray, depth: int, limit: int, rng: np.random.Generator) -> RefIsoNode:
+    """The recursive isolation-tree grower: numpy min/max per node, then the
+    feature and threshold draws, then the left and right subtrees."""
+    node = RefIsoNode(X.shape[0])
+    if depth >= limit or X.shape[0] <= 1:
+        return node
+    lows, highs = X.min(axis=0), X.max(axis=0)
+    usable = np.flatnonzero(highs - lows > 0)
+    if usable.size == 0:
+        return node
+    q = int(usable[rng.integers(usable.size)])
+    lo, hi = float(lows[q]), float(highs[q])
+    p = float(rng.uniform(lo, hi))
+    mask = X[:, q] < p
+    node.feature, node.threshold = q, p
+    node.left = ref_grow_iso_tree(X[mask], depth + 1, limit, rng)
+    node.right = ref_grow_iso_tree(X[~mask], depth + 1, limit, rng)
+    return node
+
+
 def ref_iso_path_length(x: np.ndarray, node) -> float:
     depth = 0
     while node.feature is not None:
@@ -234,17 +266,25 @@ def ref_iso_path_length(x: np.ndarray, node) -> float:
     return depth + detect._c_factor(node.size)
 
 
+def ref_iso_depth(node) -> int:
+    if node.feature is None:
+        return 0
+    return 1 + max(ref_iso_depth(node.left), ref_iso_depth(node.right))
+
+
 def ref_iforest_scores(ds: Dataset, trees: int, subsample: int, seed: int) -> np.ndarray:
     num_cols = ds.numeric_column_indices()
     n = ds.row_count
     X, _, _ = detect._iforest_features(ds, num_cols)
     psi = min(subsample, n)
+    if psi <= 1:
+        return np.full(n, 0.5)
     limit = max(1, math.ceil(math.log2(max(psi, 2))))
     rng = derive_rng(seed, "iforest")
     paths = np.zeros(n)
     for _ in range(trees):
         idx = rng.choice(n, size=psi, replace=False)
-        root = detect._grow_iso_tree(X[idx], 0, limit, rng)
+        root = ref_grow_iso_tree(X[idx], 0, limit, rng)
         for i in range(n):
             paths[i] += ref_iso_path_length(X[i], root)
     return np.power(2.0, -(paths / trees) / detect._c_factor(psi))
@@ -960,14 +1000,28 @@ def test_knn_matches_per_cell_reference(rows, flags, k):
 # -- isolation-forest scoring --------------------------------------------------
 
 
+def grow_flat_iso_tree(X: np.ndarray, limit: int, rng: np.random.Generator):
+    table = [detect._c_factor(size) for size in range(X.shape[0] + 1)]
+    return detect._grow_iso_tree(X.tolist(), limit, rng, table, [f"c{j}" for j in range(X.shape[1])])
+
+
 def test_iso_path_lengths_send_threshold_ties_right():
-    leaf = detect._IsoNode
+    leaf = RefIsoNode
     root, inner = leaf(6), leaf(4)
     root.feature, root.threshold, root.left, root.right = 0, 1.0, leaf(2), inner
     inner.feature, inner.threshold, inner.left, inner.right = 1, 5.0, leaf(1), leaf(3)
+    # The same tree as flat nodes: 0 root, 1 leaf(2), 2 inner, 3 leaf(1), 4 leaf(3).
+    c = detect._c_factor
+    flat = (
+        np.array([0, 0, 1, 0, 0]),
+        np.array([1.0, 0.0, 5.0, 0.0, 0.0]),
+        np.array([1, 2, 1, 1, 3, 4, 3, 3, 4, 4]),
+        np.array([0.0, 1 + c(2), 0.0, 2 + c(1), 2 + c(3)]),
+    )
     X = np.array([[0.5, 9.0], [1.0, 5.0], [1.0, 4.0], [2.0, 6.0], [1.0, 5.5]])
-    got = detect._iso_path_lengths(X, root)
+    got = detect._iso_path_lengths(np.ascontiguousarray(X.T), flat, 2)
     assert got.tolist() == [ref_iso_path_length(x, root) for x in X]
+    assert got.tolist() == [1 + c(2), 2 + c(3), 2 + c(1), 2 + c(3), 2 + c(3)]
 
 
 def test_iforest_scores_with_a_constant_column():
@@ -975,7 +1029,7 @@ def test_iforest_scores_with_a_constant_column():
     ds = Dataset.from_columns(
         "t",
         [
-            ("a", "numeric", [repr(v) for v in rng.normal(size=80)]),
+            ("a", "numeric", [repr(float(v)) for v in rng.normal(size=80)]),
             ("k", "numeric", ["3"] * 80),
             ("b", "numeric", [str(int(v)) for v in rng.integers(0, 4, 80)]),
         ],
@@ -984,18 +1038,65 @@ def test_iforest_scores_with_a_constant_column():
     assert got.tolist() == ref_iforest_scores(ds, 20, 32, 1).tolist()
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    cols=st.lists(st.lists(st.sampled_from(["0", "1", "1.5", "-2", "", "9"]), min_size=2, max_size=30), min_size=1, max_size=3),
-    trees=st.integers(1, 5),
-    subsample=st.integers(2, 16),
-    seed=st.integers(0, 3),
-)
-def test_iforest_scores_match_per_row_walk(cols, trees, subsample, seed):
-    n = min(len(c) for c in cols)
-    ds = Dataset.from_columns("t", [(f"c{j}", "numeric", c[:n]) for j, c in enumerate(cols)])
+# Signed zeros, ties, tiny and huge magnitudes and blanks (filled with the median).
+ISO_TEXT = st.sampled_from(["0", "-0.0", "0.0", "1", "1.5", "-2", "", "9", "5e-324", "1e300"])
+
+
+@st.composite
+def iforest_tables(draw):
+    n = draw(st.integers(1, 30))
+    cols = draw(st.lists(st.lists(ISO_TEXT, min_size=n, max_size=n), min_size=1, max_size=3))
+    for extra in draw(st.lists(st.sampled_from(["constant", "duplicate"]), max_size=2)):
+        cols.append([draw(ISO_TEXT)] * n if extra == "constant" else list(draw(st.sampled_from(cols))))
+    return Dataset.from_columns("t", [(f"c{j}", "numeric", c) for j, c in enumerate(cols)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(ds=iforest_tables(), trees=st.integers(1, 5), subsample=st.integers(1, 40), seed=st.integers(0, 3))
+def test_iforest_scores_match_per_row_walk(ds, trees, subsample, seed):
     got = detect.iforest_scores(ds, trees=trees, subsample=subsample, seed=seed)
     assert got.tolist() == ref_iforest_scores(ds, trees, subsample, seed).tolist()
+
+
+def test_iforest_scores_match_per_row_walk_at_the_depth_limit():
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(600, 3))
+    values[:40, 2] = values[:40, 0]  # duplicate values in two columns
+    values[40:80] = values[80:120]  # duplicate rows
+    ds = Dataset.from_columns("t", [(f"c{j}", "numeric", [repr(float(v)) for v in values[:, j]]) for j in range(3)])
+    X, _, _ = detect._iforest_features(ds, [0, 1, 2])
+    grown, reference = derive_rng(0, "iforest"), derive_rng(0, "iforest")
+    sample = X[reference.choice(600, size=256, replace=False)]
+    grown.choice(600, size=256, replace=False)
+    tree = grow_flat_iso_tree(sample, 8, grown)
+    root = ref_grow_iso_tree(sample, 0, 8, reference)
+    assert ref_iso_depth(root) == 8
+    assert grown.bit_generator.state == reference.bit_generator.state
+    got = detect._iso_path_lengths(np.ascontiguousarray(X.T), tree, 8)
+    assert got.tolist() == [ref_iso_path_length(x, root) for x in X]
+    for seed in (0, 1, 7):
+        got = detect.iforest_scores(ds, trees=4, subsample=256, seed=seed)
+        assert got.tolist() == ref_iforest_scores(ds, 4, 256, seed).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 2.5000000000000004, 1e300]), min_size=3, max_size=3),
+        min_size=2,
+        max_size=40,
+    ),
+    limit=st.integers(1, 6),
+    seed=st.integers(0, 1000),
+)
+def test_iso_tree_growth_makes_the_recursive_growers_draws(rows, limit, seed):
+    X = np.array(rows)
+    grown, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    tree = grow_flat_iso_tree(X, limit, grown)
+    root = ref_grow_iso_tree(X, 0, limit, reference)
+    assert grown.bit_generator.state == reference.bit_generator.state
+    got = detect._iso_path_lengths(np.ascontiguousarray(X.T), tree, limit)
+    assert got.tolist() == [ref_iso_path_length(x, root) for x in X]
 
 
 # -- numeric mode --------------------------------------------------------------
