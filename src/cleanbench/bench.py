@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import models
+from . import metrics, models
 from .constraints import DenialConstraint, load_constraints, parse_constraints
-from .detect import DetectorContext, DetectorSpec, run_detector
+from .detect import DetectorContext, DetectorRun, DetectorSpec, run_detector
 from .inject import ErrorProfile, InjectionReport, inject, make_synthetic
 from .metrics import model_metrics
 from .repair import RepairSpec, RepairedDataset, apply_repair
@@ -331,50 +331,39 @@ def plan_experiments(cfg: BenchmarkConfig, tags: frozenset[str]) -> ExperimentGr
 # -- execution ---------------------------------------------------------------
 
 
-@dataclass
-class DataVersion:
-    detector: str
-    repair: str
-    data: Dataset
-    row_map: list[int]  # version row -> dirty row index
-    detect_runtime: float = 0.0
-    repair_runtime: float = 0.0
+def _attempt(fn, timeout: float | None):
+    """Call `fn()`: (its result, None), or (None, "<ExcType>: <msg>") when it
+    raised or did not finish within a positive `timeout`.
 
-
-def _run_with_timeout(fn, timeout: float | None):
-    # Cooperative timeout: an overrunning call keeps its worker thread until it
-    # finishes, but the caller moves on and records the failure.
-    if timeout is None or timeout <= 0:
-        return fn()
-    pool = ThreadPoolExecutor(max_workers=1)
-    future = pool.submit(fn)
+    The timeout is cooperative: an overrunning call keeps its worker thread
+    until it finishes, but the caller moves on and records the failure.
+    """
     try:
-        result = future.result(timeout=timeout)
-    except FutureTimeout:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise BenchError(f"timed out after {timeout:g}s") from None
-    pool.shutdown(wait=True)
-    return result
+        if timeout is None or timeout <= 0:
+            return fn(), None
+        pool = ThreadPoolExecutor(max_workers=1)
+        future = pool.submit(fn)
+        try:
+            return future.result(timeout=timeout), None
+        except FutureTimeout:
+            raise BenchError(f"timed out after {timeout:g}s") from None
+        finally:
+            pool.shutdown(wait=future.done(), cancel_futures=True)
+    except Exception as exc:  # every detector, repair and cell failure becomes a record
+        return None, f"{type(exc).__name__}: {exc}"
 
 
-def _origin_rows(version: DataVersion, pair: DatasetPair) -> list[int]:
-    """Ground-truth origin of each version row (duplicates via provenance)."""
+def _rows_on_side(version: RepairedDataset, pair: DatasetPair, side: set[int]) -> list[int]:
+    """Version rows whose ground-truth origin (a duplicate's via provenance) is in `side`."""
     gt_rows = pair.ground_truth.row_count
     provenance = pair.row_provenance or {}
-    origins = []
-    for dirty_row in version.row_map:
-        origins.append(dirty_row if dirty_row < gt_rows else provenance[dirty_row])
-    return origins
-
-
-def _rows_on_side(version: DataVersion, pair: DatasetPair, side: set[int]) -> list[int]:
-    return [i for i, origin in enumerate(_origin_rows(version, pair)) if origin in side]
+    return [i for i, row in enumerate(version.row_map) if (row if row < gt_rows else provenance[row]) in side]
 
 
 def _scenario_data(
     scenario: str,
-    version: DataVersion,
-    dirty_version: DataVersion,
+    version: RepairedDataset,
+    dirty_version: RepairedDataset,
     pair: DatasetPair,
     train_idx: np.ndarray,
     test_idx: np.ndarray,
@@ -403,9 +392,10 @@ def _run_cell(
     cfg: BenchmarkConfig,
     cell: GridCell,
     spec: models.ModelSpec,
-    version: DataVersion,
-    dirty_version: DataVersion,
+    version: RepairedDataset,
+    dirty_version: RepairedDataset,
     pair: DatasetPair,
+    detect_runtime: float,
 ) -> dict:
     train_idx, test_idx = split_indices(
         pair.ground_truth.row_count,
@@ -439,41 +429,52 @@ def _run_cell(
         cell.seed,
         score.metric_kind,
         score.value,
-        detect_runtime=version.detect_runtime,
-        repair_runtime=version.repair_runtime,
+        detect_runtime=detect_runtime,
+        repair_runtime=version.runtime,
         train_runtime=fitted.train_runtime,
     )
 
 
-def detector_context(cfg: BenchmarkConfig, mat: MaterializedData) -> DetectorContext:
-    """What the detectors of a grid or CLI run may use besides the dirty data."""
-    contamination = mat.report.achieved_rate if mat.report else 0.1
+def detector_context(
+    cfg: BenchmarkConfig,
+    constraints: list[DenialConstraint] | None,
+    truth: DetectionMask,
+    report: InjectionReport | None,
+    seed: int,
+) -> DetectorContext:
+    """What detectors may use besides the dirty data; `truth` is also what
+    `score_detectors` scores them against."""
     return DetectorContext(
-        constraints=mat.constraints,
+        constraints=constraints,
         key_columns=cfg.key_columns,
         label_column=cfg.label_column,
-        oracle_mask=mat.pair.error_mask,
-        contamination=max(contamination, 1e-6),
-        seed=derive_seed(cfg.master_seed, "detect"),
+        oracle_mask=truth,
+        contamination=max(report.achieved_rate, 1e-6) if report else 0.1,
+        seed=seed,
     )
 
 
 def build_versions(
     cfg: BenchmarkConfig,
     mat: MaterializedData,
-    grid: ExperimentGrid,
+    strategies: list[tuple[DetectorSpec, RepairSpec]],
     out_dir: str | Path | None = None,
-) -> tuple[dict[tuple[str, str], DataVersion], dict[tuple[str, str], str]]:
-    """Run each detector once, each strategy's repair once, caching results.
+) -> tuple[dict[tuple[str, str], RepairedDataset], dict[str, DetectorRun], dict[tuple[str, str], str]]:
+    """Run each detector once and each strategy's repair once.
 
-    A failing detector or repair does not abort the run: its strategies are
-    returned in the `broken` map and their grid cells become failure records.
+    Returns the versions by (detector, repair) name, with the dirty data as
+    ("none", "none"); the detector runs by name; and `broken`, the reason
+    for each strategy whose detector or repair failed. A failure does not
+    abort the run: the grid turns it into failure records.
     """
     dirty = mat.pair.dirty
-    ctx = detector_context(cfg, mat)
-    versions: dict[tuple[str, str], DataVersion] = {
-        ("none", "none"): DataVersion("none", "none", dirty, list(range(dirty.row_count)))
-    }
+    ctx = detector_context(
+        cfg, mat.constraints, mat.pair.error_mask, mat.report, derive_seed(cfg.master_seed, "detect")
+    )
+    nothing = DetectionMask(np.zeros((dirty.row_count, dirty.col_count), dtype=bool))
+    versions = {("none", "none"): RepairedDataset(dirty, ("none", "none"), 0.0, nothing, list(range(dirty.row_count)))}
+    runs: dict[str, DetectorRun] = {}
+    failed: dict[str, str] = {}
     broken: dict[tuple[str, str], str] = {}
     masks_dir = None
     if out_dir is not None:
@@ -481,46 +482,31 @@ def build_versions(
         masks_dir.mkdir(parents=True, exist_ok=True)
         save_mask(mat.pair.error_mask, masks_dir / f"{mat.name}_truth.mask")
 
-    runs: dict[str, object] = {}
-    failed_detectors: dict[str, str] = {}
-    for det_spec, _ in grid.strategies:
-        if det_spec.name in runs or det_spec.name in failed_detectors:
+    for det, _ in strategies:
+        if det.name in runs or det.name in failed:
             continue
-        try:
-            runs[det_spec.name] = _run_with_timeout(
-                lambda d=det_spec: run_detector(d, dirty, ctx), cfg.timeout
-            )
-        except Exception as exc:
-            failed_detectors[det_spec.name] = f"{type(exc).__name__}: {exc}"
+        run, error = _attempt(lambda det=det: run_detector(det, dirty, ctx), cfg.timeout)
+        if error is not None:
+            failed[det.name] = error
             continue
+        runs[det.name] = run
         if masks_dir is not None:
-            save_mask(runs[det_spec.name].mask, masks_dir / f"{mat.name}_{det_spec.name}.mask")
+            save_mask(run.mask, masks_dir / f"{mat.name}_{det.name}.mask")
 
-    for det_spec, rep_spec in grid.strategies:
-        key = (det_spec.name, rep_spec.name)
-        if det_spec.name in failed_detectors:
-            broken[key] = f"detector failed: {failed_detectors[det_spec.name]}"
+    for det, rep in strategies:
+        key = (det.name, rep.name)
+        if det.name in failed:
+            broken[key] = f"detector failed: {failed[det.name]}"
             continue
-        det_run = runs[det_spec.name]
-        try:
-            repaired: RepairedDataset = _run_with_timeout(
-                lambda r=rep_spec, m=det_run.mask: apply_repair(
-                    r, dirty, m, pair=mat.pair, detector=det_spec.name
-                ),
-                cfg.timeout,
-            )
-        except Exception as exc:
-            broken[key] = f"repair failed: {type(exc).__name__}: {exc}"
-            continue
-        versions[key] = DataVersion(
-            det_spec.name,
-            rep_spec.name,
-            repaired.data,
-            repaired.row_map,
-            detect_runtime=det_run.runtime,
-            repair_runtime=repaired.runtime,
+        repaired, error = _attempt(
+            lambda rep=rep, det=det: apply_repair(rep, dirty, runs[det.name].mask, pair=mat.pair, detector=det.name),
+            cfg.timeout,
         )
-    return versions, broken
+        if error is not None:
+            broken[key] = f"repair failed: {error}"
+        else:
+            versions[key] = repaired
+    return versions, runs, broken
 
 
 def run_benchmark(
@@ -534,33 +520,27 @@ def run_benchmark(
     mat = materialize(cfg)
     if grid is None:
         grid = plan_experiments(cfg, mat.tags)
-    versions, broken = build_versions(cfg, mat, grid, out_dir=out_dir)
+    versions, runs, broken = build_versions(cfg, mat, grid.strategies, out_dir=out_dir)
     spec_of = dict(zip(grid.model_labels, cfg.models))
     dirty_version = versions[("none", "none")]
 
     def failure(cell: GridCell, spec: models.ModelSpec, message: str) -> dict:
         return make_record(
-            cell.dataset,
-            cell.detector,
-            cell.repair,
-            cell.model,
-            cell.scenario,
-            cell.seed,
-            METRIC_FOR_TASK[spec.task],
-            None,
-            error=message,
+            cell.dataset, cell.detector, cell.repair, cell.model, cell.scenario, cell.seed,
+            METRIC_FOR_TASK[spec.task], None, error=message,
         )
 
     def execute(cell: GridCell) -> dict:
         spec = spec_of[cell.model]
-        key = ("gt", "gt") if cell.scenario == "S4" else (cell.detector, cell.repair)
-        if cell.scenario != "S4" and key in broken:
+        key = (cell.detector, cell.repair)
+        version = dirty_version if cell.scenario == "S4" else versions.get(key)
+        if version is None:
             return failure(cell, spec, broken[key])
-        version = dirty_version if cell.scenario == "S4" else versions[key]
-        try:
-            return _run_cell(cfg, cell, spec, version, dirty_version, mat.pair)
-        except Exception as exc:  # isolate per-cell failures
-            return failure(cell, spec, f"{type(exc).__name__}: {exc}")
+        detect_runtime = runs[cell.detector].runtime if cell.detector in runs else 0.0
+        record, error = _attempt(
+            lambda: _run_cell(cfg, cell, spec, version, dirty_version, mat.pair, detect_runtime), None
+        )
+        return record if error is None else failure(cell, spec, error)
 
     if cfg.workers <= 1:
         results = [execute(cell) for cell in grid.cells]
@@ -599,23 +579,37 @@ def _sweep_profile(axis: str, value: float) -> ErrorProfile:
     raise BenchError(f"unknown sweep axis {axis!r}")
 
 
-def _sweep_records(
-    cfg: BenchmarkConfig, det: DetectorSpec, ds: Dataset, ctx: DetectorContext, truth: DetectionMask, common: dict, metrics
-) -> list[dict]:
-    """Run one detector under the timeout and score it against `truth`.
+def score_detectors(
+    cfg: BenchmarkConfig, ds: Dataset, ctx: DetectorContext, store: ResultsStore, common: dict, scored: dict
+) -> list[DetectorRun]:
+    """Run each detector of `cfg` on `ds` under the timeout, score its mask
+    against `ctx.oracle_mask`, and append its records to `store` as soon as
+    it finishes; return the successful runs.
 
-    `metrics` maps each metric name to a function of the detector run and its
+    `common` holds the record fields other than detector, metric and value.
+    `scored` maps each metric name to a function of the detector run and its
     detection score that gives the record's `value` (and any runtime field).
-    On failure the result is one error record under the first metric name.
+    A failed detector gets one error record under the first metric name.
     """
-    from .metrics import detection_metrics
+    runs = []
+    for det in cfg.detectors:
+        run, error = _attempt(lambda det=det: run_detector(det, ds, ctx), cfg.timeout)
+        if error is None:
+            score, error = _attempt(lambda run=run: metrics.detection_metrics(run.mask, ctx.oracle_mask), None)
+        if error is not None:
+            store.append(make_record(detector=det.name, metric=next(iter(scored)), value=None, error=error, **common))
+            continue
+        runs.append(run)
+        for name, fields in scored.items():
+            store.append(make_record(detector=det.name, metric=name, **fields(run, score), **common))
+    return runs
 
-    try:
-        run = _run_with_timeout(lambda: run_detector(det, ds, ctx), cfg.timeout)
-        score = detection_metrics(run.mask, truth)
-        return [make_record(metric=name, **fields(run, score), **common) for name, fields in metrics.items()]
-    except Exception as exc:
-        return [make_record(metric=next(iter(metrics)), value=None, error=f"{type(exc).__name__}: {exc}", **common)]
+
+def _sweep_step(cfg, data, profile, constraints, inject_seed, detect_seed, store, common, scored) -> None:
+    """Inject `profile` into `data`, then score every detector on the dirty copy."""
+    pair, report = inject(data, profile, inject_seed, constraints)
+    ctx = detector_context(cfg, constraints, report.union_mask(), report, detect_seed)
+    score_detectors(cfg, pair.dirty, ctx, store, common, scored)
 
 
 def run_robustness_sweep(
@@ -635,27 +629,16 @@ def run_robustness_sweep(
     constraints = _load_config_constraints(cfg)
     for value in values:
         profile = _sweep_profile(axis, value)
+        scored = {f"detect_f1@{value:g}": lambda run, score: dict(value=score.f1, detect_runtime=run.runtime)}
         for rep in range(cfg.repeats):
-            pair, report = inject(
-                gt, profile, derive_seed(cfg.master_seed, "sweep", axis, rep)
+            common = dict(
+                dataset=gt.name, repair="", model="", scenario=f"sweep:{axis}", seed=rep,
+                sweep_axis=axis, sweep_value=value,
             )
-            truth = report.union_mask()
-            ctx = DetectorContext(
-                constraints=constraints,
-                oracle_mask=truth,
-                contamination=max(report.achieved_rate, 1e-6),
-                key_columns=cfg.key_columns,
-                label_column=cfg.label_column,
-                seed=derive_seed(cfg.master_seed, "sweep-detect", rep),
+            _sweep_step(
+                cfg, gt, profile, constraints, derive_seed(cfg.master_seed, "sweep", axis, rep),
+                derive_seed(cfg.master_seed, "sweep-detect", rep), store, common, scored,
             )
-            for det in cfg.detectors:
-                common = dict(
-                    dataset=gt.name, detector=det.name, repair="", model="", scenario=f"sweep:{axis}", seed=rep,
-                    sweep_axis=axis, sweep_value=value,
-                )
-                f1 = {f"detect_f1@{value:g}": lambda run, score: dict(value=score.f1, detect_runtime=run.runtime)}
-                for record in _sweep_records(cfg, det, pair.dirty, ctx, truth, common, f1):
-                    store.append(record)
     store.write_index()
     return store
 
@@ -679,39 +662,19 @@ def run_scalability_sweep(
         n = int(round(fraction * gt.row_count))
         if n < 10:
             raise BenchError(f"fraction {fraction} keeps only {n} rows; need >= 10")
-        sample = gt.take_rows(order[:n].tolist())
-        pair, report = inject(
-            sample,
-            cfg.profile,
+        common = dict(
+            dataset=gt.name, repair="", model="", scenario="sweep:scalability", seed=0,
+            sweep_axis="data_fraction", sweep_value=fraction,
+        )
+        scored = {
+            f"detect_runtime@{fraction:g}": lambda run, score: dict(value=run.runtime),
+            f"detect_f1@{fraction:g}": lambda run, score: dict(value=score.f1),
+        }
+        _sweep_step(
+            cfg, gt.take_rows(order[:n].tolist()), cfg.profile, constraints,
             derive_seed(cfg.master_seed, "scale-inject", fraction),
-            constraints,
+            derive_seed(cfg.master_seed, "scale-detect", fraction), store, common, scored,
         )
-        truth = report.union_mask()
-        ctx = DetectorContext(
-            constraints=constraints,
-            oracle_mask=truth,
-            contamination=max(report.achieved_rate, 1e-6),
-            key_columns=cfg.key_columns,
-            label_column=cfg.label_column,
-            seed=derive_seed(cfg.master_seed, "scale-detect", fraction),
-        )
-        for det in cfg.detectors:
-            common = dict(
-                dataset=gt.name,
-                detector=det.name,
-                repair="",
-                model="",
-                scenario="sweep:scalability",
-                seed=0,
-                sweep_axis="data_fraction",
-                sweep_value=fraction,
-            )
-            scored = {
-                f"detect_runtime@{fraction:g}": lambda run, score: dict(value=run.runtime),
-                f"detect_f1@{fraction:g}": lambda run, score: dict(value=score.f1),
-            }
-            for record in _sweep_records(cfg, det, pair.dirty, ctx, truth, common, scored):
-                store.append(record)
     store.write_index()
     return store
 

@@ -17,10 +17,9 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .detect import run_detector
-from .metrics import detection_metrics, repair_metrics_categorical, repair_metrics_numeric
-from .repair import apply_repair
+from .metrics import repair_metrics_categorical, repair_metrics_numeric
 from .report import emit_report, sha256_file, write_manifest
+from .seeding import derive_seed
 from .store import ResultsStore, make_record
 from .tabular import save_csv, save_mask
 
@@ -134,97 +133,73 @@ def _cmd_detect(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     mat = bench_mod.materialize(cfg)
-    ctx = bench_mod.detector_context(cfg, mat)
     store = ResultsStore(out / "results.jsonl")
+    common = dict(dataset=mat.name, repair="", model="", scenario="detect", seed=0)
+    # detect_f1 first: a failed detector's one error record carries it
+    scored = {
+        f"detect_{name}": lambda run, score, name=name: dict(value=getattr(score, name), detect_runtime=run.runtime)
+        for name in ("f1", "precision", "recall")
+    }
+    ctx = bench_mod.detector_context(
+        cfg, mat.constraints, mat.pair.error_mask, mat.report, derive_seed(cfg.master_seed, "detect")
+    )
+    runs = bench_mod.score_detectors(cfg, mat.pair.dirty, ctx, store, common, scored)
     artifacts = [out / "results.jsonl"]
-    failures = 0
-    for det in cfg.detectors:
-        try:
-            run = run_detector(det, mat.pair.dirty, ctx)
-            score = detection_metrics(run.mask, mat.pair.error_mask)
-            mask_path = out / f"{mat.name}_{det.name}.mask"
-            save_mask(run.mask, mask_path)
-            artifacts.append(mask_path)
-            for metric, value in (
-                ("detect_precision", score.precision),
-                ("detect_recall", score.recall),
-                ("detect_f1", score.f1),
-            ):
-                store.append(
-                    make_record(
-                        mat.name, det.name, "", "", "detect", 0, metric, value,
-                        detect_runtime=run.runtime,
-                    )
-                )
-        except Exception as exc:
-            failures += 1
-            store.append(
-                make_record(
-                    mat.name, det.name, "", "", "detect", 0, "detect_f1", None,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+    for run in runs:
+        artifacts.append(out / f"{mat.name}_{run.spec.name}.mask")
+        save_mask(run.mask, artifacts[-1])
     store.write_index()
     write_manifest(out, "detect", _config_inputs(args, cfg), artifacts)
-    return EXIT_PARTIAL if failures else EXIT_OK
+    return EXIT_PARTIAL if len(runs) < len(cfg.detectors) else EXIT_OK
+
+
+def _repair_records(out: Path, mat, key: tuple[str, str], repaired, detect_runtime: float, artifacts: list) -> list:
+    """Write one repaired version as CSV and score it against the ground truth."""
+    artifacts.append(out / f"{mat.name}_{key[0]}_{key[1]}.csv")
+    save_csv(repaired.data, artifacts[-1])
+    pair = mat.pair
+    numeric = repair_metrics_numeric(
+        repaired.data, pair.ground_truth, pair.error_mask, repaired.row_map, pair.row_provenance
+    )
+    categorical = repair_metrics_categorical(
+        repaired.data, pair.ground_truth, pair.error_mask, repaired.repaired_cells, repaired.row_map,
+        pair.row_provenance,
+    )
+    rows = [("repair_rmse", numeric.numeric_rmse)] if numeric.numeric_rmse is not None else []
+    rows += [
+        ("repair_precision", categorical.precision),
+        ("repair_recall", categorical.recall),
+        ("repair_f1", categorical.f1),
+    ]
+    return [
+        make_record(
+            mat.name, *key, "", "repair", 0, metric, value,
+            detect_runtime=detect_runtime, repair_runtime=repaired.runtime,
+        )
+        for metric, value in rows
+    ]
 
 
 def _cmd_repair(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     mat = bench_mod.materialize(cfg)
-    ctx = bench_mod.detector_context(cfg, mat)
+    strategies = [(det, rep) for det in cfg.detectors for rep in cfg.repairs]
+    versions, runs, broken = bench_mod.build_versions(cfg, mat, strategies)
     store = ResultsStore(out / "results.jsonl")
     artifacts = [out / "results.jsonl"]
     failures = 0
-    for det in cfg.detectors:
-        try:
-            run = run_detector(det, mat.pair.dirty, ctx)
-        except Exception as exc:
-            failures += len(cfg.repairs)
-            for rep in cfg.repairs:
-                store.append(
-                    make_record(
-                        mat.name, det.name, rep.name, "", "repair", 0, "repair_rmse",
-                        None, error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-            continue
-        for rep in cfg.repairs:
-            try:
-                repaired = apply_repair(rep, mat.pair.dirty, run.mask, pair=mat.pair, detector=det.name)
-                csv_path = out / f"{mat.name}_{det.name}_{rep.name}.csv"
-                save_csv(repaired.data, csv_path)
-                artifacts.append(csv_path)
-                numeric = repair_metrics_numeric(
-                    repaired.data, mat.pair.ground_truth, mat.pair.error_mask,
-                    repaired.row_map, mat.pair.row_provenance,
-                )
-                categorical = repair_metrics_categorical(
-                    repaired.data, mat.pair.ground_truth, mat.pair.error_mask,
-                    repaired.repaired_cells, repaired.row_map, mat.pair.row_provenance,
-                )
-                rows = [("repair_rmse", numeric.numeric_rmse)] if numeric.numeric_rmse is not None else []
-                rows += [
-                    ("repair_precision", categorical.precision),
-                    ("repair_recall", categorical.recall),
-                    ("repair_f1", categorical.f1),
-                ]
-                for metric, value in rows:
-                    store.append(
-                        make_record(
-                            mat.name, det.name, rep.name, "", "repair", 0, metric, value,
-                            detect_runtime=run.runtime, repair_runtime=repaired.runtime,
-                        )
-                    )
-            except Exception as exc:
-                failures += 1
-                store.append(
-                    make_record(
-                        mat.name, det.name, rep.name, "", "repair", 0, "repair_rmse",
-                        None, error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+    for det, rep in strategies:
+        key = (det.name, rep.name)
+        records, error = None, broken.get(key)
+        if error is None:
+            records, error = bench_mod._attempt(
+                lambda: _repair_records(out, mat, key, versions[key], runs[det.name].runtime, artifacts), None
+            )
+        if error is not None:
+            failures += 1
+            records = [make_record(mat.name, *key, "", "repair", 0, "repair_rmse", None, error=error)]
+        store.extend(records)
     store.write_index()
     write_manifest(out, "repair", _config_inputs(args, cfg), artifacts)
     return EXIT_PARTIAL if failures else EXIT_OK
@@ -252,27 +227,21 @@ def _cmd_bench(args) -> int:
     return _run_grid(args, "bench", strip_strategies=False)
 
 
+# Each sweep axis and the config field that lists its values.
+SWEEP_FIELDS = {"error_rate": "error_rates", "outlier_degree": "outlier_degrees", "scalability": "data_fractions"}
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     store = ResultsStore(out / "results.jsonl")
-    if args.axis == "error_rate":
-        values = cfg.error_rates
-        if not values:
-            raise CliError("config has no error_rates for the error_rate sweep")
-        bench_mod.run_robustness_sweep(cfg, "error_rate", values, store)
-    elif args.axis == "outlier_degree":
-        values = cfg.outlier_degrees
-        if not values:
-            raise CliError("config has no outlier_degrees for the outlier_degree sweep")
-        bench_mod.run_robustness_sweep(cfg, "outlier_degree", values, store)
-    elif args.axis == "scalability":
-        values = cfg.data_fractions
-        if not values:
-            raise CliError("config has no data_fractions for the scalability sweep")
+    values = getattr(cfg, SWEEP_FIELDS[args.axis])
+    if not values:
+        raise CliError(f"config has no {SWEEP_FIELDS[args.axis]} for the {args.axis} sweep")
+    if args.axis == "scalability":
         bench_mod.run_scalability_sweep(cfg, values, store)
     else:
-        raise CliError(f"unknown sweep axis {args.axis!r}")
+        bench_mod.run_robustness_sweep(cfg, args.axis, values, store)
     write_manifest(out, "sweep", _config_inputs(args, cfg), [out / "results.jsonl"])
     return EXIT_PARTIAL if store.failures() else EXIT_OK
 
@@ -338,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", help=f"output directory (default ${ENV_OUT} or ./out)")
         p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--workers", type=int, help="worker pool size")
-        p.add_argument("--timeout", type=float, help="per-experiment timeout in seconds")
+        p.add_argument("--workers", type=int, help="size of the grid's cell pool")
+        p.add_argument("--timeout", type=float, help="timeout in seconds for each detector and repair call")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config field (dotted path, repeatable)")
 
@@ -356,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep")
     add_common(p)
-    p.add_argument("--axis", required=True, choices=("error_rate", "outlier_degree", "scalability"))
+    p.add_argument("--axis", required=True, choices=tuple(SWEEP_FIELDS))
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("abtest")
@@ -386,12 +355,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage problems; the contract says 1.
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    try:
-        return args.fn(args)
-    except Exception as exc:  # single reporting funnel for execution failures
-        record = {"error": f"{type(exc).__name__}: {exc}", "verb": args.verb}
-        print(json.dumps(record), file=sys.stderr)
-        return EXIT_FAILURE
+    code, error = bench_mod._attempt(lambda: args.fn(args), None)  # one funnel for execution failures
+    if error is None:
+        return code
+    print(json.dumps({"error": error, "verb": args.verb}), file=sys.stderr)
+    return EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -446,7 +446,12 @@ class DecisionTree:
         for s in np.flatnonzero(~sure).tolist():
             win[s] = bounds[s] + _first_best(gains[bounds[s] : bounds[s + 1]].tolist())
         best_gain[segment[first]] = gains[win]
-        best_threshold[segment[first]] = (flat[q[win]] + flat[q[win] + 1]) / 2.0
+        # a midpoint that rounds up to the right value (adjacent floats) or
+        # overflows would send that value left too; the left value splits them
+        lo, hi = flat[q[win]], flat[q[win] + 1]
+        with np.errstate(over="ignore"):
+            mid = (lo + hi) / 2.0
+        best_threshold[segment[first]] = np.where(mid < hi, mid, lo)
         return best_gain.reshape(d, -1), best_threshold.reshape(d, -1)
 
     def _impurity_gain(self, col: np.ndarray, y: np.ndarray):

@@ -75,19 +75,21 @@ def emit_report(
 
 
 def _emit_iou_matrices(masks_dir: Path, out_dir: Path) -> list[Path]:
+    # Dataset and detector names may both contain underscores, so datasets
+    # come from the `<dataset>_truth.mask` files, and every other mask goes
+    # to the longest dataset name that prefixes it.
+    paths = sorted(masks_dir.glob("*.mask"))
+    truth = {p.stem[: -len("_truth")]: p for p in paths if p.stem.endswith("_truth")}
     by_dataset: dict[str, dict[str, Path]] = {}
-    truth: dict[str, Path] = {}
-    for path in sorted(masks_dir.glob("*.mask")):
-        # Dataset names may contain underscores; detector names do not.
-        dataset, _, detector = path.stem.rpartition("_")
-        if detector == "truth":
-            truth[dataset] = path
-        else:
-            by_dataset.setdefault(dataset, {})[detector] = path
+    for path in paths:
+        if path in truth.values():
+            continue
+        owners = [d for d in truth if path.stem.startswith(d + "_")]
+        if owners:
+            dataset = max(owners, key=len)
+            by_dataset.setdefault(dataset, {})[path.stem[len(dataset) + 1 :]] = path
     written = []
     for dataset, detectors in sorted(by_dataset.items()):
-        if dataset not in truth:
-            continue
         truth_mask = load_mask(truth[dataset])
         names = sorted(detectors)
         masks = {name: load_mask(detectors[name]) for name in names}

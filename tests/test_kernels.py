@@ -56,6 +56,13 @@ from helpers import mask_cells
 # -- scalar references ---------------------------------------------------------
 
 
+def ref_midpoint(lo: float, hi: float) -> float:
+    """The split threshold between adjacent sorted values lo < hi: their
+    midpoint, or lo where the midpoint rounds up to hi or overflows."""
+    mid = (float(lo) + float(hi)) / 2.0
+    return mid if mid < hi else float(lo)
+
+
 def ref_split_gains(tree: DecisionTree, col: np.ndarray, y: np.ndarray) -> list:
     """(gain, threshold) of every valid split, from running counts."""
     order = np.argsort(col, kind="stable")
@@ -79,7 +86,7 @@ def ref_split_gains(tree: DecisionTree, col: np.ndarray, y: np.ndarray) -> list:
                 nl / n * (1.0 - np.sum((left / nl) ** 2))
                 + nr / n * (1.0 - np.sum((right / nr) ** 2))
             )
-            out.append((total_gini - gini, (cs[i] + cs[i + 1]) / 2.0))
+            out.append((total_gini - gini, ref_midpoint(cs[i], cs[i + 1])))
     else:
         csum = np.cumsum(ys)
         csum2 = np.cumsum(ys**2)
@@ -92,7 +99,7 @@ def ref_split_gains(tree: DecisionTree, col: np.ndarray, y: np.ndarray) -> list:
                 continue
             left_ss = csum2[i] - csum[i] ** 2 / nl
             right_ss = (csum2[-1] - csum2[i]) - (csum[-1] - csum[i]) ** 2 / nr
-            out.append((total_var - left_ss - right_ss, (cs[i] + cs[i + 1]) / 2.0))
+            out.append((total_var - left_ss - right_ss, ref_midpoint(cs[i], cs[i + 1])))
     return out
 
 
@@ -148,7 +155,7 @@ class RefTree(DecisionTree):
             if best_gain is None or gain > best_gain + 1e-15:
                 best_gain, best_at = gain, at
         i = split[best_at]
-        return best_gain, (cs[i] + cs[i + 1]) / 2.0
+        return best_gain, ref_midpoint(cs[i], cs[i + 1])
 
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int = 0) -> _TreeNode:
         n = len(y)
@@ -718,13 +725,22 @@ def test_trees_around_the_eight_wide_row_sum(n_classes):
         assert_same_fit("classification", X, y, min_leaf=min_leaf)
 
 
-def test_threshold_rounding_up_to_the_right_value_leaves_an_empty_child():
-    a = np.nextafter(1.0, 2.0)
-    b = np.nextafter(a, 2.0)
-    assert (a + b) / 2.0 == b  # the midpoint rounds to b, so b goes left too
+@pytest.mark.parametrize(
+    "a, b, beyond",
+    [(np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0), 3.0), (1e308, 1.7e308, np.inf)],
+    ids=["midpoint-rounds-up", "sum-overflows"],
+)
+def test_threshold_that_would_not_split_adjacent_values_takes_the_left_value(a, b, beyond):
+    with np.errstate(over="ignore"):
+        assert not (a + b) / 2.0 < b  # the midpoint would send b left too
     X = np.array([[a], [b], [a], [b]])
     tree = assert_same_fit("classification", X, np.array(["x", "y", "x", "y"], dtype=object), max_depth=2)
-    assert tree.root.right.left is None and tree.root.right.value.tolist() == [0.0, 0.0]
+    assert tree.root.threshold == a
+    assert tree.root.left.value.tolist() == [2.0, 0.0] and tree.root.right.value.tolist() == [0.0, 2.0]
+    tree = assert_same_fit("regression", X, np.array([1.0, 2.0, 1.0, 2.0]), max_depth=2)
+    assert tree.root.threshold == a
+    assert (tree.root.left.value, tree.root.right.value) == (1.0, 2.0)
+    assert tree.predict(np.array([[a], [b], [beyond]])).tolist() == [1.0, 2.0, 2.0]
 
 
 def test_tree_fits_on_real_columns_match_recursive_grower():
