@@ -331,6 +331,11 @@ def plan_experiments(cfg: BenchmarkConfig, tags: frozenset[str]) -> ExperimentGr
 # -- execution ---------------------------------------------------------------
 
 
+def _timed_out(timeout: float) -> str:
+    """The error text of a call that did not finish within `timeout`."""
+    return f"BenchError: timed out after {timeout:g}s"
+
+
 def _attempt(fn, timeout: float | None):
     """Call `fn()`: (its result, None), or (None, "<ExcType>: <msg>") when it
     raised or did not finish within a positive `timeout`.
@@ -346,7 +351,7 @@ def _attempt(fn, timeout: float | None):
         try:
             return future.result(timeout=timeout), None
         except FutureTimeout:
-            raise BenchError(f"timed out after {timeout:g}s") from None
+            return None, _timed_out(timeout)
         finally:
             pool.shutdown(wait=future.done(), cancel_futures=True)
     except Exception as exc:  # every detector, repair and cell failure becomes a record
@@ -552,9 +557,7 @@ def run_benchmark(
                 try:
                     results.append(future.result(timeout=cfg.timeout))
                 except FutureTimeout:
-                    results.append(
-                        failure(cell, spec_of[cell.model], f"timed out after {cfg.timeout:g}s")
-                    )
+                    results.append(failure(cell, spec_of[cell.model], _timed_out(cfg.timeout)))
     store.extend(results)
     store.write_index()
     return store

@@ -184,11 +184,13 @@ def _grow_iso_tree(sample: list, limit: int, rng: np.random.Generator, c_table: 
     """Grow one isolation tree on `sample` (rows as lists of floats) as flat
     node arrays `(feature, threshold, kids, h)`.
 
-    Node 0 is the root. A row x at internal node i goes to `kids[2i]` when
-    `x[feature[i]] < threshold[i]`, else to `kids[2i + 1]`; a leaf's kids are
-    itself, and `h[i]` is its depth plus `c_table[size]`. Nodes grow from an
-    explicit stack, depth first and left before right, so the generator sees
-    one `integers` and one `uniform` call per split in that order.
+    The first three are `models.tree_leaves`' format, walked with np.less: a
+    row x at internal node i goes to `kids[2i]` when `x[feature[i]] <
+    threshold[i]`, else to `kids[2i + 1]`. A leaf's kids are itself, and
+    `h[i]` is its depth plus `c_table[size]`, so `limit` steps of the walk
+    give every row's path length. Nodes grow from an explicit stack, depth
+    first and left before right, so the generator sees one `integers` and
+    one `uniform` call per split in that order.
 
     The sample holds no NaN (`_iforest_features` fills it with the median),
     so a column's max - min > 0 exactly when its values are not all equal:
@@ -231,18 +233,15 @@ def _grow_iso_tree(sample: list, limit: int, rng: np.random.Generator, c_table: 
     return np.array(feature), np.array(threshold), np.array(kids), np.array(h)
 
 
-def _iso_path_lengths(Xt: np.ndarray, tree, limit: int) -> np.ndarray:
-    """Path length h(x) of every column of Xt (the rows of X) in one tree: the
-    depth of its leaf plus c(size) for the rows the depth limit left
-    unisolated. Each step moves every row one level down; a row at a leaf
-    stays there, so `limit` steps reach every leaf."""
-    feature, threshold, kids, h = tree
-    n = Xt.shape[1]
-    flat, rows = Xt.ravel(), np.arange(n)
-    node = np.zeros(n, dtype=np.intp)
-    for _ in range(limit):
-        node = kids[2 * node + ~(flat[feature[node] * n + rows] < threshold[node])]
-    return h[node]
+def _median(values: np.ndarray) -> float:
+    """np.median of finite values, or a + (b - a) / 2 where the sum of the
+    two middle values a <= b overflows."""
+    with np.errstate(over="ignore"):
+        median = float(np.median(values))
+    if math.isinf(median):
+        a, b = np.sort(values)[values.size // 2 - 1 : values.size // 2 + 1].tolist()
+        median = a + (b - a) / 2
+    return median
 
 
 def _iforest_features(ds: Dataset, num_cols: list[int]):
@@ -251,8 +250,8 @@ def _iforest_features(ds: Dataset, num_cols: list[int]):
     col_mad = np.zeros(len(num_cols))
     for j in range(len(num_cols)):
         finite = X[:, j][~np.isnan(X[:, j])]
-        col_median[j] = np.median(finite) if finite.size else 0.0
-        col_mad[j] = np.median(np.abs(finite - col_median[j])) if finite.size else 0.0
+        col_median[j] = _median(finite) if finite.size else 0.0
+        col_mad[j] = _median(np.abs(finite - col_median[j])) if finite.size else 0.0
         X[np.isnan(X[:, j]), j] = col_median[j]
     return X, col_median, col_mad
 
@@ -272,8 +271,8 @@ def _forest_scores(X: np.ndarray, trees: int, subsample: int, seed: int, names: 
     paths = np.zeros(n)
     for _ in range(trees):
         idx = rng.choice(n, size=psi, replace=False)
-        tree = _grow_iso_tree(X[idx].tolist(), limit, rng, c_table, names)
-        paths += _iso_path_lengths(Xt, tree, limit)
+        feature, threshold, kids, h = _grow_iso_tree(X[idx].tolist(), limit, rng, c_table, names)
+        paths += h[models.tree_leaves(Xt, feature, threshold, kids, limit, np.less)]
     return np.power(2.0, -(paths / trees) / _c_factor(psi))
 
 

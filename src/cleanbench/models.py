@@ -9,6 +9,7 @@ is deterministic for a fixed (data, spec, seed).
 from __future__ import annotations
 
 import functools
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -52,6 +53,17 @@ class EncodedMatrix:
         return self.features.shape[0]
 
 
+def sample_std(values: np.ndarray) -> float:
+    """values.std(ddof=1) of finite values; where its squares overflow, that
+    of the values over their largest magnitude, times that magnitude."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = float(values.std(ddof=1))
+    if not math.isfinite(std):
+        scale = float(np.abs(values).max())
+        std = float((values / scale).std(ddof=1)) * scale
+    return std
+
+
 def _fit_encoder(train: Dataset, target: str | None) -> EncoderState:
     numeric, categorical, dropped = [], [], []
     for col in train.columns:
@@ -64,7 +76,7 @@ def _fit_encoder(train: Dataset, target: str | None) -> EncoderState:
                 dropped.append(col.name)
                 continue
             mean = float(finite.mean())
-            std = float(finite.std(ddof=1))
+            std = sample_std(finite)
             if std == 0.0 or not np.isfinite(std):
                 dropped.append(col.name)
                 continue
@@ -203,33 +215,21 @@ def _label_array(classes: list) -> np.ndarray:
 # -- CART decision tree ------------------------------------------------------
 
 
-@dataclass
-class _TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_TreeNode | None" = None
-    right: "_TreeNode | None" = None
-    value: np.ndarray | float | None = None  # class counts or mean at leaves
+def tree_leaves(Xt: np.ndarray, feature, threshold, kids, steps: int, goes_left) -> np.ndarray:
+    """Leaf of every column of Xt (the rows of X) in a flat binary tree.
 
-
-def route_rows(X: np.ndarray, root):
-    """Push all rows of X down a fitted `DecisionTree` together.
-
-    Nodes carry `feature`, `threshold`, `left` and `right`; a node without a
-    left child is a leaf. A row goes left when its value is <= the threshold.
-    Yields `(leaf, row indices)` for every leaf some row reaches.
+    Node 0 is the root. A row x at node i goes to `kids[2i]` when
+    `goes_left(x[feature[i]], threshold[i])`, else to `kids[2i + 1]`; CART
+    passes np.less_equal and the isolation forest np.less, and NaN goes right
+    under both. A leaf's kids are itself, so `steps` (the tree's depth) steps
+    of one level each reach every leaf.
     """
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, rows = stack.pop()
-        if rows.size == 0:
-            continue
-        if node.left is None:
-            yield node, rows
-            continue
-        left = X[rows, node.feature] <= node.threshold
-        stack.append((node.right, rows[~left]))
-        stack.append((node.left, rows[left]))
+    n = Xt.shape[1]
+    flat, rows = Xt.ravel(), np.arange(n)
+    node = np.zeros(n, dtype=np.intp)
+    for _ in range(steps):
+        node = kids[2 * node + ~goes_left(flat[feature[node] * n + rows], threshold[node])]
+    return node
 
 
 def _first_best(gains: list) -> int:
@@ -269,7 +269,7 @@ class DecisionTree:
             codes = np.array([index[v] for v in y], dtype=np.intp)
         else:
             codes = np.asarray(y, dtype=float)
-        self.root = self._grow(X, codes)
+        self._grow(X, codes)
         return self
 
     def _leaf_value(self, y: np.ndarray):
@@ -295,8 +295,11 @@ class DecisionTree:
             impure[i] = float(np.var(y[starts[i] : starts[i] + sizes[i]])) != 0.0
         return impure
 
-    def _grow(self, X: np.ndarray, y: np.ndarray) -> _TreeNode:
-        """Grow the tree one depth at a time and return its root.
+    def _grow(self, X: np.ndarray, y: np.ndarray) -> None:
+        """Grow the tree one depth at a time into `tree_leaves`' format:
+        `feature_`, `threshold_`, `kids_`, `depth_` (levels grown, minus 1)
+        and `value_`, each leaf's class counts (nodes, classes) or target
+        mean (nodes,), 0 at internal nodes. Nodes are numbered level by level.
 
         `rows` holds the rows of the open nodes as consecutive segments: one
         line per feature in (value, row) order, as a stable argsort gives,
@@ -307,14 +310,20 @@ class DecisionTree:
         n = X.shape[0]
         XT = np.ascontiguousarray(X.T)
         rows = np.vstack([np.argsort(X, axis=0, kind="stable").T, np.arange(n)])
-        root = _TreeNode()
-        nodes, sizes = [root], np.array([n])
+        sizes, first, levels = np.array([n]), 0, []
         for depth in range(self.max_depth + 1):
             feature, threshold = self._level_splits(XT, y, rows, sizes, depth)
             split = feature >= 0
             ends = np.cumsum(sizes).tolist()
+            value = np.zeros((sizes.size, len(self.classes_)) if self.task == "classification" else sizes.size)
             for i in np.flatnonzero(~split).tolist():
-                nodes[i].value = self._leaf_value(y[rows[-1, ends[i] - sizes[i] : ends[i]]])
+                value[i] = self._leaf_value(y[rows[-1, ends[i] - sizes[i] : ends[i]]])
+            # a leaf's kids are itself and its feature 0, a column the walk can
+            # read; a splitting node's kids are on the next level
+            kids = np.repeat(np.arange(first, first + sizes.size), 2)
+            first += sizes.size
+            kids.reshape(-1, 2)[split] = np.arange(first, first + 2 * np.count_nonzero(split)).reshape(-1, 2)
+            levels.append((np.maximum(feature, 0), threshold, kids, value))
             if not split.any():
                 break
             # the left child of the i-th splitting node is 2i and the right
@@ -328,14 +337,8 @@ class DecisionTree:
             order = np.argsort(key[rows], axis=1, kind="stable")[:, : moving.size]
             rows = np.take_along_axis(rows, order, axis=1)
             sizes = np.bincount(child, minlength=2 * counts.size)
-            children = []
-            for i in np.flatnonzero(split).tolist():
-                node = nodes[i]
-                node.feature, node.threshold = int(feature[i]), threshold[i]
-                node.left, node.right = _TreeNode(), _TreeNode()
-                children += [node.left, node.right]
-            nodes = children
-        return root
+        self.feature_, self.threshold_, self.kids_, self.value_ = (np.concatenate(arrays) for arrays in zip(*levels))
+        self.depth_ = len(levels) - 1
 
     def _level_splits(self, XT: np.ndarray, y: np.ndarray, rows: np.ndarray, sizes: np.ndarray, depth: int):
         """Split feature (-1 for a leaf) and threshold of each node of a level."""
@@ -454,31 +457,19 @@ class DecisionTree:
         best_threshold[segment[first]] = np.where(mid < hi, mid, lo)
         return best_gain.reshape(d, -1), best_threshold.reshape(d, -1)
 
-    def _impurity_gain(self, col: np.ndarray, y: np.ndarray):
-        """Best (gain, threshold) over the split points of one feature of one
-        node, or None if it has none."""
-        order = np.argsort(col, kind="stable")
-        gains, thresholds = self._best_splits(col[order][None, :], y[order][None, :], np.array([len(y)]))
-        return None if np.isnan(gains[0, 0]) else (float(gains[0, 0]), float(thresholds[0, 0]))
+    def _leaf_values(self, data: np.ndarray) -> np.ndarray:
+        """`value_` of each row's leaf; a tie with a threshold goes left."""
+        Xt = np.ascontiguousarray(np.asarray(data, dtype=float).T)
+        return self.value_[tree_leaves(Xt, self.feature_, self.threshold_, self.kids_, self.depth_, np.less_equal)]
 
     def predict(self, data: np.ndarray) -> np.ndarray:
-        data = np.asarray(data, dtype=float)
         if self.task == "regression":
-            out = np.empty(data.shape[0])
-            for leaf, rows in route_rows(data, self.root):
-                out[rows] = leaf.value
-            return out
-        codes = np.empty(data.shape[0], dtype=np.intp)
-        for leaf, rows in route_rows(data, self.root):
-            codes[rows] = np.argmax(leaf.value)
-        return _label_array(self.classes_).take(codes)
+            return self._leaf_values(data)
+        return _label_array(self.classes_).take(np.argmax(self._leaf_values(data), axis=1))
 
     def predict_proba(self, data: np.ndarray) -> np.ndarray:
-        data = np.asarray(data, dtype=float)
-        probs = np.zeros((data.shape[0], len(self.classes_)))
-        for leaf, rows in route_rows(data, self.root):
-            probs[rows] = leaf.value / leaf.value.sum()
-        return probs
+        counts = self._leaf_values(data)
+        return counts / counts.sum(axis=1, keepdims=True)
 
 
 # -- logistic regression (softmax, full-batch gradient descent) --------------

@@ -183,7 +183,7 @@ def repair_impute_knn(
         usable = ~flagged[:, c] & ~np.isnan(parsed)
         values = parsed[usable]
         if values.size >= 2:
-            std = float(values.std(ddof=1))
+            std = models.sample_std(values)
             if std > 0:
                 Z[usable, j] = (values - float(values.mean())) / std
     donors_z = Z[donors]

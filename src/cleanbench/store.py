@@ -63,6 +63,7 @@ class ResultsStore:
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._records: dict[str, dict] = {}
+        self._appended: set[str] = set()
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -82,7 +83,9 @@ class ResultsStore:
         for field in KEY_FIELDS:
             if field not in record:
                 raise StoreError(f"record missing key field {field!r}")
-        self._records[record_key(record)] = record
+        key = record_key(record)
+        self._records[key] = record
+        self._appended.add(key)
         if self.path is not None:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -106,7 +109,9 @@ class ResultsStore:
         return out
 
     def failures(self) -> list[dict]:
-        return [r for r in self._records.values() if r.get("error")]
+        """Error records appended through this store object: this run's
+        failures, not those it loaded from an earlier run's file."""
+        return [r for key, r in self._records.items() if key in self._appended and r.get("error")]
 
     def write_index(self) -> None:
         """Sidecar mapping record key to line number; rebuildable at any time."""

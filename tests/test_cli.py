@@ -305,6 +305,26 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["verb"] == "bench" and "error" in err
 
+    def test_only_this_runs_failures_count(self, failing_config_path, desk_config_path, tmp_path):
+        out = tmp_path / "o"
+
+        def run(verb, path, *extra):
+            return main([verb, "--config", str(path), "--out", str(out), "--set", "repeats=1", *extra])
+
+        assert run("detect", failing_config_path) == EXIT_PARTIAL  # leaves failure records in the store
+        sweep = ["--axis", "outlier_degree", "--set", "outlier_degrees=[2.0]"]
+        assert run("bench", desk_config_path) == EXIT_OK
+        assert run("sweep", desk_config_path, *sweep) == EXIT_OK
+        assert run("sweep", failing_config_path, *sweep) == EXIT_PARTIAL
+        assert run("bench", failing_config_path) == EXIT_PARTIAL
+
+    def test_parallel_cell_timeout_has_the_timeout_text(self, desk_config_path, tmp_path):
+        # a 0.5 ms budget: the first cell (a 500-epoch logit fit) overruns it
+        args = ("--workers", "2", "--timeout", "0.0005")
+        code, _, _, errors, _ = run_verb("model", desk_config_path, tmp_path / "m", *args)
+        assert code == EXIT_PARTIAL
+        assert errors and {error for *_, error in errors} == {"BenchError: timed out after 0.0005s"}
+
     def test_partial_failure_exit(self, tmp_path):
         config = {
             "config_schema": "1",

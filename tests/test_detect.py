@@ -153,6 +153,19 @@ class TestIsolationForest:
         assert len(detect_outliers_iforest(column(["1e308", "0", "1", "2"]), trees=3, contamination=0.25)) == 1
 
 
+    def test_blank_filled_with_a_median_whose_sum_overflows(self):
+        from cleanbench.detect import _iforest_features, iforest_scores
+
+        # np.median takes (a + b) / 2 of the two middle values, and a + b overflows here
+        a, b = 1.5e308, 1.6e308
+        ds = column([repr(a), repr(b), ""])
+        X, median, mad = _iforest_features(ds, [0])
+        assert median.tolist() == [a + (b - a) / 2] and X[2, 0] == median[0]
+        assert mad.tolist() == [(b - a) / 2]
+        assert iforest_scores(ds, trees=3, seed=0).shape == (3,)
+        assert len(detect_outliers_iforest(ds, trees=3, contamination=0.5)) == 2
+
+
 class TestDuplicates:
     def test_second_occurrence_flagged_whole(self):
         ds = Dataset.from_rows("t", ["k", "v"], [["a", "1"], ["a", "2"], ["b", "3"]])

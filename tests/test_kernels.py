@@ -1,9 +1,12 @@
 """Exact equivalence of the array kernels with scalar reference loops.
 
-The CART split search and level-by-level tree growth (against the
-recursive grower), kNN imputation, kNN model votes, isolation-tree growth and
-scoring (against the recursive grower, its generator state and a per-row
-walk), tree prediction, the numeric mode, the logit's softmax and gradient descent,
+The CART split search and level-by-level tree growth (its flat node arrays,
+turned into nested nodes, against the recursive grower node by node), kNN
+imputation, kNN model votes, isolation-tree growth (against the recursive
+grower and its generator state), the level walk that CART and the isolation
+forest share (against per-row walks, CART's over its flat arrays and the
+forest's over the recursive grower's tree, and on one hand-built tree under
+both tie rules), the numeric mode, the logit's softmax and gradient descent,
 the confident-learning flags, the silhouette, the Wilcoxon exact p and the
 column-wise detectors (mvd, fahes, sd, iqr and the isolation forest's cell
 selection) are checked against straightforward per-element implementations
@@ -18,6 +21,7 @@ import math
 import tempfile
 import time
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +36,6 @@ from cleanbench.models import (
     KNNModel,
     LogisticModel,
     _softmax,
-    _TreeNode,
     logistic_loss_and_grad,
     silhouette,
 )
@@ -111,14 +114,44 @@ def ref_impurity_gain(tree: DecisionTree, col: np.ndarray, y: np.ndarray):
     return best
 
 
+def impurity_gain(tree: DecisionTree, col: np.ndarray, y: np.ndarray):
+    """`tree._best_splits` on one feature of one node: its best (gain,
+    threshold), or None if it has no split point."""
+    order = np.argsort(col, kind="stable")
+    gains, thresholds = tree._best_splits(col[order][None, :], y[order][None, :], np.array([len(y)]))
+    return None if np.isnan(gains[0, 0]) else (float(gains[0, 0]), float(thresholds[0, 0]))
+
+
+@dataclass
+class RefNode:
+    """A node of the recursive grower; a node without a left child is a leaf."""
+
+    feature: int = -1
+    threshold: float = 0.0
+    left: "RefNode | None" = None
+    right: "RefNode | None" = None
+    value: np.ndarray | float | None = None  # class counts or mean at leaves
+
+
+def nested_tree(tree: DecisionTree, node: int = 0) -> RefNode:
+    """A fitted tree's flat node and its subtree as nested nodes."""
+    left, right = tree.kids_[2 * node], tree.kids_[2 * node + 1]
+    if left == node:
+        assert right == node and tree.feature_[node] == 0 and tree.threshold_[node] == 0.0
+        return RefNode(value=tree.value_[node])
+    assert not tree.value_[node].any()
+    feature, threshold = int(tree.feature_[node]), float(tree.threshold_[node])
+    return RefNode(feature, threshold, nested_tree(tree, left), nested_tree(tree, right))
+
+
 class RefTree(DecisionTree):
     """The recursive grower: one node at a time, one split search per feature."""
 
-    def _leaf(self, y: np.ndarray) -> _TreeNode:
+    def _leaf(self, y: np.ndarray) -> RefNode:
         if self.task == "classification":
             counts = np.bincount(y, minlength=len(self.classes_)).astype(float)
-            return _TreeNode(value=counts)
-        return _TreeNode(value=float(y.mean()))
+            return RefNode(value=counts)
+        return RefNode(value=float(y.mean()))
 
     def _impurity_gain(self, col: np.ndarray, y: np.ndarray):
         order = np.argsort(col, kind="stable")
@@ -157,7 +190,10 @@ class RefTree(DecisionTree):
         i = split[best_at]
         return best_gain, ref_midpoint(cs[i], cs[i + 1])
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int = 0) -> _TreeNode:
+    def _grow(self, X: np.ndarray, y: np.ndarray) -> None:
+        self.root = self._grow_node(X, y, 0)
+
+    def _grow_node(self, X: np.ndarray, y: np.ndarray, depth: int) -> RefNode:
         n = len(y)
         pure = (
             len(set(y.tolist())) == 1
@@ -175,9 +211,9 @@ class RefTree(DecisionTree):
             return self._leaf(y)
         _, j, thr = best
         go_left = X[:, j] <= thr
-        node = _TreeNode(feature=j, threshold=thr)
-        node.left = self._grow(X[go_left], y[go_left], depth + 1)
-        node.right = self._grow(X[~go_left], y[~go_left], depth + 1)
+        node = RefNode(feature=j, threshold=thr)
+        node.left = self._grow_node(X[go_left], y[go_left], depth + 1)
+        node.right = self._grow_node(X[~go_left], y[~go_left], depth + 1)
         return node
 
 
@@ -227,10 +263,11 @@ def ref_exact_p(ranks: np.ndarray, w_obs: float) -> float:
     return min(1.0, 2.0 * count / (1 << n))
 
 
-def ref_tree_leaf(tree: DecisionTree, x: np.ndarray):
-    node = tree.root
-    while node.left is not None:
-        node = node.left if x[node.feature] <= node.threshold else node.right
+def ref_tree_leaf(tree: DecisionTree, x: np.ndarray) -> int:
+    """The leaf that row x reaches in the flat arrays, one node at a time."""
+    node = 0
+    while tree.kids_[2 * node] != node:
+        node = tree.kids_[2 * node + (0 if x[tree.feature_[node]] <= tree.threshold_[node] else 1)]
     return node
 
 
@@ -529,7 +566,7 @@ def make_tree(task: str, min_leaf: int, n_classes: int = 2) -> DecisionTree:
 
 
 def assert_same_split(tree, col, y):
-    got, want = tree._impurity_gain(col, y), ref_impurity_gain(tree, col, y)
+    got, want = impurity_gain(tree, col, y), ref_impurity_gain(tree, col, y)
     assert (got is None) == (want is None)
     if want is not None:
         assert got[0] == want[0] and got[1] == want[1]
@@ -620,12 +657,12 @@ def test_tree_fit_and_predict_match_row_walk(rows, task):
         y = np.array([ord(r[2]) / 7.0 for r in rows])
     tree = DecisionTree(task, max_depth=4, min_leaf=1).fit(X, y)
     probe = np.vstack([X, [[-1.0, 9.0], [2.5, np.nan]]])
-    leaves = [ref_tree_leaf(tree, x) for x in probe]
+    values = [tree.value_[ref_tree_leaf(tree, x)] for x in probe]
     if task == "regression":
-        assert tree.predict(probe).tolist() == [leaf.value for leaf in leaves]
+        assert tree.predict(probe).tolist() == values
     else:
-        assert tree.predict(probe).tolist() == [tree.classes_[int(np.argmax(leaf.value))] for leaf in leaves]
-        want = [(leaf.value / leaf.value.sum()).tolist() for leaf in leaves]
+        assert tree.predict(probe).tolist() == [tree.classes_[int(np.argmax(value))] for value in values]
+        want = [(value / value.sum()).tolist() for value in values]
         assert tree.predict_proba(probe).tolist() == want
 
 
@@ -643,10 +680,15 @@ def assert_same_tree(got, want, path="root"):
     assert_same_tree(got.right, want.right, path + ".right")
 
 
+def tree_depth(node: RefNode) -> int:
+    return 0 if node.left is None else 1 + max(tree_depth(node.left), tree_depth(node.right))
+
+
 def assert_same_fit(task, X, y, max_depth=8, min_leaf=1):
     got = DecisionTree(task, max_depth=max_depth, min_leaf=min_leaf).fit(X, y)
     want = RefTree(task, max_depth=max_depth, min_leaf=min_leaf).fit(X, y)
-    assert_same_tree(got.root, want.root)
+    assert_same_tree(nested_tree(got), want.root)
+    assert got.depth_ == tree_depth(want.root)
     return got
 
 
@@ -684,7 +726,7 @@ def test_constant_targets_whose_variance_is_not_zero_are_searched():
     for value in (0.1, 100000000.1):
         assert np.var(np.full(3, value)) > 0.0
         assert_same_fit("regression", X, np.full(3, value))
-    assert assert_same_fit("regression", X, np.full(3, 100000000.1)).root.left is not None
+    assert assert_same_fit("regression", X, np.full(3, 100000000.1)).kids_[0] != 0  # the root splits
 
 
 def test_targets_spread_below_1e150_with_zero_variance_are_pure():
@@ -692,7 +734,7 @@ def test_targets_spread_below_1e150_with_zero_variance_are_pure():
     y = np.array([1e-200, 3e-200, 1e-200, 3e-200])
     assert np.var(y) == 0.0
     tree = assert_same_fit("regression", X, y)
-    assert tree.root.left is None
+    assert tree.kids_[0] == 0  # the root is a leaf
 
 
 @pytest.mark.parametrize(
@@ -735,11 +777,11 @@ def test_threshold_that_would_not_split_adjacent_values_takes_the_left_value(a, 
         assert not (a + b) / 2.0 < b  # the midpoint would send b left too
     X = np.array([[a], [b], [a], [b]])
     tree = assert_same_fit("classification", X, np.array(["x", "y", "x", "y"], dtype=object), max_depth=2)
-    assert tree.root.threshold == a
-    assert tree.root.left.value.tolist() == [2.0, 0.0] and tree.root.right.value.tolist() == [0.0, 2.0]
+    assert tree.threshold_[0] == a
+    assert tree.value_[tree.kids_[:2]].tolist() == [[2.0, 0.0], [0.0, 2.0]]
     tree = assert_same_fit("regression", X, np.array([1.0, 2.0, 1.0, 2.0]), max_depth=2)
-    assert tree.root.threshold == a
-    assert (tree.root.left.value, tree.root.right.value) == (1.0, 2.0)
+    assert tree.threshold_[0] == a
+    assert tree.value_[tree.kids_[:2]].tolist() == [1.0, 2.0]
     assert tree.predict(np.array([[a], [b], [beyond]])).tolist() == [1.0, 2.0, 2.0]
 
 
@@ -1021,6 +1063,12 @@ def grow_flat_iso_tree(X: np.ndarray, limit: int, rng: np.random.Generator):
     return detect._grow_iso_tree(X.tolist(), limit, rng, table, [f"c{j}" for j in range(X.shape[1])])
 
 
+def iso_path_lengths(X: np.ndarray, tree, limit: int) -> np.ndarray:
+    """Each row's path length in a flat isolation tree, walked as the forest does."""
+    feature, threshold, kids, h = tree
+    return h[models.tree_leaves(np.ascontiguousarray(X.T), feature, threshold, kids, limit, np.less)]
+
+
 def test_iso_path_lengths_send_threshold_ties_right():
     leaf = RefIsoNode
     root, inner = leaf(6), leaf(4)
@@ -1035,9 +1083,15 @@ def test_iso_path_lengths_send_threshold_ties_right():
         np.array([0.0, 1 + c(2), 0.0, 2 + c(1), 2 + c(3)]),
     )
     X = np.array([[0.5, 9.0], [1.0, 5.0], [1.0, 4.0], [2.0, 6.0], [1.0, 5.5]])
-    got = detect._iso_path_lengths(np.ascontiguousarray(X.T), flat, 2)
+    got = iso_path_lengths(X, flat, 2)
     assert got.tolist() == [ref_iso_path_length(x, root) for x in X]
     assert got.tolist() == [1 + c(2), 2 + c(3), 2 + c(1), 2 + c(3), 2 + c(3)]
+    # One walk serves both trees: CART's rule sends a tie left, the forest's
+    # sends it right, and NaN goes right under both.
+    X = np.vstack([X, [[2.0, 5.0], [np.nan, 0.0], [2.0, np.nan]]])
+    Xt = np.ascontiguousarray(X.T)
+    assert models.tree_leaves(Xt, *flat[:3], 2, np.less).tolist() == [1, 4, 3, 4, 4, 4, 3, 4]
+    assert models.tree_leaves(Xt, *flat[:3], 2, np.less_equal).tolist() == [1, 1, 1, 4, 1, 3, 3, 4]
 
 
 def test_iforest_scores_with_a_constant_column():
@@ -1088,7 +1142,7 @@ def test_iforest_scores_match_per_row_walk_at_the_depth_limit():
     root = ref_grow_iso_tree(sample, 0, 8, reference)
     assert ref_iso_depth(root) == 8
     assert grown.bit_generator.state == reference.bit_generator.state
-    got = detect._iso_path_lengths(np.ascontiguousarray(X.T), tree, 8)
+    got = iso_path_lengths(X, tree, 8)
     assert got.tolist() == [ref_iso_path_length(x, root) for x in X]
     for seed in (0, 1, 7):
         got = detect.iforest_scores(ds, trees=4, subsample=256, seed=seed)
@@ -1111,7 +1165,7 @@ def test_iso_tree_growth_makes_the_recursive_growers_draws(rows, limit, seed):
     tree = grow_flat_iso_tree(X, limit, grown)
     root = ref_grow_iso_tree(X, 0, limit, reference)
     assert grown.bit_generator.state == reference.bit_generator.state
-    got = detect._iso_path_lengths(np.ascontiguousarray(X.T), tree, limit)
+    got = iso_path_lengths(X, tree, limit)
     assert got.tolist() == [ref_iso_path_length(x, root) for x in X]
 
 

@@ -16,6 +16,7 @@ from cleanbench.models import (
     logistic_loss_and_grad,
     parse_model_spec,
     predict,
+    sample_std,
     silhouette,
 )
 from cleanbench.tabular import Dataset
@@ -34,6 +35,14 @@ class TestEncode:
         # sample std of {0,10} is 7.071..., so values sit at +-0.7071
         assert tr.features[:, 0] == pytest.approx([-0.70710678, 0.70710678])
         assert te.features[0, 0] == pytest.approx(0.0)
+
+    def test_std_whose_squares_overflow_scales_first(self):
+        values = np.array([1.0, 2.0, 4.0])
+        assert sample_std(values) == values.std(ddof=1)  # a finite std keeps numpy's float
+        assert sample_std(values * 1e300) == pytest.approx(values.std(ddof=1) * 1e300, rel=1e-15)
+        train, test = two_col(["1e300", "2e300", "4e300"], ["2e300"])
+        tr, _ = encode(train, test)  # at 1e300 the squares overflow; the column stays
+        assert tr.feature_names == ["a"]
 
     def test_one_hot_two_categories(self):
         train, test = two_col(["a", "b", "a"], ["b"], kind="categorical")
@@ -106,7 +115,8 @@ class TestTree:
         X = np.array([[0.0], [0.1], [0.9], [1.0]] * 5)
         y = np.array(["n", "n", "p", "p"] * 5, dtype=object)
         tree = DecisionTree("classification", max_depth=8, min_leaf=1).fit(X, y)
-        assert tree.root.left is not None and tree.root.left.left is None  # depth 1
+        left = tree.kids_[0]
+        assert left != 0 and tree.kids_[2 * left] == left  # the root splits and its left child is a leaf
         assert (tree.predict(X) == y).all()
 
     def test_regression_tracks_linear_function(self):
@@ -120,7 +130,7 @@ class TestTree:
         X = np.arange(10.0).reshape(-1, 1)
         y = np.array(["a"] * 5 + ["b"] * 5, dtype=object)
         tree = DecisionTree("classification", max_depth=3, min_leaf=6).fit(X, y)
-        assert tree.root.left is None  # cannot split without starving a side
+        assert tree.kids_[0] == 0  # the root is a leaf: it cannot split without starving a side
 
 
 class TestLogistic:

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from cleanbench.detect import detect_missing
 from cleanbench.inject import ErrorProfile, ErrorSpec, inject, make_synthetic
 from cleanbench.repair import (
     RepairError,
@@ -190,6 +193,20 @@ class TestImputeIterative:
         ds = simple([str(i) for i in range(8)])
         with pytest.raises(RepairError, match="10"):
             repair_impute_iterative(ds, mask_from([(0, 0)]), max_rounds=1)
+
+
+class TestExtremeValues:
+    def test_z_score_std_of_a_typo_near_the_float_limit(self):
+        # A keyboard typo turned a digit into "e": x0 holds 0.7754990495961e288,
+        # whose square overflows in the z-score std of both repairs.
+        pair, _ = inject(make_synthetic("two_class", 300, 2), ErrorProfile([ErrorSpec("keyboard_typo", 0.1)]), 2)
+        assert np.nanmax(pair.dirty.column("x0").parsed) == 0.7754990495961e288
+        mask = detect_missing(pair.dirty)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for repair in (repair_impute_knn, repair_impute_iterative):
+                out = repair(pair.dirty, mask)
+                assert out.repaired_cells.flagged.tolist() == mask.flagged.tolist()
 
 
 def _imputed_rms_delta(before, after, mask):
