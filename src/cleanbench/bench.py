@@ -11,7 +11,9 @@ produce repaired versions; the dirty version joins the grid as strategy
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -459,6 +461,12 @@ def detector_context(
     )
 
 
+def _dirty_version(dirty: Dataset) -> RepairedDataset:
+    """The dirty data as the grid's ("none", "none") version."""
+    nothing = DetectionMask(np.zeros((dirty.row_count, dirty.col_count), dtype=bool))
+    return RepairedDataset(dirty, ("none", "none"), 0.0, nothing, list(range(dirty.row_count)))
+
+
 def build_versions(
     cfg: BenchmarkConfig,
     mat: MaterializedData,
@@ -470,14 +478,14 @@ def build_versions(
     Returns the versions by (detector, repair) name, with the dirty data as
     ("none", "none"); the detector runs by name; and `broken`, the reason
     for each strategy whose detector or repair failed. A failure does not
-    abort the run: the grid turns it into failure records.
+    abort the run: the grid turns it into failure records. With `out_dir`,
+    each detector's mask is saved under `<out_dir>/masks`.
     """
     dirty = mat.pair.dirty
     ctx = detector_context(
         cfg, mat.constraints, mat.pair.error_mask, mat.report, derive_seed(cfg.master_seed, "detect")
     )
-    nothing = DetectionMask(np.zeros((dirty.row_count, dirty.col_count), dtype=bool))
-    versions = {("none", "none"): RepairedDataset(dirty, ("none", "none"), 0.0, nothing, list(range(dirty.row_count)))}
+    versions = {("none", "none"): _dirty_version(dirty)}
     runs: dict[str, DetectorRun] = {}
     failed: dict[str, str] = {}
     broken: dict[tuple[str, str], str] = {}
@@ -485,7 +493,6 @@ def build_versions(
     if out_dir is not None:
         masks_dir = Path(out_dir) / "masks"
         masks_dir.mkdir(parents=True, exist_ok=True)
-        save_mask(mat.pair.error_mask, masks_dir / f"{mat.name}_truth.mask")
 
     for det, _ in strategies:
         if det.name in runs or det.name in failed:
@@ -520,14 +527,47 @@ def run_benchmark(
     store: ResultsStore | None = None,
     out_dir: str | Path | None = None,
 ) -> ResultsStore:
-    """Execute the planned grid; per-cell failures are recorded, not raised."""
+    """Execute the planned grid; per-cell failures are recorded, not raised.
+
+    The cells run in grid order. A detector runs, with each of its repairs,
+    when the first cell that needs one of its versions comes up, so every
+    detector and every repair still runs once. Each cell's record is
+    appended to `store` as soon as its turn in grid order comes: a run that
+    is killed keeps the records of every cell before the one it was on, and
+    the store file lists records in grid order for any `cfg.workers`.
+
+    With `cfg.workers > 1`, the builds and the cells run on a thread pool
+    and each cell waits for its version's build. A cell that runs longer
+    than `cfg.timeout` after its version is built is recorded as timed out,
+    so a cell's timeout does not count the time spent building its version;
+    the build is bounded per detector and repair call instead.
+    """
     store = store if store is not None else ResultsStore()
     mat = materialize(cfg)
     if grid is None:
         grid = plan_experiments(cfg, mat.tags)
-    versions, runs, broken = build_versions(cfg, mat, grid.strategies, out_dir=out_dir)
+    if out_dir is not None:
+        masks_dir = Path(out_dir) / "masks"
+        masks_dir.mkdir(parents=True, exist_ok=True)
+        save_mask(mat.pair.error_mask, masks_dir / f"{mat.name}_truth.mask")
     spec_of = dict(zip(grid.model_labels, cfg.models))
-    dirty_version = versions[("none", "none")]
+    dirty_version = _dirty_version(mat.pair.dirty)
+    versions = {("none", "none"): dirty_version}
+    runs: dict[str, DetectorRun] = {}
+    broken: dict[tuple[str, str], str] = {}
+    unbuilt: dict[str, list[tuple[DetectorSpec, RepairSpec]]] = {}
+    for det, rep in grid.strategies:
+        unbuilt.setdefault(det.name, []).append((det, rep))
+
+    def first_need(cell: GridCell) -> list[tuple[DetectorSpec, RepairSpec]] | None:
+        """The strategies of the cell's detector if no earlier cell needed them."""
+        return None if cell.scenario == "S4" else unbuilt.pop(cell.detector, None)
+
+    def build(strategies: list[tuple[DetectorSpec, RepairSpec]]) -> None:
+        built, det_runs, det_broken = build_versions(cfg, mat, strategies, out_dir=out_dir)
+        versions.update(built)
+        runs.update(det_runs)
+        broken.update(det_broken)
 
     def failure(cell: GridCell, spec: models.ModelSpec, message: str) -> dict:
         return make_record(
@@ -548,17 +588,45 @@ def run_benchmark(
         return record if error is None else failure(cell, spec, error)
 
     if cfg.workers <= 1:
-        results = [execute(cell) for cell in grid.cells]
+        for cell in grid.cells:
+            strategies = first_need(cell)
+            if strategies is not None:
+                build(strategies)
+            store.append(execute(cell))
     else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(execute, cell) for cell in grid.cells]
-            results = []
-            for cell, future in zip(grid.cells, futures):
+
+        def execute_when_built(cell: GridCell, built: Future | None) -> tuple[dict, float]:
+            """The cell's record and the seconds it ran, once its version is built."""
+            if built is not None:
+                built.result()
+            start = time.perf_counter()
+            return execute(cell), time.perf_counter() - start
+
+        # The pool takes tasks in submission order, so a build has started
+        # before any cell that waits on it: the waits cannot deadlock.
+        pool = ThreadPoolExecutor(max_workers=cfg.workers)
+        try:
+            builds: dict[str, Future] = {}
+            tasks = []
+            for cell in grid.cells:
+                strategies = first_need(cell)
+                if strategies is not None:
+                    builds[cell.detector] = pool.submit(build, strategies)
+                built = None if cell.scenario == "S4" else builds.get(cell.detector)
+                tasks.append((cell, built, pool.submit(execute_when_built, cell, built)))
+            for cell, built, future in tasks:
+                if built is not None:
+                    built.result()
                 try:
-                    results.append(future.result(timeout=cfg.timeout))
+                    record, seconds = future.result(timeout=cfg.timeout)
                 except FutureTimeout:
-                    results.append(failure(cell, spec_of[cell.model], _timed_out(cfg.timeout)))
-    store.extend(results)
+                    seconds = math.inf
+                # A cell that finished over budget before its turn came is timed out too.
+                if seconds > cfg.timeout:
+                    record = failure(cell, spec_of[cell.model], _timed_out(cfg.timeout))
+                store.append(record)
+        finally:
+            pool.shutdown(cancel_futures=True)
     store.write_index()
     return store
 

@@ -107,7 +107,8 @@ def detect_disguised(ds: Dataset) -> DetectionMask:
             finite = parsed[~np.isnan(parsed)]
             if finite.size == 0:
                 continue
-            q1, q3 = np.quantile(finite, [0.25, 0.75])
+            # Python floats: a fence beyond the float range is +-inf, with no warning
+            q1, q3 = np.quantile(finite, [0.25, 0.75]).tolist()
             outside = (parsed < q1 - 3.0 * (q3 - q1)) | (parsed > q3 + 3.0 * (q3 - q1))
             flagged[outside, j] = [_is_repeated_digit(raw) for raw in col.raw[outside]]
         else:
@@ -134,7 +135,7 @@ def detect_outliers_sd(ds: Dataset, n: float = 3.0) -> DetectionMask:
         finite = parsed[~np.isnan(parsed)]
         if finite.size < 3:
             continue
-        flagged[:, j] |= np.abs(parsed - finite.mean()) > n * finite.std(ddof=1)
+        flagged[:, j] |= np.abs(parsed - models.sample_mean(finite)) > n * models.sample_std(finite)
     return DetectionMask(flagged, source=f"sd(n={n:g})")
 
 

@@ -53,6 +53,17 @@ class EncodedMatrix:
         return self.features.shape[0]
 
 
+def sample_mean(values: np.ndarray) -> float:
+    """values.mean() of finite values; where their sum overflows, the mean of
+    the values over their largest magnitude, times that magnitude."""
+    with np.errstate(over="ignore"):
+        mean = float(values.mean())
+    if math.isinf(mean):
+        scale = float(np.abs(values).max())
+        mean = float((values / scale).mean()) * scale
+    return mean
+
+
 def sample_std(values: np.ndarray) -> float:
     """values.std(ddof=1) of finite values; where its squares overflow, that
     of the values over their largest magnitude, times that magnitude."""
@@ -75,7 +86,7 @@ def _fit_encoder(train: Dataset, target: str | None) -> EncoderState:
             if finite.size < 2:
                 dropped.append(col.name)
                 continue
-            mean = float(finite.mean())
+            mean = sample_mean(finite)
             std = sample_std(finite)
             if std == 0.0 or not np.isfinite(std):
                 dropped.append(col.name)

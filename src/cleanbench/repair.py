@@ -76,7 +76,7 @@ def repair_delete(ds: Dataset, mask: DetectionMask, detector: str = "") -> Repai
 
 def _numeric_stat(values: np.ndarray, stat: str) -> float:
     if stat == "mean":
-        return float(values.mean())
+        return models.sample_mean(values)
     if stat == "median":
         return float(np.median(values))
     if stat == "mode":
@@ -185,7 +185,7 @@ def repair_impute_knn(
         if values.size >= 2:
             std = models.sample_std(values)
             if std > 0:
-                Z[usable, j] = (values - float(values.mean())) / std
+                Z[usable, j] = (values - models.sample_mean(values)) / std
     donors_z = Z[donors]
 
     # A flagged cell is NaN in Z, so its own column never adds to a distance.
@@ -209,7 +209,7 @@ def repair_impute_knn(
             chosen = usable[nearest]
             rows.append(r)
             if col.is_numeric:
-                texts.append(repr(float(np.mean(col.parsed[chosen]))))
+                texts.append(repr(models.sample_mean(col.parsed[chosen])))
             else:
                 texts.append(_mode(Counter(col.raw[chosen])))
         updates[c] = (rows, texts)

@@ -64,10 +64,13 @@ class ResultsStore:
         self.path = Path(path) if path is not None else None
         self._records: dict[str, dict] = {}
         self._appended: set[str] = set()
+        self._line_of: dict[str, int] = {}  # each key's last line in the file, from 1
+        self._lines = 0
         if self.path is not None and self.path.exists():
             self._load()
 
     def _load(self) -> None:
+        line_no = 0
         with open(self.path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -77,7 +80,10 @@ class ResultsStore:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise StoreError(f"{self.path}:{line_no}: bad record: {exc}") from exc
-                self._records[record_key(record)] = record
+                key = record_key(record)
+                self._records[key] = record
+                self._line_of[key] = line_no
+        self._lines = line_no
 
     def append(self, record: dict) -> None:
         for field in KEY_FIELDS:
@@ -89,6 +95,8 @@ class ResultsStore:
         if self.path is not None:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
+            self._lines += 1
+            self._line_of[key] = self._lines
 
     def extend(self, records) -> None:
         for r in records:
@@ -114,15 +122,9 @@ class ResultsStore:
         return [r for key, r in self._records.items() if key in self._appended and r.get("error")]
 
     def write_index(self) -> None:
-        """Sidecar mapping record key to line number; rebuildable at any time."""
+        """Sidecar mapping each record key to its last line number in the file."""
         if self.path is None:
             return
-        index = {}
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line:
-                    index[record_key(json.loads(line))] = line_no
         sidecar = self.path.with_suffix(self.path.suffix + ".idx.json")
         with open(sidecar, "w", encoding="utf-8") as fh:
-            json.dump(index, fh, indent=0, sort_keys=True)
+            json.dump(self._line_of, fh, indent=0, sort_keys=True)

@@ -1,5 +1,10 @@
+import json
+import os
+from collections import Counter
+
 import pytest
 
+from cleanbench import bench
 from cleanbench.bench import (
     BenchError,
     BenchmarkConfig,
@@ -16,7 +21,19 @@ from cleanbench.detect import DetectorSpec
 from cleanbench.inject import ErrorProfile, ErrorSpec
 from cleanbench.models import ModelSpec
 from cleanbench.repair import RepairSpec
-from cleanbench.store import ResultsStore, make_record
+from cleanbench.store import ResultsStore, make_record, record_key
+
+# Pool tests never use more workers than the machine has cores.
+POOL_WORKERS = min(2, os.cpu_count() or 1)
+
+
+def stripped_lines(path) -> list[str]:
+    """The store file's records in line order, without timestamp and runtimes."""
+    return [
+        json.dumps({k: v for k, v in json.loads(line).items() if k != "timestamp" and not k.endswith("_runtime")},
+                   sort_keys=True)
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
 
 
 def desk_config(**overrides):
@@ -171,6 +188,67 @@ class TestRunBenchmark:
         sv = sorted((key(r), r["value"]) for r in serial.records())
         pv = sorted((key(r), r["value"]) for r in parallel.records())
         assert sv == pv
+
+
+class TestStreamedGrid:
+    @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
+    def test_crash_keeps_the_finished_prefix(self, tmp_path, monkeypatch, workers):
+        cfg = desk_config(repeats=2, workers=workers)
+        grid = plan_experiments(cfg, materialize(cfg).tags)
+        # cell 17 is the first one on (sd, mean): mvd and sd are built by then
+        k = 17
+        assert (grid.cells[k - 1].detector, grid.cells[k - 1].repair) == ("sd(n=2)", "mean")
+        run_cell = bench._run_cell
+
+        def crash_at_k(cfg, cell, *args):
+            if cell == grid.cells[k - 1]:
+                raise KeyboardInterrupt  # not an Exception: no cell guard catches it
+            return run_cell(cfg, cell, *args)
+
+        monkeypatch.setattr(bench, "_run_cell", crash_at_k)
+        path = tmp_path / "results.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            run_benchmark(cfg, grid=grid, store=ResultsStore(path))
+        records = ResultsStore(path).records()
+        assert [(r["detector"], r["repair"], r["model"], r["scenario"], r["seed"]) for r in records] == [
+            (c.detector, c.repair, c.model, c.scenario, c.seed) for c in grid.cells[: k - 1]
+        ]
+        assert not any(r.get("error") for r in records)
+
+    def test_store_lines_equal_across_worker_counts(self, tmp_path):
+        paths = []
+        for workers in (1, POOL_WORKERS):
+            paths.append(tmp_path / f"results-{workers}.jsonl")
+            run_benchmark(desk_config(repeats=2, workers=workers), store=ResultsStore(paths[-1]))
+        serial, pooled = (stripped_lines(p) for p in paths)
+        assert len(serial) == 32 and serial == pooled
+
+    @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
+    def test_each_detector_and_repair_runs_once(self, tmp_path, monkeypatch, workers):
+        detected, repaired, saved = Counter(), Counter(), Counter()
+        run_detector, apply_repair, save_mask = bench.run_detector, bench.apply_repair, bench.save_mask
+
+        def count_detect(det, *args):
+            detected[det.name] += 1
+            return run_detector(det, *args)
+
+        def count_repair(rep, *args, detector, **kwargs):
+            repaired[(detector, rep.name)] += 1
+            return apply_repair(rep, *args, detector=detector, **kwargs)
+
+        def count_save(mask, path):
+            saved[path.name] += 1
+            return save_mask(mask, path)
+
+        monkeypatch.setattr(bench, "run_detector", count_detect)
+        monkeypatch.setattr(bench, "apply_repair", count_repair)
+        monkeypatch.setattr(bench, "save_mask", count_save)
+        cfg = desk_config(repeats=2, workers=workers)
+        store = run_benchmark(cfg, out_dir=tmp_path)
+        assert store.failures() == [] and len(store) == 32
+        assert detected == {"mvd": 1, "sd(n=2)": 1}
+        assert repaired == {(d, r): 1 for d in ("mvd", "sd(n=2)") for r in ("mean", "median", "knn")}
+        assert saved == {"desk_truth.mask": 1, "desk_mvd.mask": 1, "desk_sd(n=2).mask": 1}
 
 
 class TestDuplicateHandling:
@@ -377,10 +455,23 @@ class TestStore:
     def test_index_sidecar(self, tmp_path):
         path = tmp_path / "results.jsonl"
         store = ResultsStore(path)
-        store.append(make_record("d", "a", "b", "m", "S1", 0, "rmse", 1.0))
-        store.write_index()
+        first = make_record("d", "a", "b", "m", "S1", 0, "rmse", 1.0)
+        store.append(first)
+        store.append(make_record("d", "a", "b", "m", "S4", 0, "rmse", 2.0))
+        store.append(dict(first, value=3.0))  # an upsert: the key's last line wins
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n")  # a blank line still counts as a line
+        again = ResultsStore(path)
+        again.append(make_record("d", "a", "b", "m", "S2", 1, "rmse", 4.0))
+        again.append(dict(first, value=5.0))
+        again.write_index()
+        index = {}
+        for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+            if line.strip():
+                index[record_key(json.loads(line))] = line_no
         sidecar = tmp_path / "results.jsonl.idx.json"
-        assert sidecar.exists()
+        assert sidecar.read_text(encoding="utf-8") == json.dumps(index, indent=0, sort_keys=True)
+        assert index[record_key(first)] == 6
 
 
 class TestConfigDict:

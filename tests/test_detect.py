@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,39 @@ class TestSdOutliers:
             mean, std = values.mean(), values.std(ddof=1)
             want = {i for i, v in enumerate(values) if abs(v - mean) > 2 * std}
             assert got == want
+
+
+# Near the float limit: a sum over the column overflows, so its mean does.
+BEYOND_SUM = ["1.5e308", "1.6e308", "1.7e308", "1"]
+
+
+class TestExtremeValues:
+    def test_sd_std_of_a_typo_near_the_float_limit(self):
+        # A keyboard typo turned a digit into "e": x0 holds 0.7754990495961e288,
+        # whose square overflows in the sample std.
+        pair, _ = inject(make_synthetic("two_class", 300, 2), ErrorProfile([ErrorSpec("keyboard_typo", 0.1)]), 2)
+        x0 = pair.dirty.column("x0").parsed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flagged = detect_outliers_sd(pair.dirty, n=2).flagged[:, 0]
+        assert flagged[np.nanargmax(x0)]
+
+    def test_sd_mean_whose_sum_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = detect_outliers_sd(column(BEYOND_SUM), n=1)
+        # mean 1.2e308 and std 8.0e307, so only the 1 lies beyond one std
+        assert mask_cells(mask) == frozenset({CellRef(3, 0)})
+
+    def test_fahes_fence_beyond_the_float_range(self):
+        # q1 = -1.7e308 and q3 = -1.6e308: the lower fence q1 - 3 * IQR lies
+        # beyond the largest float, so it is -inf; the upper one is -1.3e308
+        values = ["-1.7e308"] * 3 + ["-1.6e308"] * 4 + ["99999"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = detect_disguised(column(values))
+            assert len(detect_disguised(column(BEYOND_SUM))) == 0  # the upper fence is +inf
+        assert mask_cells(mask) == frozenset({CellRef(7, 0)})
 
 
 class TestIqrOutliers:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from cleanbench.models import (
     logistic_loss_and_grad,
     parse_model_spec,
     predict,
+    sample_mean,
     sample_std,
     silhouette,
 )
@@ -43,6 +46,17 @@ class TestEncode:
         train, test = two_col(["1e300", "2e300", "4e300"], ["2e300"])
         tr, _ = encode(train, test)  # at 1e300 the squares overflow; the column stays
         assert tr.feature_names == ["a"]
+
+    def test_mean_whose_sum_overflows_scales_first(self):
+        values = np.array([1.0, 2.0, 4.0])
+        assert sample_mean(values) == values.mean()  # a finite mean keeps numpy's float
+        extreme = np.array([1.5e308, 1.6e308, 1.7e308, 1.0])
+        assert sample_mean(extreme) == pytest.approx(1.2e308, rel=1e-15)
+        train, test = two_col(["1.5e308", "1.6e308", "1.7e308", "1"], ["1e308"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr, te = encode(train, test)
+        assert tr.feature_names == ["a"] and np.isfinite(tr.features).all() and np.isfinite(te.features).all()
 
     def test_one_hot_two_categories(self):
         train, test = two_col(["a", "b", "a"], ["b"], kind="categorical")

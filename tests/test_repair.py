@@ -208,6 +208,20 @@ class TestExtremeValues:
                 out = repair(pair.dirty, mask)
                 assert out.repaired_cells.flagged.tolist() == mask.flagged.tolist()
 
+    def test_means_whose_sums_overflow(self):
+        # The sum of column a's values exceeds the largest float, and so does
+        # the sum of the blank's three nearest donors by b (rows 3, 2 and 1).
+        ds = Dataset.from_columns(
+            "t", [("a", "numeric", ["1.5e308", "1.6e308", "1.7e308", "1", ""]), ("b", "numeric", ["1", "2", "3", "4", "5"])]
+        )
+        mask = mask_from([(4, 0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            by_mean = repair_impute_stat(ds, mask, "mean")
+            by_knn = repair_impute_knn(ds, mask, k=3)
+        assert by_mean.data.column("a").parsed[4] == pytest.approx(1.2e308, rel=1e-15)
+        assert by_knn.data.column("a").parsed[4] == pytest.approx(1.1e308, rel=1e-15)
+
 
 def _imputed_rms_delta(before, after, mask):
     deltas = [
