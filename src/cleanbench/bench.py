@@ -11,10 +11,7 @@ produce repaired versions; the dirty version joins the grid as strategy
 from __future__ import annotations
 
 import json
-import math
-import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures import Future, ThreadPoolExecutor, TimeoutError
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,6 +95,10 @@ class BenchmarkConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise BenchError("repeats must be >= 1")
+        if self.workers < 1:
+            raise BenchError(f"workers must be >= 1, got {self.workers}")
+        if not self.timeout > 0:
+            raise BenchError(f"timeout must be > 0 seconds, got {self.timeout}")
         if not self.models:
             raise BenchError("at least one model spec is required")
         bad = [s for s in self.scenarios if s not in SCENARIOS]
@@ -333,27 +334,22 @@ def plan_experiments(cfg: BenchmarkConfig, tags: frozenset[str]) -> ExperimentGr
 # -- execution ---------------------------------------------------------------
 
 
-def _timed_out(timeout: float) -> str:
-    """The error text of a call that did not finish within `timeout`."""
-    return f"BenchError: timed out after {timeout:g}s"
-
-
 def _attempt(fn, timeout: float | None):
     """Call `fn()`: (its result, None), or (None, "<ExcType>: <msg>") when it
-    raised or did not finish within a positive `timeout`.
+    raised or did not finish within `timeout` seconds (None: no bound).
 
     The timeout is cooperative: an overrunning call keeps its worker thread
     until it finishes, but the caller moves on and records the failure.
     """
     try:
-        if timeout is None or timeout <= 0:
+        if timeout is None:
             return fn(), None
         pool = ThreadPoolExecutor(max_workers=1)
         future = pool.submit(fn)
         try:
             return future.result(timeout=timeout), None
-        except FutureTimeout:
-            return None, _timed_out(timeout)
+        except TimeoutError:
+            return None, f"BenchError: timed out after {timeout:g}s"
         finally:
             pool.shutdown(wait=future.done(), cancel_futures=True)
     except Exception as exc:  # every detector, repair and cell failure becomes a record
@@ -535,12 +531,9 @@ def run_benchmark(
     appended to `store` as soon as its turn in grid order comes: a run that
     is killed keeps the records of every cell before the one it was on, and
     the store file lists records in grid order for any `cfg.workers`.
-
-    With `cfg.workers > 1`, the builds and the cells run on a thread pool
-    and each cell waits for its version's build. A cell that runs longer
-    than `cfg.timeout` after its version is built is recorded as timed out,
-    so a cell's timeout does not count the time spent building its version;
-    the build is bounded per detector and repair call instead.
+    Each cell runs on a pool of `cfg.workers` threads and, like each
+    detector and repair call, within `cfg.timeout` seconds; the time its
+    version takes to build does not count against it.
     """
     store = store if store is not None else ResultsStore()
     mat = materialize(cfg)
@@ -559,10 +552,6 @@ def run_benchmark(
     for det, rep in grid.strategies:
         unbuilt.setdefault(det.name, []).append((det, rep))
 
-    def first_need(cell: GridCell) -> list[tuple[DetectorSpec, RepairSpec]] | None:
-        """The strategies of the cell's detector if no earlier cell needed them."""
-        return None if cell.scenario == "S4" else unbuilt.pop(cell.detector, None)
-
     def build(strategies: list[tuple[DetectorSpec, RepairSpec]]) -> None:
         built, det_runs, det_broken = build_versions(cfg, mat, strategies, out_dir=out_dir)
         versions.update(built)
@@ -575,7 +564,10 @@ def run_benchmark(
             METRIC_FOR_TASK[spec.task], None, error=message,
         )
 
-    def execute(cell: GridCell) -> dict:
+    def execute(cell: GridCell, built: Future | None) -> dict:
+        """The cell's record, once the build of its version is done."""
+        if built is not None:
+            built.result()
         spec = spec_of[cell.model]
         key = (cell.detector, cell.repair)
         version = dirty_version if cell.scenario == "S4" else versions.get(key)
@@ -583,50 +575,27 @@ def run_benchmark(
             return failure(cell, spec, broken[key])
         detect_runtime = runs[cell.detector].runtime if cell.detector in runs else 0.0
         record, error = _attempt(
-            lambda: _run_cell(cfg, cell, spec, version, dirty_version, mat.pair, detect_runtime), None
+            lambda: _run_cell(cfg, cell, spec, version, dirty_version, mat.pair, detect_runtime), cfg.timeout
         )
         return record if error is None else failure(cell, spec, error)
 
-    if cfg.workers <= 1:
+    # The pool takes tasks in submission order, so a build has started
+    # before any cell that waits on it: the waits cannot deadlock.
+    pool = ThreadPoolExecutor(max_workers=cfg.workers)
+    try:
+        builds: dict[str, Future] = {}
+        tasks = []
         for cell in grid.cells:
-            strategies = first_need(cell)
-            if strategies is not None:
-                build(strategies)
-            store.append(execute(cell))
-    else:
-
-        def execute_when_built(cell: GridCell, built: Future | None) -> tuple[dict, float]:
-            """The cell's record and the seconds it ran, once its version is built."""
-            if built is not None:
-                built.result()
-            start = time.perf_counter()
-            return execute(cell), time.perf_counter() - start
-
-        # The pool takes tasks in submission order, so a build has started
-        # before any cell that waits on it: the waits cannot deadlock.
-        pool = ThreadPoolExecutor(max_workers=cfg.workers)
-        try:
-            builds: dict[str, Future] = {}
-            tasks = []
-            for cell in grid.cells:
-                strategies = first_need(cell)
-                if strategies is not None:
-                    builds[cell.detector] = pool.submit(build, strategies)
-                built = None if cell.scenario == "S4" else builds.get(cell.detector)
-                tasks.append((cell, built, pool.submit(execute_when_built, cell, built)))
-            for cell, built, future in tasks:
-                if built is not None:
-                    built.result()
-                try:
-                    record, seconds = future.result(timeout=cfg.timeout)
-                except FutureTimeout:
-                    seconds = math.inf
-                # A cell that finished over budget before its turn came is timed out too.
-                if seconds > cfg.timeout:
-                    record = failure(cell, spec_of[cell.model], _timed_out(cfg.timeout))
-                store.append(record)
-        finally:
-            pool.shutdown(cancel_futures=True)
+            built = None
+            if cell.scenario != "S4":
+                if cell.detector in unbuilt:
+                    builds[cell.detector] = pool.submit(build, unbuilt.pop(cell.detector))
+                built = builds.get(cell.detector)
+            tasks.append(pool.submit(execute, cell, built))
+        for task in tasks:
+            store.append(task.result())
+    finally:
+        pool.shutdown(cancel_futures=True)
     store.write_index()
     return store
 

@@ -68,14 +68,9 @@ def _load_config(args) -> bench_mod.BenchmarkConfig:
     except json.JSONDecodeError as exc:
         raise CliError(f"config {path} is not valid JSON: {exc}") from exc
     _apply_overrides(raw, args.set or [])
-    cfg = bench_mod.config_from_dict(raw, base_dir=path.parent)
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if args.timeout is not None:
-        cfg.timeout = args.timeout
-    return cfg
+    flags = {"master_seed": args.seed, "workers": args.workers, "timeout": args.timeout}
+    raw.update({key: value for key, value in flags.items() if value is not None})
+    return bench_mod.config_from_dict(raw, base_dir=path.parent)
 
 
 def _out_dir(args) -> Path:
@@ -308,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help=f"output directory (default ${ENV_OUT} or ./out)")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--workers", type=int, help="size of the grid's cell pool")
-        p.add_argument("--timeout", type=float, help="timeout in seconds for each detector and repair call")
+        p.add_argument("--timeout", type=float, help="timeout in seconds (> 0) for each detector, repair and grid cell")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config field (dotted path, repeatable)")
 

@@ -135,7 +135,14 @@ def detect_outliers_sd(ds: Dataset, n: float = 3.0) -> DetectionMask:
         finite = parsed[~np.isnan(parsed)]
         if finite.size < 3:
             continue
-        flagged[:, j] |= np.abs(parsed - models.sample_mean(finite)) > n * models.sample_std(finite)
+        mean, std = models.sample_mean(finite), models.sample_std(finite)
+        with np.errstate(over="ignore"):
+            distance, bound = np.abs(parsed - mean), n * std
+        if np.isinf(distance).any() or math.isinf(bound):
+            # beyond the float range: compare in units of the column's largest magnitude
+            scale = float(np.abs(finite).max())
+            distance, bound = np.abs(parsed / scale - mean / scale), n * (std / scale)
+        flagged[:, j] |= distance > bound
     return DetectionMask(flagged, source=f"sd(n={n:g})")
 
 

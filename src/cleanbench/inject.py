@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import DenialConstraint
+from .models import sample_mean, sample_std
 from .seeding import derive_rng
 from .tabular import Dataset, DatasetPair, DetectionMask, mask_from, union_masks
 
@@ -313,9 +314,9 @@ def inject(
                 parsed = gt.columns[c].parsed
                 finite = parsed[~np.isnan(parsed)]
                 if finite.size >= 2:
-                    sd = float(finite.std(ddof=1))
+                    sd = sample_std(finite)
                     if sd > 0:
-                        stats[c] = (float(finite.mean()), sd)
+                        stats[c] = (sample_mean(finite), sd)
             eligible = grid.eligible(lambda c: c in stats and ~np.isnan(gt.columns[c].parsed))
             for r, c in _sample_cells(eligible, target, rng, kind):
                 mu, sigma = stats[c]

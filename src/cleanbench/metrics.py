@@ -92,8 +92,8 @@ def _aligned_gt_row(row: int, gt: Dataset, row_map: list[int] | None, provenance
 def _gt_column_scale(gt: Dataset, col: int) -> tuple[float, float]:
     parsed = gt.columns[col].parsed
     finite = parsed[~np.isnan(parsed)]
-    mean = float(finite.mean()) if finite.size else 0.0
-    std = float(finite.std(ddof=1)) if finite.size >= 2 else 0.0
+    mean = models.sample_mean(finite) if finite.size else 0.0
+    std = models.sample_std(finite) if finite.size >= 2 else 0.0
     return mean, (std if std > 0 else 1.0)
 
 

@@ -107,7 +107,7 @@ def _fit_encoder(train: Dataset, target: str | None) -> EncoderState:
         if target_kind == "numeric":
             parsed = tcol.parsed
             finite = parsed[~np.isnan(parsed)]
-            target_mean = float(finite.mean()) if finite.size else 0.0
+            target_mean = sample_mean(finite) if finite.size else 0.0
     return EncoderState(numeric, categorical, dropped, target, target_kind, target_mean)
 
 

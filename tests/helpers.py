@@ -1,6 +1,11 @@
 """Shared test helpers."""
 
+import os
+
 from cleanbench.tabular import CellRef, DetectionMask
+
+# Pool tests never use more workers than the machine has cores.
+POOL_WORKERS = min(2, os.cpu_count() or 1)
 
 
 def mask_cells(mask: DetectionMask) -> frozenset[CellRef]:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from cleanbench.cli import EXIT_FAILURE, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
+from helpers import POOL_WORKERS
 
 
 @pytest.fixture
@@ -318,9 +319,18 @@ class TestExitCodes:
         assert run("sweep", failing_config_path, *sweep) == EXIT_PARTIAL
         assert run("bench", failing_config_path) == EXIT_PARTIAL
 
-    def test_parallel_cell_timeout_has_the_timeout_text(self, desk_config_path, tmp_path):
+    @pytest.mark.parametrize("flag", [("--timeout", "0"), ("--workers", "0")], ids=["timeout", "workers"])
+    def test_nonpositive_timeout_or_workers_is_rejected(self, desk_config_path, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        assert main(["bench", "--config", str(desk_config_path), "--out", str(out), *flag]) == EXIT_FAILURE
+        err = json.loads(capsys.readouterr().err)
+        assert err["verb"] == "bench" and flag[0][2:] in err["error"]
+        assert not (out / "results.jsonl").exists()
+
+    @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
+    def test_cell_timeout_has_the_timeout_text(self, desk_config_path, tmp_path, workers):
         # a 0.5 ms budget: the first cell (a 500-epoch logit fit) overruns it
-        args = ("--workers", "2", "--timeout", "0.0005")
+        args = ("--workers", str(workers), "--timeout", "0.0005")
         code, _, _, errors, _ = run_verb("model", desk_config_path, tmp_path / "m", *args)
         assert code == EXIT_PARTIAL
         assert errors and {error for *_, error in errors} == {"BenchError: timed out after 0.0005s"}

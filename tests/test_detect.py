@@ -114,6 +114,14 @@ class TestExtremeValues:
         # mean 1.2e308 and std 8.0e307, so only the 1 lies beyond one std
         assert mask_cells(mask) == frozenset({CellRef(3, 0)})
 
+    def test_sd_distance_beyond_the_float_range(self):
+        # mean 8.5e307 and std 1.7e308: the -1.7e308 lies 2.55e308 from the
+        # mean, beyond the largest float, and is the one value beyond one std
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = detect_outliers_sd(column(["1.7e308"] * 3 + ["-1.7e308"]), n=1)
+        assert mask_cells(mask) == frozenset({CellRef(3, 0)})
+
     def test_fahes_fence_beyond_the_float_range(self):
         # q1 = -1.7e308 and q3 = -1.6e308: the lower fence q1 - 3 * IQR lies
         # beyond the largest float, so it is -inf; the upper one is -1.3e308

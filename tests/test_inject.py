@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,17 @@ class TestGaussianOutliers:
             mu, sd = stats[ref.col]
             value = pair.dirty.cell(ref.row, ref.col).parsed
             assert abs(value - mu) >= 4.0 * sd - 1e-9
+
+    def test_column_whose_sum_overflows(self):
+        # mean 9.75e307 and std 5e306: their sum overflows, the outliers do not
+        gt = Dataset.from_columns("t", [("a", "numeric", ["1e308", "1e308", "1e308", "9e307"])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair, report = inject(gt, ErrorProfile([ErrorSpec("gaussian_outlier", 0.5, {"degree": 1.0})]), 0)
+        cells = mask_cells(report.masks["gaussian_outlier"])
+        assert cells
+        for ref in cells:
+            assert abs(pair.dirty.cell(ref.row, ref.col).parsed - 9.75e307) >= 5e306 * (1 - 1e-12)
 
     def test_needs_numeric_spread(self):
         flat = Dataset.from_columns("t", [("a", "numeric", ["1", "1", "1"])])

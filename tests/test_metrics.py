@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,15 @@ class TestRepairNumeric:
         truth = mask_from([(0, 0), (1, 0)])
         score = repair_metrics_numeric(repaired, gt, truth)
         assert score.numeric_rmse == pytest.approx(np.sqrt((1 + 4) / 2))
+
+    def test_gt_column_whose_sum_overflows(self):
+        gt = Dataset.from_columns("gt", [("x", "numeric", ["1.5e308", "1.6e308", "1.7e308", "1"])])
+        repaired = gt.replace_cells({0: ([3], ["8e300"])})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            score = repair_metrics_numeric(repaired, gt, mask_from([(3, 0)]))
+        # the residual is taken in units of the gt column's sample std, 8.04e307
+        assert score.numeric_rmse == pytest.approx(8e300 / (np.std([1.5, 1.6, 1.7, 0.0], ddof=1) * 1e308), rel=1e-12)
 
     def test_affine_rescaling_invariance(self):
         rng = np.random.default_rng(5)

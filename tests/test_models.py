@@ -58,6 +58,15 @@ class TestEncode:
             tr, te = encode(train, test)
         assert tr.feature_names == ["a"] and np.isfinite(tr.features).all() and np.isfinite(te.features).all()
 
+    def test_numeric_target_mean_whose_sum_overflows(self):
+        train = Dataset.from_columns(
+            "t", [("x", "numeric", ["0", "1", "2", "3"]), ("y", "numeric", ["1.5e308", "1.6e308", "1.7e308", "1"])]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr, _ = encode(train, train, target="y")
+        assert tr.state.target_mean == pytest.approx(1.2e308, rel=1e-15)
+
     def test_one_hot_two_categories(self):
         train, test = two_col(["a", "b", "a"], ["b"], kind="categorical")
         tr, te = encode(train, test)
