@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import Future, ThreadPoolExecutor, TimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -114,64 +114,35 @@ class BenchmarkConfig:
 
 
 def config_from_dict(spec: dict, base_dir: str | Path | None = None) -> BenchmarkConfig:
-    """Build a config from parsed JSON; `config_schema` is mandatory."""
+    """Build a config from parsed JSON; `config_schema` is mandatory, and a
+    top-level field `BenchmarkConfig` does not have is rejected. A field not
+    given takes the `BenchmarkConfig` default."""
     spec = dict(spec)
     if "config_schema" not in spec:
         raise BenchError("config is missing the mandatory config_schema field")
+    unknown = sorted(set(spec) - {f.name for f in fields(BenchmarkConfig)})
+    if unknown:
+        raise BenchError(f"unknown config field(s): {', '.join(unknown)}")
     base = Path(base_dir) if base_dir else Path(".")
 
-    profile = None
-    if spec.get("profile"):
-        profile = ErrorProfile.from_dict(spec["profile"])
+    def params(entry: dict, *named: str) -> dict:
+        return {k: v for k, v in entry.items() if k not in named}
 
-    detectors = [
-        DetectorSpec(d["kind"], {k: v for k, v in d.items() if k != "kind"})
-        for d in spec.get("detectors", [])
+    spec["profile"] = ErrorProfile.from_dict(spec["profile"]) if spec.get("profile") else None
+    spec["detectors"] = [DetectorSpec(d["kind"], params(d, "kind")) for d in spec.get("detectors", [])]
+    spec["repairs"] = [RepairSpec(r["kind"], params(r, "kind")) for r in spec.get("repairs", [])]
+    spec["models"] = [
+        models.ModelSpec(m["kind"], m["task"], params(m, "kind", "task", "seed"), seed=m.get("seed", 0))
+        for m in spec.get("models", [])
     ]
-    repairs = [
-        RepairSpec(r["kind"], {k: v for k, v in r.items() if k != "kind"})
-        for r in spec.get("repairs", [])
-    ]
-    model_specs = []
-    for m in spec.get("models", []):
-        params = {k: v for k, v in m.items() if k not in ("kind", "task", "seed")}
-        model_specs.append(
-            models.ModelSpec(m["kind"], m["task"], params, seed=m.get("seed", 0))
-        )
-
-    constraint_file = spec.get("constraint_file")
-    if constraint_file:
-        constraint_file = str(base / constraint_file)
-
-    dataset = dict(spec["dataset"])
-    if dataset.get("path"):
-        dataset["path"] = str(base / dataset["path"])
-    if dataset.get("gt_path"):
-        dataset["gt_path"] = str(base / dataset["gt_path"])
-
-    return BenchmarkConfig(
-        dataset=dataset,
-        profile=profile,
-        detectors=detectors,
-        repairs=repairs,
-        models=model_specs,
-        scenarios=spec.get("scenarios", ["S1", "S4"]),
-        repeats=spec.get("repeats", 10),
-        master_seed=spec.get("master_seed", 0),
-        test_fraction=spec.get("test_fraction", 0.2),
-        constraint_file=constraint_file,
-        constraints_text=spec.get("constraints_text"),
-        label_column=spec.get("label_column"),
-        target_column=spec.get("target_column"),
-        key_columns=spec.get("key_columns"),
-        tags=spec.get("tags"),
-        error_rates=spec.get("error_rates", []),
-        outlier_degrees=spec.get("outlier_degrees", []),
-        data_fractions=spec.get("data_fractions", []),
-        timeout=spec.get("timeout", 600.0),
-        workers=spec.get("workers", 1),
-        config_schema=str(spec["config_schema"]),
-    )
+    if spec.get("constraint_file"):
+        spec["constraint_file"] = str(base / spec["constraint_file"])
+    spec["dataset"] = dataset = dict(spec["dataset"])
+    for key in ("path", "gt_path"):
+        if dataset.get(key):
+            dataset[key] = str(base / dataset[key])
+    spec["config_schema"] = str(spec["config_schema"])
+    return BenchmarkConfig(**spec)
 
 
 # -- materialization ---------------------------------------------------------
@@ -285,6 +256,11 @@ def label_models(specs: list[models.ModelSpec]) -> list[str]:
 
 def plan_experiments(cfg: BenchmarkConfig, tags: frozenset[str]) -> ExperimentGrid:
     """Apply the skip table and lay out every (version, model, scenario, seed)."""
+    for specs in (cfg.detectors, cfg.repairs):
+        names = [spec.name for spec in specs]
+        shared = sorted({name for name in names if names.count(name) > 1})
+        if shared:
+            raise PlanningError(f"strategy names must be unique; shared: {', '.join(shared)}")
     skipped: list[tuple[str, str]] = []
     surviving: list[DetectorSpec] = []
     duplicates_only = tags == frozenset({"duplicates"})
@@ -460,7 +436,7 @@ def detector_context(
 def _dirty_version(dirty: Dataset) -> RepairedDataset:
     """The dirty data as the grid's ("none", "none") version."""
     nothing = DetectionMask(np.zeros((dirty.row_count, dirty.col_count), dtype=bool))
-    return RepairedDataset(dirty, ("none", "none"), 0.0, nothing, list(range(dirty.row_count)))
+    return RepairedDataset(dirty, nothing, list(range(dirty.row_count)))
 
 
 def build_versions(
@@ -507,7 +483,7 @@ def build_versions(
             broken[key] = f"detector failed: {failed[det.name]}"
             continue
         repaired, error = _attempt(
-            lambda rep=rep, det=det: apply_repair(rep, dirty, runs[det.name].mask, pair=mat.pair, detector=det.name),
+            lambda rep=rep, det=det: apply_repair(rep, dirty, runs[det.name].mask, pair=mat.pair),
             cfg.timeout,
         )
         if error is not None:

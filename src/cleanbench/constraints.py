@@ -66,15 +66,6 @@ class DenialConstraint:
     predicates: tuple[Predicate, ...]
     scope: str  # "single-tuple" | "tuple-pair"
 
-    def referenced_columns(self) -> list[str]:
-        seen, out = set(), []
-        for p in self.predicates:
-            for _, col in p.columns():
-                if col not in seen:
-                    seen.add(col)
-                    out.append(col)
-        return out
-
 
 @dataclass(frozen=True)
 class FunctionalDependency:

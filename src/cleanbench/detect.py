@@ -20,9 +20,6 @@ from .inject import CATEGORICAL_DISGUISE_TOKENS, NUMERIC_DISGUISE_CODES
 from .seeding import derive_rng
 from .tabular import Dataset, DetectionMask, bounding_shape, union_masks
 
-DETECTOR_KINDS = ("mvd", "fahes", "sd", "iqr", "if", "rule", "dedup", "cl", "mink", "maxent")
-
-
 class DetectorError(Exception):
     pass
 
@@ -33,7 +30,7 @@ class DetectorSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in DETECTOR_KINDS:
+        if self.kind not in DETECTORS:
             raise DetectorError(f"unknown detector kind {self.kind!r}")
 
     @property
@@ -338,11 +335,11 @@ def detect_outliers_iforest(
     return DetectionMask(flagged, source="if")
 
 
-def detect_duplicates(ds: Dataset, key_columns: list[str]) -> DetectionMask:
+def detect_duplicates(ds: Dataset, key_columns: list[str] | None) -> DetectionMask:
     """Key collision: within each group sharing the key tuple, every row after
     the first is flagged whole."""
     if not key_columns:
-        raise DetectorError("dedup requires at least one key column")
+        raise DetectorError("dedup detector needs key columns")
     key_idx = [ds.col_index(c) for c in key_columns]
     seen: set[tuple] = set()
     flagged = _no_flags(ds)
@@ -371,7 +368,7 @@ def _stratified_folds(labels: list[str], folds: int, rng: np.random.Generator) -
 
 def detect_mislabels(
     ds: Dataset,
-    label_column: str,
+    label_column: str | None,
     folds: int = 5,
     base: str = "logit",
     seed: int = 0,
@@ -383,6 +380,8 @@ def detect_mislabels(
     label falls below that class's mean self-confidence and the argmax class
     disagrees. Only the label cell is flagged.
     """
+    if not label_column:
+        raise DetectorError("mislabel detector needs a label column")
     if folds < 2:
         raise DetectorError("mislabel detection requires folds >= 2")
     label_idx = ds.col_index(label_column)
@@ -531,64 +530,55 @@ def subsample_mask(mask: DetectionMask, recall: float, seed: int = 0) -> Detecti
 # -- registry ----------------------------------------------------------------
 
 
+def _rule(ds: Dataset, ctx: DetectorContext, constraints: list[str] | None = None) -> DetectionMask:
+    """Violations of the context's constraints, or of those whose ids are listed."""
+    if not ctx.constraints:
+        raise DetectorError("rule detector needs parsed constraints")
+    return find_violations(ds, [dc for dc in ctx.constraints if constraints is None or dc.id in constraints])
+
+
+def _base_masks(ds: Dataset, ctx: DetectorContext, base: list) -> list[tuple[str, DetectionMask]]:
+    """Each `(kind, params)` base detector's name and mask."""
+    specs = [DetectorSpec(kind, dict(params)) for kind, params in base]
+    return [(spec.name, run_detector(spec, ds, ctx).mask) for spec in specs]
+
+
+def _max_entropy(
+    ds: Dataset, ctx: DetectorContext, base: list, label_budget: int | None = None
+) -> DetectionMask:
+    """The entropy-ordered ensemble, with 10 oracle labels per base detector
+    unless `label_budget` says otherwise."""
+    if ctx.oracle_mask is None:
+        raise DetectorError("max entropy needs an oracle mask")
+    budget = 10 * len(base) if label_budget is None else label_budget
+    return ensemble_max_entropy(_base_masks(ds, ctx, base), ctx.oracle_mask, budget, seed=ctx.seed).mask
+
+
+# Every detector kind: a function of (dataset, context, **spec params). Context
+# values fill a parameter the spec does not give.
+DETECTORS = {
+    "mvd": lambda ds, ctx: detect_missing(ds),
+    "fahes": lambda ds, ctx: detect_disguised(ds),
+    "sd": lambda ds, ctx, **p: detect_outliers_sd(ds, **p),
+    "iqr": lambda ds, ctx, **p: detect_outliers_iqr(ds, **p),
+    "if": lambda ds, ctx, **p: detect_outliers_iforest(
+        ds, **{"seed": ctx.seed, "contamination": ctx.contamination, **p}
+    ),
+    "rule": _rule,
+    "dedup": lambda ds, ctx, **p: detect_duplicates(ds, **{"key_columns": ctx.key_columns, **p}),
+    "cl": lambda ds, ctx, **p: detect_mislabels(
+        ds, **{"label_column": ctx.label_column, "seed": ctx.seed, **p}
+    ),
+    "mink": lambda ds, ctx, base, k=2: ensemble_min_k([mask for _, mask in _base_masks(ds, ctx, base)], k),
+    "maxent": _max_entropy,
+}
+
+
 def run_detector(spec: DetectorSpec, ds: Dataset, ctx: DetectorContext | None = None) -> DetectorRun:
-    """Dispatch a detector spec, timing the traversal of the dataset."""
-    ctx = ctx or DetectorContext()
-    p = spec.params
+    """Run `DETECTORS[spec.kind]` with the spec's params by keyword, timing it
+    and labelling its mask with the spec's name. A param the detector does not
+    take raises TypeError naming it."""
     start = time.perf_counter()
-    if spec.kind == "mvd":
-        mask = detect_missing(ds)
-    elif spec.kind == "fahes":
-        mask = detect_disguised(ds)
-    elif spec.kind == "sd":
-        mask = detect_outliers_sd(ds, n=p.get("n", 3.0))
-    elif spec.kind == "iqr":
-        mask = detect_outliers_iqr(ds, k=p.get("k", 1.5))
-    elif spec.kind == "if":
-        mask = detect_outliers_iforest(
-            ds,
-            trees=p.get("trees", 100),
-            subsample=p.get("subsample", 256),
-            seed=p.get("seed", ctx.seed),
-            contamination=p.get("contamination", ctx.contamination),
-        )
-    elif spec.kind == "rule":
-        if not ctx.constraints:
-            raise DetectorError("rule detector needs parsed constraints")
-        wanted = p.get("constraints")
-        dcs = [dc for dc in ctx.constraints if wanted is None or dc.id in wanted]
-        mask = find_violations(ds, dcs)
-    elif spec.kind == "dedup":
-        keys = p.get("key_columns", ctx.key_columns)
-        if not keys:
-            raise DetectorError("dedup detector needs key columns")
-        mask = detect_duplicates(ds, keys)
-    elif spec.kind == "cl":
-        label = p.get("label_column", ctx.label_column)
-        if not label:
-            raise DetectorError("mislabel detector needs a label column")
-        mask = detect_mislabels(
-            ds,
-            label,
-            folds=p.get("folds", 5),
-            base=p.get("base", "logit"),
-            seed=p.get("seed", ctx.seed),
-        )
-    elif spec.kind == "mink":
-        base = [DetectorSpec(k, dict(v)) for k, v in p["base"]]
-        runs = [run_detector(b, ds, ctx).mask for b in base]
-        mask = ensemble_min_k(runs, p.get("k", 2))
-    elif spec.kind == "maxent":
-        if ctx.oracle_mask is None:
-            raise DetectorError("max entropy needs an oracle mask")
-        base = [DetectorSpec(k, dict(v)) for k, v in p["base"]]
-        named = [(b.name, run_detector(b, ds, ctx).mask) for b in base]
-        result = ensemble_max_entropy(
-            named, ctx.oracle_mask, p.get("label_budget", 10 * len(base)), seed=ctx.seed
-        )
-        mask = result.mask
-    else:
-        raise DetectorError(f"unknown detector kind {spec.kind!r}")
+    mask = DETECTORS[spec.kind](ds, ctx or DetectorContext(), **spec.params)
     runtime = time.perf_counter() - start
-    mask = DetectionMask(mask.flagged, source=spec.name)
-    return DetectorRun(spec, mask, runtime)
+    return DetectorRun(spec, DetectionMask(mask.flagged, source=spec.name), runtime)

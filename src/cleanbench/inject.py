@@ -8,6 +8,7 @@ their union is exactly the set of cells whose raw text changed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -314,9 +315,10 @@ def inject(
                 parsed = gt.columns[c].parsed
                 finite = parsed[~np.isnan(parsed)]
                 if finite.size >= 2:
-                    sd = sample_std(finite)
-                    if sd > 0:
-                        stats[c] = (sample_mean(finite), sd)
+                    mu, sd = sample_mean(finite), sample_std(finite)
+                    # eligible only where an outlier degree * sd from the mean stays a float
+                    if sd > 0 and math.isfinite(mu + degree * sd) and math.isfinite(mu - degree * sd):
+                        stats[c] = (mu, sd)
             eligible = grid.eligible(lambda c: c in stats and ~np.isnan(gt.columns[c].parsed))
             for r, c in _sample_cells(eligible, target, rng, kind):
                 mu, sigma = stats[c]
@@ -325,8 +327,10 @@ def inject(
                     g = abs(float(rng.standard_normal()))
                     value = mu + sign * (degree * sigma + g * sigma)
                     text = repr(value)
-                    if text != grid.raw(r, c):
+                    if math.isfinite(value) and text != grid.raw(r, c):
                         break
+                if not math.isfinite(value):
+                    raise InjectionError(f"gaussian_outlier: 16 draws for cell ({r}, {c}) overflowed")
                 grid.set(r, c, text)
                 mask.add((r, c))
 

@@ -48,10 +48,6 @@ class EncodedMatrix:
     feature_names: list[str]
     state: EncoderState
 
-    @property
-    def n_rows(self) -> int:
-        return self.features.shape[0]
-
 
 def sample_mean(values: np.ndarray) -> float:
     """values.mean() of finite values; where their sum overflows, the mean of
@@ -695,7 +691,14 @@ def silhouette(data: np.ndarray, assignments: np.ndarray) -> float:
 
 # -- registry ----------------------------------------------------------------
 
-MODEL_KINDS = ("knn", "dt", "ridge", "logit", "kmeans")
+# Every model kind: a constructor of (task, seed, **spec params).
+MODELS = {
+    "knn": lambda task, seed, **p: KNNModel(task=task, **p),
+    "dt": lambda task, seed, **p: DecisionTree(task, **p),
+    "ridge": lambda task, seed, **p: RidgeModel(**p),
+    "logit": lambda task, seed, **p: LogisticModel(**p),
+    "kmeans": lambda task, seed, **p: KMeansModel(seed=seed, **p),
+}
 
 DEFAULT_PARAMS = {
     "knn": {"k": 5},
@@ -720,7 +723,7 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in MODELS:
             raise ModelError(f"unknown model kind {self.kind!r}")
         if self.task not in TASKS:
             raise ModelError(f"unknown task {self.task!r}")
@@ -753,20 +756,9 @@ def parse_model_spec(text: str, task: str, seed: int = 0) -> ModelSpec:
 
 
 def build_model(spec: ModelSpec):
-    p = spec.params
-    if spec.kind == "knn":
-        return KNNModel(k=p["k"], task=spec.task)
-    if spec.kind == "dt":
-        return DecisionTree(spec.task, max_depth=p["max_depth"], min_leaf=p["min_leaf"])
-    if spec.kind == "ridge":
-        return RidgeModel(lam=p["lam"])
-    if spec.kind == "logit":
-        return LogisticModel(lr=p["lr"], epochs=p["epochs"], l2=p["l2"])
-    if spec.kind == "kmeans":
-        return KMeansModel(
-            k=p["k"], max_iter=p["max_iter"], restarts=p["restarts"], seed=spec.seed
-        )
-    raise ModelError(f"unknown model kind {spec.kind!r}")
+    """`MODELS[spec.kind]` with the spec's params by keyword; a param the
+    model does not take raises TypeError naming it."""
+    return MODELS[spec.kind](spec.task, spec.seed, **spec.params)
 
 
 @dataclass

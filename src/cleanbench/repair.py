@@ -17,9 +17,6 @@ import numpy as np
 from . import models
 from .tabular import Column, Dataset, DatasetPair, DetectionMask
 
-REPAIR_KINDS = ("delete", "mean", "median", "mode", "knn", "iter", "gt")
-
-
 class RepairError(Exception):
     pass
 
@@ -30,11 +27,11 @@ class RepairSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in REPAIR_KINDS:
+        if self.kind not in REPAIRS:
             raise RepairError(f"unknown repair kind {self.kind!r}")
-        if self.kind == "knn" and self.params.get("k", 5) < 1:
+        if self.kind == "knn" and "k" in self.params and self.params["k"] < 1:
             raise RepairError("knn repair requires k >= 1")
-        if self.kind == "iter" and self.params.get("max_rounds", 3) < 1:
+        if self.kind == "iter" and "max_rounds" in self.params and self.params["max_rounds"] < 1:
             raise RepairError("iterative repair requires max_rounds >= 1")
 
     @property
@@ -45,33 +42,20 @@ class RepairSpec:
 @dataclass
 class RepairedDataset:
     data: Dataset
-    strategy: tuple[str, str]  # (detector id, repair id)
-    runtime: float
     repaired_cells: DetectionMask
     # repaired row index -> row index in the input (dirty) dataset
     row_map: list[int]
     warning: str | None = None
+    runtime: float = 0.0  # set by apply_repair
 
 
-def _result(ds, kind, detector, runtime, repaired, row_map, warning=None):
-    return RepairedDataset(
-        data=ds,
-        strategy=(detector, kind),
-        runtime=runtime,
-        repaired_cells=DetectionMask(repaired, source=f"repair:{kind}"),
-        row_map=row_map,
-        warning=warning,
-    )
-
-
-def repair_delete(ds: Dataset, mask: DetectionMask, detector: str = "") -> RepairedDataset:
+def repair_delete(ds: Dataset, mask: DetectionMask) -> RepairedDataset:
     """Drop every row containing at least one flagged cell, keeping row order."""
-    start = time.perf_counter()
     bad = mask.matrix((ds.row_count, ds.col_count)).any(axis=1)
     keep = np.flatnonzero(~bad).tolist()
     cells = np.repeat(bad[:, None], ds.col_count, axis=1)
     warning = "all rows were flagged; repaired dataset is empty" if not keep else None
-    return _result(ds.take_rows(keep), "delete", detector, time.perf_counter() - start, cells, keep, warning)
+    return RepairedDataset(ds.take_rows(keep), DetectionMask(cells), keep, warning)
 
 
 def _numeric_stat(values: np.ndarray, stat: str) -> float:
@@ -109,12 +93,9 @@ def _column_fill(col: Column, flagged: np.ndarray, numeric_stat: str) -> str | N
     return _mode(Counter(col.raw[usable]))
 
 
-def repair_impute_stat(
-    ds: Dataset, mask: DetectionMask, numeric_stat: str = "mean", detector: str = ""
-) -> RepairedDataset:
+def repair_impute_stat(ds: Dataset, mask: DetectionMask, numeric_stat: str = "mean") -> RepairedDataset:
     """Flagged numeric cells take the column mean/median/mode of unflagged
     values; flagged categorical cells take the unflagged mode."""
-    start = time.perf_counter()
     flagged = mask.matrix((ds.row_count, ds.col_count))
     updates = {}
     repaired_cells = np.zeros_like(flagged)
@@ -130,15 +111,7 @@ def repair_impute_stat(
         updates[c] = (rows, [value] * rows.size)
     repaired = ds.replace_cells(updates)
     warning = f"{unfillable} cells had no usable donor values" if unfillable else None
-    return _result(
-        repaired,
-        numeric_stat,
-        detector,
-        time.perf_counter() - start,
-        repaired_cells,
-        list(range(ds.row_count)),
-        warning,
-    )
+    return RepairedDataset(repaired, DetectionMask(repaired_cells), list(range(ds.row_count)), warning)
 
 
 def _donor_distances(z: np.ndarray, donors_z: np.ndarray) -> np.ndarray:
@@ -157,16 +130,13 @@ def _donor_distances(z: np.ndarray, donors_z: np.ndarray) -> np.ndarray:
     return np.where(shared.any(axis=1), np.sqrt(dist2), np.inf)
 
 
-def repair_impute_knn(
-    ds: Dataset, mask: DetectionMask, k: int = 5, detector: str = ""
-) -> RepairedDataset:
+def repair_impute_knn(ds: Dataset, mask: DetectionMask, k: int = 5) -> RepairedDataset:
     """Impute each flagged cell from its k nearest fully-clean donor rows.
 
     Distances are z-scored Euclidean over numeric columns where both rows hold
     unflagged parsed values, ignoring missing dimensions. Donors closer than
     another come first, and equal distances go to the lower row index.
     """
-    start = time.perf_counter()
     if k < 1:
         raise RepairError("knn repair requires k >= 1")
     flagged = mask.matrix((ds.row_count, ds.col_count))
@@ -216,33 +186,22 @@ def repair_impute_knn(
         repaired_cells[rows, c] = True
     repaired = ds.replace_cells(updates)
     warning = f"{unfillable} cells had no eligible donors" if unfillable else None
-    return _result(
-        repaired,
-        "knn",
-        detector,
-        time.perf_counter() - start,
-        repaired_cells,
-        list(range(ds.row_count)),
-        warning,
-    )
+    return RepairedDataset(repaired, DetectionMask(repaired_cells), list(range(ds.row_count)), warning)
 
 
-def repair_impute_iterative(
-    ds: Dataset,
-    mask: DetectionMask,
-    max_rounds: int = 3,
-    detector: str = "",
-    tolerance: float = 1e-4,
-) -> RepairedDataset:
+# RMS change of the imputed numeric values below which iterative repair stops.
+ITERATIVE_TOLERANCE = 1e-4
+
+
+def repair_impute_iterative(ds: Dataset, mask: DetectionMask, max_rounds: int = 3) -> RepairedDataset:
     """missForest-style iterative imputation with a single CART tree per column.
 
     Flagged cells start from mean/mode imputation; each round refits a tree per
     flagged column (ascending flagged count) on rows whose target cell is
     unflagged and overwrites the flagged cells with predictions. Stops when the
-    RMS change of imputed numeric values drops below `tolerance` and no
-    categorical cell changes.
+    RMS change of imputed numeric values drops below `ITERATIVE_TOLERANCE`
+    and no categorical cell changes.
     """
-    start = time.perf_counter()
     if max_rounds < 1:
         raise RepairError("iterative repair requires max_rounds >= 1")
     flagged = mask.matrix((ds.row_count, ds.col_count))
@@ -252,7 +211,7 @@ def repair_impute_iterative(
             f"iterative repair needs >= 10 fully-unflagged rows, found {clean_rows}"
         )
 
-    seeded = repair_impute_stat(ds, mask, "mean", detector)
+    seeded = repair_impute_stat(ds, mask, "mean")
     working = seeded.data
     target_rows = {c: np.flatnonzero(flagged[:, c]) for c in np.flatnonzero(flagged.any(axis=0)).tolist()}
     col_order = sorted(target_rows, key=lambda c: (target_rows[c].size, c))
@@ -292,29 +251,20 @@ def repair_impute_iterative(
                 categorical_changed |= texts != col.raw[rows].tolist()
             working = working.replace_cells({c: (rows, texts)})
         rms = np.sqrt(numeric_change2 / numeric_n) if numeric_n else 0.0
-        if rms < tolerance and not categorical_changed:
+        if rms < ITERATIVE_TOLERANCE and not categorical_changed:
             break
 
     warning = "degenerate training data; kept stat imputation for some columns" if fell_back else None
-    return _result(
-        working,
-        "iter",
-        detector,
-        time.perf_counter() - start,
-        seeded.repaired_cells.flagged,
-        list(range(ds.row_count)),
-        warning,
-    )
+    return RepairedDataset(working, seeded.repaired_cells, list(range(ds.row_count)), warning)
 
 
-def repair_ground_truth(
-    pair: DatasetPair, mask: DetectionMask, detector: str = ""
-) -> RepairedDataset:
+def repair_ground_truth(pair: DatasetPair | None, mask: DetectionMask) -> RepairedDataset:
     """Replace flagged cells with ground-truth values; undetected errors persist.
 
     Flagged cells of appended duplicate rows resolve through the provenance map.
     """
-    start = time.perf_counter()
+    if pair is None:
+        raise RepairError("ground-truth repair needs the dataset pair")
     gt, dirty = pair.ground_truth, pair.dirty
     provenance = pair.row_provenance or {}
     orphan = min((r for r in mask.rows() if r >= gt.row_count and r not in provenance), default=None)
@@ -326,36 +276,30 @@ def repair_ground_truth(
         source = [r if r < gt.row_count else provenance[r] for r in rows]
         updates[c] = (rows, gt.columns[c].raw[source])
     repaired = dirty.replace_cells(updates)
-    return _result(
-        repaired,
-        "gt",
-        detector,
-        time.perf_counter() - start,
-        mask.matrix((dirty.row_count, dirty.col_count)),
-        list(range(dirty.row_count)),
-    )
+    cells = DetectionMask(mask.matrix((dirty.row_count, dirty.col_count)))
+    return RepairedDataset(repaired, cells, list(range(dirty.row_count)))
+
+
+# Every repair kind: a function of (dirty data, mask, dataset pair, **spec params).
+REPAIRS = {
+    "delete": lambda ds, mask, pair, **p: repair_delete(ds, mask, **p),
+    "mean": lambda ds, mask, pair, **p: repair_impute_stat(ds, mask, "mean", **p),
+    "median": lambda ds, mask, pair, **p: repair_impute_stat(ds, mask, "median", **p),
+    "mode": lambda ds, mask, pair, **p: repair_impute_stat(ds, mask, "mode", **p),
+    "knn": lambda ds, mask, pair, **p: repair_impute_knn(ds, mask, **p),
+    "iter": lambda ds, mask, pair, **p: repair_impute_iterative(ds, mask, **p),
+    "gt": lambda ds, mask, pair, **p: repair_ground_truth(pair, mask, **p),
+}
 
 
 def apply_repair(
-    spec: RepairSpec,
-    ds: Dataset,
-    mask: DetectionMask,
-    pair: DatasetPair | None = None,
-    detector: str = "",
+    spec: RepairSpec, ds: Dataset, mask: DetectionMask, pair: DatasetPair | None = None
 ) -> RepairedDataset:
-    """Dispatch a repair spec against a dataset and mask."""
-    if spec.kind == "delete":
-        return repair_delete(ds, mask, detector)
-    if spec.kind in ("mean", "median", "mode"):
-        return repair_impute_stat(ds, mask, spec.kind, detector)
-    if spec.kind == "knn":
-        return repair_impute_knn(ds, mask, k=spec.params.get("k", 5), detector=detector)
-    if spec.kind == "iter":
-        return repair_impute_iterative(
-            ds, mask, max_rounds=spec.params.get("max_rounds", 3), detector=detector
-        )
-    if spec.kind == "gt":
-        if pair is None:
-            raise RepairError("ground-truth repair needs the dataset pair")
-        return repair_ground_truth(pair, mask, detector)
-    raise RepairError(f"unknown repair kind {spec.kind!r}")
+    """Run `REPAIRS[spec.kind]` on `ds` and `mask` with the spec's params by
+    keyword, timing it and labelling its repaired cells `repair:<kind>`. A
+    param the repair does not take raises TypeError naming it."""
+    start = time.perf_counter()
+    out = REPAIRS[spec.kind](ds, mask, pair, **spec.params)
+    out.runtime = time.perf_counter() - start
+    out.repaired_cells = DetectionMask(out.repaired_cells.flagged, source=f"repair:{spec.kind}")
+    return out

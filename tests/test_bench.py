@@ -108,6 +108,16 @@ class TestPlanning:
         grid = plan_experiments(cfg, frozenset())
         assert {c.scenario for c in grid.cells} == {"S4"}
 
+    def test_strategies_sharing_a_name_are_rejected(self):
+        # both repairs are named "knn", so one version and its records would overwrite the other's
+        cfg = desk_config(repairs=[RepairSpec("knn", {"k": 1}), RepairSpec("knn", {"k": 9})])
+        with pytest.raises(PlanningError, match="shared: knn"):
+            plan_experiments(cfg, frozenset())
+        # a detector name leaves out list params, so these two mink specs share "mink(k=1)"
+        mink = [DetectorSpec("mink", {"k": 1, "base": base}) for base in ([("mvd", {})], [("sd", {})])]
+        with pytest.raises(PlanningError, match=r"shared: mink\(k=1\)"):
+            plan_experiments(desk_config(detectors=mink), frozenset())
+
 
 class TestRunBenchmark:
     def test_desk_grid_full_record_count(self):
@@ -169,6 +179,22 @@ class TestRunBenchmark:
         sd_records = store.query(detector="sd(n=2)", scenario="S1")
         assert sd_records and all(not r.get("error") for r in sd_records)
 
+    def test_unknown_params_are_recorded_failures_naming_them(self):
+        cfg = desk_config(
+            detectors=[DetectorSpec("mvd"), DetectorSpec("sd", {"n": 2.0, "bogus_det": 1})],
+            repairs=[RepairSpec("mean"), RepairSpec("knn", {"bogus_rep": 1})],
+            models=[ModelSpec("logit", "classification"), ModelSpec("dt", "classification", {"bogus_model": 1})],
+            repeats=1,
+        )
+        store = run_benchmark(cfg)
+        by_cause = Counter()
+        for record in store.records():
+            names = [n for n in ("bogus_det", "bogus_rep", "bogus_model") if n in (record.get("error") or "")]
+            by_cause[names[0] if names else None] += 1
+        # sd's four strategy cells; mvd+knn's two; dt's other S1 cells and its S4 cell
+        assert by_cause == {"bogus_det": 4, "bogus_rep": 2, "bogus_model": 2 + 1, None: 3}
+        assert len(store.failures()) == 9
+
     def test_scenarios_s2_s3_s5_run(self):
         cfg = desk_config(scenarios=["S2", "S3", "S5"], repeats=2,
                           detectors=[DetectorSpec("mvd")], repairs=[RepairSpec("mean")])
@@ -219,9 +245,9 @@ class TestStreamedGrid:
             detected[det.name] += 1
             return run_detector(det, *args)
 
-        def count_repair(rep, *args, detector, **kwargs):
-            repaired[(detector, rep.name)] += 1
-            return apply_repair(rep, *args, detector=detector, **kwargs)
+        def count_repair(rep, *args, **kwargs):
+            repaired[(args[1].source, rep.name)] += 1  # the mask carries its detector's name
+            return apply_repair(rep, *args, **kwargs)
 
         def count_save(mask, path):
             saved[path.name] += 1
@@ -477,6 +503,14 @@ class TestConfigDict:
         assert cfg.repeats == 2
         assert cfg.profile.get("explicit_mv").rate == 0.1
         assert cfg.detectors[0].kind == "mvd"
+
+    def test_unknown_field_rejected(self):
+        spec = {"config_schema": "1", "dataset": {"kind": "synthetic", "generator": "blobs", "n": 10},
+                "models": [{"kind": "kmeans", "task": "clustering"}], "repeat": 3}
+        with pytest.raises(BenchError, match="unknown config field.*repeat"):
+            config_from_dict(spec)
+        del spec["repeat"]
+        assert config_from_dict(spec).repeats == BenchmarkConfig.repeats
 
     def test_schema_field_mandatory(self):
         with pytest.raises(BenchError, match="config_schema"):

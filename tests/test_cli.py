@@ -56,6 +56,14 @@ class TestInjectVerb:
 
 
 class TestBenchVerb:
+    def test_misspelt_config_field_fails(self, desk_config_path, tmp_path, capsys):
+        config = json.loads(desk_config_path.read_text())
+        config["repeat"] = config.pop("repeats")
+        desk_config_path.write_text(json.dumps(config), encoding="utf-8")
+        code = main(["bench", "--config", str(desk_config_path), "--out", str(tmp_path / "b")])
+        assert code == EXIT_FAILURE
+        assert "unknown config field(s): repeat" in capsys.readouterr().err
+
     def test_bench_then_report(self, desk_config_path, tmp_path):
         out = tmp_path / "bench"
         code = main(["bench", "--config", str(desk_config_path), "--out", str(out)])

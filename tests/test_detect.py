@@ -3,7 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from cleanbench.constraints import parse_constraints
 from cleanbench.detect import (
+    DETECTORS,
     DetectorContext,
     DetectorError,
     DetectorSpec,
@@ -386,6 +388,24 @@ class TestRegistry:
         )
         run = run_detector(spec, ds)
         assert CellRef(0, 0) in mask_cells(run.mask)
+
+    @pytest.mark.parametrize("kind", sorted(DETECTORS))
+    def test_every_kind_runs_with_its_defaults(self, kind):
+        gt = make_synthetic("two_class", 60, 4)
+        # outliers only: an emptied label cell would be a class too small for cl's folds
+        pair, report = inject(gt, ErrorProfile([ErrorSpec("gaussian_outlier", 0.1)]), 2)
+        ctx = DetectorContext(
+            constraints=parse_constraints("DC: t1.x0 > 1.5"),
+            key_columns=["label"],
+            label_column="label",
+            oracle_mask=report.union_mask(),
+            seed=3,
+        )
+        # the ensembles have no default base
+        params = {"base": [("mvd", {}), ("sd", {})]} if kind in ("mink", "maxent") else {}
+        run = run_detector(DetectorSpec(kind, params), pair.dirty, ctx)
+        run.mask.validate(pair.dirty)
+        assert run.mask.source == run.spec.name
 
     def test_rule_detector_needs_constraints(self):
         ds = column(["1"])

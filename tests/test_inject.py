@@ -113,6 +113,21 @@ class TestGaussianOutliers:
         for ref in cells:
             assert abs(pair.dirty.cell(ref.row, ref.col).parsed - 9.75e307) >= 5e306 * (1 - 1e-12)
 
+    def test_outliers_never_leave_the_float_range(self):
+        # mu + 4 sd overflows in the huge column, so only the ordinary one is eligible
+        huge = ("h", "numeric", ["1.5e308", "1.6e308", "1.7e308", "1"])
+        profile = ErrorProfile([ErrorSpec("gaussian_outlier", 0.5, {"degree": 4.0})])
+        with pytest.raises(InjectionError, match="infeasible"):
+            inject(Dataset.from_columns("t", [huge]), profile, 0)
+        gt = Dataset.from_columns("t", [huge, ("o", "numeric", ["1", "2", "3", "4"])])
+        pair, report = inject(gt, ErrorProfile([ErrorSpec("gaussian_outlier", 0.25, {"degree": 4.0})]), 0)
+        cells = mask_cells(report.masks["gaussian_outlier"])
+        assert len(cells) == 2 and {ref.col for ref in cells} == {1}
+        ordinary = np.array([1.0, 2.0, 3.0, 4.0])
+        for ref in cells:
+            value = pair.dirty.cell(ref.row, ref.col).parsed
+            assert np.isfinite(value) and abs(value - ordinary.mean()) >= 4.0 * ordinary.std(ddof=1) - 1e-9
+
     def test_needs_numeric_spread(self):
         flat = Dataset.from_columns("t", [("a", "numeric", ["1", "1", "1"])])
         with pytest.raises(InjectionError):

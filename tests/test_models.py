@@ -5,6 +5,8 @@ import pytest
 
 from cleanbench.inject import make_synthetic
 from cleanbench.models import (
+    DEFAULT_PARAMS,
+    MODELS,
     DecisionTree,
     KMeansModel,
     KNNModel,
@@ -290,6 +292,13 @@ class TestRegistry:
         assert spec.params["k"] == 3
         spec2 = ModelSpec("logit", "classification")
         assert spec2.params["epochs"] == 500
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_every_kind_builds_with_its_params(self, kind):
+        task = {"ridge": "regression", "kmeans": "clustering"}.get(kind, "classification")
+        model = build_model(ModelSpec(kind, task, seed=4))
+        for name, value in DEFAULT_PARAMS[kind].items():
+            assert getattr(model, name) == value
 
     def test_task_compatibility(self):
         with pytest.raises(ModelError):

@@ -6,6 +6,7 @@ import pytest
 from cleanbench.detect import detect_missing
 from cleanbench.inject import ErrorProfile, ErrorSpec, inject, make_synthetic
 from cleanbench.repair import (
+    REPAIRS,
     RepairError,
     RepairSpec,
     apply_repair,
@@ -298,9 +299,24 @@ class TestDispatch:
     def test_apply_routes_all_kinds(self):
         ds = simple(["1", "2", "", "4", "5", "6", "7", "8", "9", "10", "11", "12"])
         mask = mask_from([(2, 0)])
-        for kind in ("delete", "mean", "median", "mode", "knn"):
+        direct = {
+            "delete": repair_delete(ds, mask),
+            "mean": repair_impute_stat(ds, mask, "mean"),
+            "median": repair_impute_stat(ds, mask, "median"),
+            "mode": repair_impute_stat(ds, mask, "mode"),
+            "knn": repair_impute_knn(ds, mask),
+        }
+        for kind, expected in direct.items():
             out = apply_repair(RepairSpec(kind), ds, mask)
-            assert out.strategy[1] == kind
+            assert list(out.data.iter_rows()) == list(expected.data.iter_rows())
+
+    @pytest.mark.parametrize("kind", sorted(REPAIRS))
+    def test_every_kind_runs_with_its_defaults(self, kind):
+        gt = make_synthetic("two_class", 60, 4)
+        pair, report = inject(gt, ErrorProfile([ErrorSpec("explicit_mv", 0.05)]), 2)
+        out = apply_repair(RepairSpec(kind), pair.dirty, report.union_mask(), pair=pair)
+        assert out.runtime > 0 and out.repaired_cells.source == f"repair:{kind}"
+        assert out.data.row_count == len(out.row_map)
 
     def test_gt_requires_pair(self):
         with pytest.raises(RepairError, match="pair"):
