@@ -11,7 +11,9 @@ produce repaired versions; the dirty version joins the grid as strategy
 from __future__ import annotations
 
 import json
-from concurrent.futures import Future, ThreadPoolExecutor, TimeoutError
+import threading
+from collections import Counter
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -104,6 +106,13 @@ class BenchmarkConfig:
         bad = [s for s in self.scenarios if s not in SCENARIOS]
         if bad or not self.scenarios:
             raise BenchError(f"scenarios must be a non-empty subset of {SCENARIOS}, got {self.scenarios}")
+        # Versions, masks, CSVs and records are keyed by strategy name, so
+        # two specs sharing one would overwrite each other in every verb.
+        for specs in (self.detectors, self.repairs):
+            names = [spec.name for spec in specs]
+            shared = sorted({name for name in names if names.count(name) > 1})
+            if shared:
+                raise PlanningError(f"strategy names must be unique; shared: {', '.join(shared)}")
 
     def target_for_task(self, task: str) -> str | None:
         if task == "classification":
@@ -256,11 +265,6 @@ def label_models(specs: list[models.ModelSpec]) -> list[str]:
 
 def plan_experiments(cfg: BenchmarkConfig, tags: frozenset[str]) -> ExperimentGrid:
     """Apply the skip table and lay out every (version, model, scenario, seed)."""
-    for specs in (cfg.detectors, cfg.repairs):
-        names = [spec.name for spec in specs]
-        shared = sorted({name for name in names if names.count(name) > 1})
-        if shared:
-            raise PlanningError(f"strategy names must be unique; shared: {', '.join(shared)}")
     skipped: list[tuple[str, str]] = []
     surviving: list[DetectorSpec] = []
     duplicates_only = tags == frozenset({"duplicates"})
@@ -312,24 +316,35 @@ def plan_experiments(cfg: BenchmarkConfig, tags: frozenset[str]) -> ExperimentGr
 
 def _attempt(fn, timeout: float | None):
     """Call `fn()`: (its result, None), or (None, "<ExcType>: <msg>") when it
-    raised or did not finish within `timeout` seconds (None: no bound).
+    raised an Exception or did not finish within `timeout` seconds (None: no
+    bound). Any other exception, such as KeyboardInterrupt, propagates.
 
-    The timeout is cooperative: an overrunning call keeps its worker thread
-    until it finishes, but the caller moves on and records the failure.
+    The timeout is cooperative: a bounded call runs on a daemon thread of its
+    own, which an overrun leaves running until the call ends or the process
+    exits, while the caller moves on and records the failure.
     """
-    try:
-        if timeout is None:
-            return fn(), None
-        pool = ThreadPoolExecutor(max_workers=1)
-        future = pool.submit(fn)
+    outcome: list[tuple] = []
+
+    def call() -> None:
         try:
-            return future.result(timeout=timeout), None
-        except TimeoutError:
+            outcome.append((fn(), None))
+        except BaseException as exc:  # the caller re-raises what is not an Exception
+            outcome.append((None, exc))
+
+    if timeout is None:
+        call()
+    else:
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout)
+        if not outcome:
             return None, f"BenchError: timed out after {timeout:g}s"
-        finally:
-            pool.shutdown(wait=future.done(), cancel_futures=True)
-    except Exception as exc:  # every detector, repair and cell failure becomes a record
+    result, exc = outcome[0]
+    if exc is None:
+        return result, None
+    if isinstance(exc, Exception):  # every detector, repair and cell failure becomes a record
         return None, f"{type(exc).__name__}: {exc}"
+    raise exc
 
 
 def _rows_on_side(version: RepairedDataset, pair: DatasetPair, side: set[int]) -> list[int]:
@@ -367,6 +382,53 @@ def _scenario_data(
     raise BenchError(f"unknown scenario {scenario!r}")
 
 
+def _fit_key(cell: GridCell) -> tuple:
+    """The training set a cell fits its model on. S3 and S4 train on the
+    ground truth and S1, S2 and S5 on the cell's version; the model label
+    and the repeat fix the spec, the split and the model seed."""
+    version = ("gt", "gt") if cell.scenario in ("S3", "S4") else (cell.detector, cell.repair)
+    return version, cell.model, cell.seed
+
+
+class SharedFits:
+    """One `models.fit` per training set, shared by the grid cells that train
+    on it (`_fit_key`).
+
+    A fit is deterministic in its training rows and spec, so the first cell
+    of a key computes it and later cells wait for its result, or its
+    exception. Each cell calls `release` when it is done; the last cell of a
+    key drops the fit.
+    """
+
+    def __init__(self, cells: list[GridCell]):
+        self._lock = threading.Lock()
+        self._fits: dict[tuple, Future] = {}
+        self._left = Counter(_fit_key(cell) for cell in cells)
+
+    def fit(self, cell: GridCell, spec: models.ModelSpec, train: models.EncodedMatrix) -> models.FittedModel:
+        key = _fit_key(cell)
+        with self._lock:
+            shared = self._fits.get(key)
+            owner = shared is None
+            if owner:
+                shared = Future()
+                if self._left[key]:  # a cell that outlived its key's last cell shares nothing
+                    self._fits[key] = shared
+        if owner:
+            try:
+                shared.set_result(models.fit(spec, train))
+            except BaseException as exc:  # result() raises it again, here and in every waiting cell
+                shared.set_exception(exc)
+        return shared.result()
+
+    def release(self, cell: GridCell) -> None:
+        key = _fit_key(cell)
+        with self._lock:
+            self._left[key] -= 1
+            if not self._left[key]:
+                self._fits.pop(key, None)
+
+
 def _run_cell(
     cfg: BenchmarkConfig,
     cell: GridCell,
@@ -375,6 +437,7 @@ def _run_cell(
     dirty_version: RepairedDataset,
     pair: DatasetPair,
     detect_runtime: float,
+    fits: SharedFits,
 ) -> dict:
     train_idx, test_idx = split_indices(
         pair.ground_truth.row_count,
@@ -393,7 +456,7 @@ def _run_cell(
         dict(spec.params),
         seed=derive_seed(cfg.master_seed, "model", cell.model, cell.seed),
     )
-    fitted = models.fit(run_spec, train_mat)
+    fitted = fits.fit(cell, run_spec, train_mat)
     predictions = models.predict(fitted, test_mat)
     if spec.task == "clustering":
         score = model_metrics("clustering", predictions, test_mat.features)
@@ -510,6 +573,15 @@ def run_benchmark(
     Each cell runs on a pool of `cfg.workers` threads and, like each
     detector and repair call, within `cfg.timeout` seconds; the time its
     version takes to build does not count against it.
+
+    Each model is fitted once per training set (see `SharedFits`): S1, S2
+    and S5 share the fit on their version, and S3 and S4 the fit on the
+    ground truth, for each model and repeat. Each cell still splits,
+    encodes, predicts and scores on its own. The records of a shared fit
+    carry its one `train_runtime`, and a failed fit gives each of them the
+    same error text. A cell waiting on a shared fit counts the wait against
+    its own timeout; when the cell computing the fit times out, its
+    abandoned thread still finishes the fit, and later cells may reuse it.
     """
     store = store if store is not None else ResultsStore()
     mat = materialize(cfg)
@@ -520,6 +592,7 @@ def run_benchmark(
         masks_dir.mkdir(parents=True, exist_ok=True)
         save_mask(mat.pair.error_mask, masks_dir / f"{mat.name}_truth.mask")
     spec_of = dict(zip(grid.model_labels, cfg.models))
+    fits = SharedFits(grid.cells)
     dirty_version = _dirty_version(mat.pair.dirty)
     versions = {("none", "none"): dirty_version}
     runs: dict[str, DetectorRun] = {}
@@ -542,18 +615,22 @@ def run_benchmark(
 
     def execute(cell: GridCell, built: Future | None) -> dict:
         """The cell's record, once the build of its version is done."""
-        if built is not None:
-            built.result()
-        spec = spec_of[cell.model]
-        key = (cell.detector, cell.repair)
-        version = dirty_version if cell.scenario == "S4" else versions.get(key)
-        if version is None:
-            return failure(cell, spec, broken[key])
-        detect_runtime = runs[cell.detector].runtime if cell.detector in runs else 0.0
-        record, error = _attempt(
-            lambda: _run_cell(cfg, cell, spec, version, dirty_version, mat.pair, detect_runtime), cfg.timeout
-        )
-        return record if error is None else failure(cell, spec, error)
+        try:
+            if built is not None:
+                built.result()
+            spec = spec_of[cell.model]
+            key = (cell.detector, cell.repair)
+            version = dirty_version if cell.scenario == "S4" else versions.get(key)
+            if version is None:
+                return failure(cell, spec, broken[key])
+            detect_runtime = runs[cell.detector].runtime if cell.detector in runs else 0.0
+            record, error = _attempt(
+                lambda: _run_cell(cfg, cell, spec, version, dirty_version, mat.pair, detect_runtime, fits),
+                cfg.timeout,
+            )
+            return record if error is None else failure(cell, spec, error)
+        finally:
+            fits.release(cell)
 
     # The pool takes tasks in submission order, so a build has started
     # before any cell that waits on it: the waits cannot deadlock.

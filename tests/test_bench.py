@@ -1,9 +1,17 @@
+import gc
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
+import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from cleanbench import bench
+from cleanbench import bench, models
 from cleanbench.bench import (
     BenchError,
     BenchmarkConfig,
@@ -18,9 +26,12 @@ from cleanbench.bench import (
 )
 from cleanbench.detect import DetectorSpec
 from cleanbench.inject import ErrorProfile, ErrorSpec
+from cleanbench.metrics import model_metrics
 from cleanbench.models import ModelSpec
 from cleanbench.repair import RepairSpec
+from cleanbench.seeding import derive_seed
 from cleanbench.store import ResultsStore, make_record, record_key
+from cleanbench.tabular import SplitSpec, split_indices
 from helpers import POOL_WORKERS
 
 
@@ -109,14 +120,14 @@ class TestPlanning:
         assert {c.scenario for c in grid.cells} == {"S4"}
 
     def test_strategies_sharing_a_name_are_rejected(self):
-        # both repairs are named "knn", so one version and its records would overwrite the other's
-        cfg = desk_config(repairs=[RepairSpec("knn", {"k": 1}), RepairSpec("knn", {"k": 9})])
+        # both repairs are named "knn", so one version and its records would
+        # overwrite the other's; the config itself rejects them
         with pytest.raises(PlanningError, match="shared: knn"):
-            plan_experiments(cfg, frozenset())
+            desk_config(repairs=[RepairSpec("knn", {"k": 1}), RepairSpec("knn", {"k": 9})])
         # a detector name leaves out list params, so these two mink specs share "mink(k=1)"
         mink = [DetectorSpec("mink", {"k": 1, "base": base}) for base in ([("mvd", {})], [("sd", {})])]
         with pytest.raises(PlanningError, match=r"shared: mink\(k=1\)"):
-            plan_experiments(desk_config(detectors=mink), frozenset())
+            desk_config(detectors=mink)
 
 
 class TestRunBenchmark:
@@ -262,6 +273,192 @@ class TestStreamedGrid:
         assert detected == {"mvd": 1, "sd(n=2)": 1}
         assert repaired == {(d, r): 1 for d in ("mvd", "sd(n=2)") for r in ("mean", "median", "knn")}
         assert saved == {"desk_truth.mask": 1, "desk_mvd.mask": 1, "desk_sd(n=2).mask": 1}
+
+
+ALL_SCENARIOS = ["S1", "S2", "S3", "S4", "S5"]
+
+
+def per_cell_run(cfg, cell, spec, version, dirty_version, pair, detect_runtime, fits):
+    """A grid cell that splits, encodes, fits, predicts and scores on its own,
+    ignoring `fits`: the reference the shared fits must reproduce."""
+    train_idx, test_idx = split_indices(
+        pair.ground_truth.row_count, SplitSpec(cfg.test_fraction, derive_seed(cfg.master_seed, "split", cell.seed))
+    )
+    train_ds, test_ds = bench._scenario_data(cell.scenario, version, dirty_version, pair, train_idx, test_idx)
+    train_mat, test_mat = models.encode(train_ds, test_ds, target=cfg.target_for_task(spec.task))
+    run_spec = ModelSpec(
+        spec.kind, spec.task, dict(spec.params), seed=derive_seed(cfg.master_seed, "model", cell.model, cell.seed)
+    )
+    fitted = models.fit(run_spec, train_mat)
+    score = model_metrics(spec.task, models.predict(fitted, test_mat), test_mat.target)
+    return make_record(
+        cell.dataset, cell.detector, cell.repair, cell.model, cell.scenario, cell.seed, score.metric_kind,
+        score.value, detect_runtime=detect_runtime, repair_runtime=version.runtime,
+        train_runtime=fitted.train_runtime,
+    )
+
+
+def spy_fits(monkeypatch) -> list:
+    """Patch `models.fit` to note each finished call's spec and a weak
+    reference to its fitted model (None when the fit raised)."""
+    calls, fit = [], models.fit
+
+    def spy(spec, train):
+        try:
+            fitted = fit(spec, train)
+        except Exception:
+            calls.append((spec, None))
+            raise
+        calls.append((spec, weakref.ref(fitted)))
+        return fitted
+
+    monkeypatch.setattr(models, "fit", spy)
+    return calls
+
+
+class TestSharedFits:
+    @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
+    def test_one_fit_per_training_set(self, monkeypatch, workers):
+        calls = spy_fits(monkeypatch)
+        cfg = desk_config(repeats=2, scenarios=ALL_SCENARIOS, workers=workers)
+        store = run_benchmark(cfg)
+        assert store.failures() == [] and len(store) == 7 * 2 * 2 * 4 + 2 * 2
+        # each version's fits (S1, S2, S5) and the ground truth's (S3, S4), per model and repeat
+        assert len(calls) == 7 * 2 * 2 + 2 * 2
+        assert Counter(spec.kind for spec, _ in calls) == {"logit": 16, "dt": 16}
+
+    def test_records_equal_the_per_cell_path(self, tmp_path, monkeypatch):
+        cfg = desk_config(
+            repeats=2, scenarios=ALL_SCENARIOS, workers=POOL_WORKERS,
+            models=[ModelSpec(kind, "classification") for kind in ("logit", "dt", "knn")],
+        )
+        shared, per_cell = tmp_path / "shared.jsonl", tmp_path / "per_cell.jsonl"
+        run_benchmark(cfg, store=ResultsStore(shared))
+        monkeypatch.setattr(bench, "_run_cell", per_cell_run)
+        run_benchmark(cfg, store=ResultsStore(per_cell))
+        lines = stripped_lines(shared)
+        assert len(lines) == 7 * 3 * 2 * 4 + 3 * 2 and not any('"error"' in line for line in lines)
+        assert lines == stripped_lines(per_cell)
+
+    def test_a_failed_fit_fails_every_cell_sharing_it_alike(self, monkeypatch):
+        calls = spy_fits(monkeypatch)
+        cfg = desk_config(
+            detectors=[DetectorSpec("mvd")], repairs=[RepairSpec("mean")], scenarios=ALL_SCENARIOS, repeats=1,
+            models=[ModelSpec("logit", "classification"), ModelSpec("dt", "classification", {"bogus_model": 1})],
+        )
+        store = run_benchmark(cfg)
+        errors = Counter(r.get("error") for r in store.records() if r["model"] == "dt")
+        assert len(errors) == 1 and "bogus_model" in next(iter(errors)) and sum(errors.values()) == 2 * 4 + 1
+        assert not any(r.get("error") for r in store.records() if r["model"] == "logit")
+        # one failed fit per training set: the two versions' and the ground truth's
+        assert [ref for spec, ref in calls if spec.kind == "dt"] == [None] * 3
+
+    def test_racing_cells_fit_each_key_once(self, monkeypatch):
+        # 4 repeats x 5 scenarios: S1, S2 and S5 share a version key, S3 and S4 the ground truth's
+        cells = [bench.GridCell("d", "mvd", "mean", "logit", s, rep) for s in ALL_SCENARIOS for rep in range(4)]
+        fits, fitted, got = bench.SharedFits(cells), [], {}
+        start = threading.Barrier(len(cells))
+
+        def fake_fit(spec, train):
+            fitted.append(object())
+            time.sleep(0.001)
+            return fitted[-1]
+
+        def run(cell):
+            start.wait(timeout=10)
+            got[cell.scenario, cell.seed] = fits.fit(cell, None, None)
+            fits.release(cell)
+
+        class SlowFuture(bench.Future):  # yields the thread between the memo's lookup and its store
+            def __init__(self):
+                time.sleep(0.001)
+                super().__init__()
+
+        monkeypatch.setattr(models, "fit", fake_fit)
+        monkeypatch.setattr(bench, "Future", SlowFuture)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(cell,)) for cell in cells]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and len(got) == len(cells)
+        assert len(fitted) == 4 * 2
+        for rep in range(4):
+            assert got["S1", rep] is got["S2", rep] is got["S5", rep] and got["S3", rep] is got["S4", rep]
+        assert fits._fits == {}
+
+    @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
+    def test_no_fit_outlives_its_cells(self, monkeypatch, workers):
+        calls = spy_fits(monkeypatch)
+        live_at_s4 = []
+
+        class WatchingStore(ResultsStore):
+            def append(self, record):
+                if record["scenario"] == "S4":  # every version cell (S1, S2, S5) is done by now
+                    gc.collect()
+                    live_at_s4.append(sum(ref() is not None for _, ref in calls))
+                return super().append(record)
+
+        cfg = desk_config(repeats=2, scenarios=ALL_SCENARIOS, workers=workers)
+        run_benchmark(cfg, store=WatchingStore())
+        # at most the ground-truth fits (2 models x 2 repeats) are left for S4's cells
+        assert len(live_at_s4) == 4 and max(live_at_s4) <= 4
+        gc.collect()
+        assert len(calls) == 32 and all(ref() is None for _, ref in calls)
+
+
+SLOW_CELL_RUN = """
+import json, sys, time
+from cleanbench import bench
+from cleanbench.models import ModelSpec
+
+def slow_cell(*args):
+    print(time.time(), flush=True)
+    time.sleep(2.0)
+
+bench._run_cell = slow_cell
+cfg = bench.BenchmarkConfig(
+    dataset={"kind": "synthetic", "generator": "two_class", "n": 60, "seed": 1, "name": "desk"},
+    profile=None, detectors=[], repairs=[], models=[ModelSpec("logit", "classification")],
+    scenarios=["S4"], repeats=2, label_column="label", timeout=0.2, workers=int(sys.argv[1]),
+)
+print(json.dumps([r["error"] for r in bench.run_benchmark(cfg).records()]), flush=True)
+"""
+
+
+class TestAttempt:
+    @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
+    def test_an_overrun_does_not_hold_up_process_exit(self, workers):
+        src = str(Path(bench.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", SLOW_CELL_RUN, str(workers)], env=env, capture_output=True, text=True, timeout=60
+        )
+        exited = time.time()
+        assert proc.returncode == 0, proc.stderr
+        *starts, errors = proc.stdout.splitlines()
+        assert json.loads(errors) == ["BenchError: timed out after 0.2s"] * 2
+        # each cell sleeps 2 s: the process must not wait for the last one
+        assert len(starts) == 2 and exited - max(float(t) for t in starts) < 1.5
+
+    def test_results_errors_and_interrupts(self):
+        assert bench._attempt(lambda: 3, 1.0) == (3, None)
+        assert bench._attempt(lambda: 3, None) == (3, None)
+        for timeout in (1.0, None):
+            assert bench._attempt(lambda: int("x"), timeout) == (
+                None, "ValueError: invalid literal for int() with base 10: 'x'"
+            )
+
+            def interrupt():
+                raise KeyboardInterrupt
+
+            with pytest.raises(KeyboardInterrupt):
+                bench._attempt(interrupt, timeout)
 
 
 class TestDuplicateHandling:

@@ -243,6 +243,28 @@ def slow_rule_config(tmp_path):
     return path
 
 
+TWO_MINK = [{"kind": "mink", "k": 1, "base": [[base, {}]]} for base in ("mvd", "sd")]
+TWO_KNN = [{"kind": "knn", "k": 1}, {"kind": "knn", "k": 9}]
+
+
+class TestSharedStrategyNames:
+    # "mink(k=1)" leaves out the base list; "knn" leaves out k
+    @pytest.mark.parametrize("verb", ["detect", "repair", "sweep", "bench"])
+    @pytest.mark.parametrize(
+        "field, specs, name", [("detectors", TWO_MINK, "mink(k=1)"), ("repairs", TWO_KNN, "knn")], ids=["mink", "knn"]
+    )
+    def test_every_verb_rejects_them(self, desk_config_path, tmp_path, capsys, verb, field, specs, name):
+        config = json.loads(desk_config_path.read_text())
+        config.update({field: specs, "outlier_degrees": [2.0]})
+        desk_config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / verb
+        extra = ["--axis", "outlier_degree"] if verb == "sweep" else []
+        assert main([verb, "--config", str(desk_config_path), "--out", str(out), *extra]) == EXIT_FAILURE
+        error = f"PlanningError: strategy names must be unique; shared: {name}"
+        assert json.loads(capsys.readouterr().err) == {"error": error, "verb": verb}
+        assert not (out / "results.jsonl").exists()
+
+
 class TestAbtestVerb:
     def test_abtest_prints_result(self, desk_config_path, tmp_path, capsys):
         out = tmp_path / "bench"
