@@ -361,8 +361,7 @@ def _stratified_folds(labels: list[str], folds: int, rng: np.random.Generator) -
                 f"class {lab!r} has {len(idx)} members, fewer than {folds} folds"
             )
         rng.shuffle(idx)
-        for pos, i in enumerate(idx):
-            assignment[i] = pos % folds
+        assignment[idx] = np.arange(idx.size) % folds
     return assignment
 
 
@@ -378,7 +377,9 @@ def detect_mislabels(
     Out-of-sample class probabilities come from k-fold cross-fitting of the
     base classifier; a sample is flagged when its probability under the given
     label falls below that class's mean self-confidence and the argmax class
-    disagrees. Only the label cell is flagged.
+    disagrees. Only the label cell is flagged. The folds are fitted together
+    (`models.fit_many`): logit folds descend in lockstep, with the floats of
+    fold-by-fold fits.
     """
     if not label_column:
         raise DetectorError("mislabel detector needs a label column")
@@ -389,23 +390,19 @@ def detect_mislabels(
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise DetectorError("label column must carry at least 2 classes")
-    class_index = {c: i for i, c in enumerate(classes)}
 
     spec = models.ModelSpec(base, "classification", {}, seed=seed)
     full, _ = models.encode(ds, ds, target=label_column)
     X = full.features
     rng = derive_rng(seed, "mislabel-folds")
     fold_of = _stratified_folds(labels, folds, rng)
+    fitted = models.fit_many(spec, ((X[fold_of != f], labels[fold_of != f]) for f in range(folds)))
 
+    # Stratified folds leave every class in every training fold, so each
+    # model's probability columns are in `classes` order.
     probs = np.zeros((ds.row_count, len(classes)))
-    for f in range(folds):
-        train_idx = np.flatnonzero(fold_of != f)
-        test_idx = np.flatnonzero(fold_of == f)
-        model = models.build_model(spec)
-        model.fit(X[train_idx], labels[train_idx])
-        fold_probs = model.predict_proba(X[test_idx])
-        for col, cls in enumerate(model.classes_):
-            probs[test_idx, class_index[cls]] = fold_probs[:, col]
+    for f, model in enumerate(fitted):
+        probs[fold_of == f] = model.predict_proba(X[fold_of == f])
 
     flagged = _no_flags(ds)
     flagged[confident_learning_flags(probs, labels, classes), label_idx] = True

@@ -13,6 +13,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -496,16 +497,32 @@ def _row_sum(A: np.ndarray) -> np.ndarray:
 
 
 def _softmax(Z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of the logits Z, shifted by the row max.
+    """Row-wise softmax of the logits Z, as a new array."""
+    E = Z.copy()
+    return _softmax_in_place(E, list(E.T))
 
-    Up to 7 classes the max goes column by column, like the sum
-    (`_row_sum`); the max is exact either way.
+
+def _softmax_in_place(Z: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
+    """Overwrite the logits Z, whose columns are `columns`, with their
+    row-wise softmax, shifted by the row max; return Z.
+
+    Up to 7 classes the row max and sum go column by column, left to right,
+    as in `_row_sum`; the max is exact either way. So do the shift and the
+    divide: a column at a time beats an (n, 1) broadcast there, and gives
+    the same floats.
     """
-    if Z.shape[1] >= 8:
-        E = np.exp(Z - Z.max(axis=1, keepdims=True))
-    else:
-        E = np.exp(Z - functools.reduce(np.maximum, Z.T)[:, None])
-    return E / _row_sum(E)[:, None]
+    if len(columns) >= 8:
+        np.subtract(Z, Z.max(axis=1, keepdims=True), out=Z)
+        np.exp(Z, out=Z)
+        return np.divide(Z, Z.sum(axis=1, keepdims=True), out=Z)
+    top = functools.reduce(np.maximum, columns)
+    for column in columns:
+        np.subtract(column, top, out=column)
+    np.exp(Z, out=Z)
+    total = functools.reduce(np.add, columns)
+    for column in columns:
+        np.divide(column, total, out=column)
+    return Z
 
 
 def _unbiased(W: np.ndarray) -> np.ndarray:
@@ -513,11 +530,6 @@ def _unbiased(W: np.ndarray) -> np.ndarray:
     penalty = W.copy()
     penalty[-1, :] = 0.0
     return penalty
-
-
-def _logistic_grad(W: np.ndarray, Xb: np.ndarray, Y: np.ndarray, l2: float, P: np.ndarray) -> np.ndarray:
-    """Gradient of the penalized mean cross-entropy, given P = softmax(Xb @ W)."""
-    return Xb.T @ (P - Y) / Xb.shape[0] + l2 * _unbiased(W)
 
 
 def logistic_loss_and_grad(
@@ -530,7 +542,45 @@ def logistic_loss_and_grad(
     eps = 1e-12
     loss = -float(np.sum(Y * np.log(P + eps))) / n
     loss += 0.5 * l2 * float(np.sum(_unbiased(W) ** 2))
-    return loss, _logistic_grad(W, Xb, Y, l2, P)
+    return loss, Xb.T @ (P - Y) / n + l2 * _unbiased(W)
+
+
+def _softmax_descent(designs: list[tuple[np.ndarray, np.ndarray]], lr: float, epochs: int, l2: float) -> np.ndarray:
+    """The weights, shaped (designs, features + 1, classes), that `epochs`
+    full-batch gradient steps from zero give each (Xb, Y) design of the same
+    width: Xb carries a trailing ones column and Y holds one-hot rows.
+
+    Each step is `W -= lr * grad`, with grad the gradient of
+    `logistic_loss_and_grad`, and the designs take their steps in lockstep.
+    Each design keeps its own two matmuls on the operand layouts of a lone
+    fit: a C-contiguous Xb, W block and R = P - Y block, and Xb.T @ R. On
+    OpenBLAS another layout can change the floats. Every elementwise step
+    runs once over the stacked rows of all designs, and no elementwise
+    result depends on a row's position, so each design gets the floats of
+    its lone fit.
+    """
+    rows = [Xb.shape[0] for Xb, _ in designs]
+    Y = np.vstack([Y for _, Y in designs])
+    R = np.empty_like(Y)  # the logits, then their softmax, then P - Y
+    columns = list(R.T)
+    W = np.zeros((len(designs), designs[0][0].shape[1], Y.shape[1]))
+    grad, penalty = np.empty_like(W), np.empty_like(W)
+    n = np.repeat(np.array(rows, dtype=float), W[0].size).reshape(W.shape)  # each design's rows, over its W
+    blocks = list(zip([Xb for Xb, _ in designs], np.split(R, np.cumsum(rows)[:-1]), W, grad))
+    for _ in range(epochs):
+        for Xb, R_i, W_i, _ in blocks:
+            np.matmul(Xb, W_i, out=R_i)
+        _softmax_in_place(R, columns)
+        np.subtract(R, Y, out=R)
+        for Xb, R_i, _, grad_i in blocks:
+            np.matmul(Xb.T, R_i, out=grad_i)
+        np.divide(grad, n, out=grad)
+        np.multiply(W, l2, out=penalty)
+        penalty[:, -1] = l2 * 0.0  # `_unbiased`'s zero bias row, times l2
+        np.add(grad, penalty, out=grad)
+        np.multiply(grad, lr, out=grad)
+        np.subtract(W, grad, out=W)
+    return W
 
 
 class LogisticModel:
@@ -541,7 +591,9 @@ class LogisticModel:
         self.epochs = epochs
         self.l2 = l2
 
-    def fit(self, X: np.ndarray, y: np.ndarray):
+    def _design(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Take `n_features_` and `classes_` from (X, y) and return its
+        `_softmax_descent` design."""
         X = np.asarray(X, dtype=float)
         self.n_features_ = X.shape[1]
         self.classes_ = sorted(set(y.tolist()))
@@ -549,11 +601,10 @@ class LogisticModel:
         Y = np.zeros((len(y), len(self.classes_)))
         codes = np.array([index[label] for label in y], dtype=np.intp)
         Y[np.arange(len(y)), codes] = 1.0
-        Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-        W = np.zeros((Xb.shape[1], len(self.classes_)))
-        for _ in range(self.epochs):
-            W -= self.lr * _logistic_grad(W, Xb, Y, self.l2, _softmax(Xb @ W))
-        self.W = W
+        return np.hstack([X, np.ones((X.shape[0], 1))]), Y
+
+    def fit(self, X: np.ndarray, y: np.ndarray):
+        (self.W,) = _softmax_descent([self._design(X, y)], self.lr, self.epochs, self.l2)
         return self
 
     def predict_proba(self, data: np.ndarray) -> np.ndarray:
@@ -759,6 +810,30 @@ def build_model(spec: ModelSpec):
     """`MODELS[spec.kind]` with the spec's params by keyword; a param the
     model does not take raises TypeError naming it."""
     return MODELS[spec.kind](spec.task, spec.seed, **spec.params)
+
+
+def fit_many(spec: ModelSpec, problems: Iterable[tuple[np.ndarray, np.ndarray]]) -> list:
+    """`build_model(spec).fit(X, y)` of each (X, y) training set, in order.
+
+    Logit fits whose weights have one shape (the same feature and class
+    counts) run in one `_softmax_descent`, and each gets the floats of its
+    lone fit. Other kinds fit one by one. `problems` is read once, so a
+    generator's training sets can go as soon as their designs are built.
+    """
+    if spec.kind != "logit":
+        return [build_model(spec).fit(X, y) for X, y in problems]
+    fitted, groups = [], {}
+    for X, y in problems:
+        model = build_model(spec)
+        Xb, Y = model._design(X, y)
+        fitted.append(model)
+        groups.setdefault((Xb.shape[1], Y.shape[1]), []).append((model, Xb, Y))
+    for group in groups.values():
+        first = group[0][0]
+        W = _softmax_descent([(Xb, Y) for _, Xb, Y in group], first.lr, first.epochs, first.l2)
+        for (model, _, _), W_i in zip(group, W):
+            model.W = W_i
+    return fitted
 
 
 @dataclass

@@ -54,17 +54,21 @@ class CellValue:
     is_empty: bool
 
 
+def _finite_float(text: str) -> float:
+    """float(text) when that is finite, else NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        return math.nan
+    return value if math.isfinite(value) else math.nan
+
+
 def make_cell(raw: str, null_tokens: frozenset[str] = DEFAULT_NULL_TOKENS) -> CellValue:
     """Build a cell from raw text; parsed is set only for finite decimals."""
     if raw in null_tokens:
         return CellValue(raw, None, True)
-    try:
-        value = float(raw)
-    except ValueError:
-        return CellValue(raw, None, False)
-    if not math.isfinite(value):
-        return CellValue(raw, None, False)
-    return CellValue(raw, value, False)
+    value = _finite_float(raw)
+    return CellValue(raw, None if math.isnan(value) else value, False)
 
 
 # eq=False: arrays compare element-wise, so columns compare by identity.
@@ -98,13 +102,11 @@ class Column:
 
 
 def _parse_texts(raws: Sequence[str], null_tokens: frozenset[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (raw, parsed, empty) arrays of a column: one make_cell per text."""
-    cells = [make_cell(r, null_tokens) for r in raws]
-    return (
-        np.array([c.raw for c in cells], dtype=object),
-        np.array([np.nan if c.parsed is None else c.parsed for c in cells], dtype=float),
-        np.array([c.is_empty for c in cells], dtype=bool),
-    )
+    """The (raw, parsed, empty) arrays of a column: each text's `make_cell`,
+    without building the cells."""
+    empty = [raw in null_tokens for raw in raws]
+    parsed = [math.nan if is_empty else _finite_float(raw) for raw, is_empty in zip(raws, empty)]
+    return np.array(raws, dtype=object), np.array(parsed, dtype=float), np.array(empty, dtype=bool)
 
 
 def _inferred_type(parsed: np.ndarray, empty: np.ndarray) -> tuple[str, float]:

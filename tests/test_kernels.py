@@ -7,7 +7,10 @@ grower and its generator state), the level walk that CART and the isolation
 forest share (against per-row walks, CART's over its flat arrays and the
 forest's over the recursive grower's tree, and on one hand-built tree under
 both tie rules), the numeric mode, the logit's softmax and gradient descent,
-the confident-learning flags, the silhouette, the Wilcoxon exact p and the
+the lockstep descent of several logit designs (each against its lone epoch
+loop), the confident-learning folds and flags and the cross-fitting of
+every fold together (against fold-by-fold fits), the silhouette, the
+Wilcoxon exact p, column parsing (against a `make_cell` loop) and the
 column-wise detectors (mvd, fahes, sd, iqr and the isolation forest's cell
 selection) are checked against straightforward per-element implementations
 kept here as references. Results must be equal
@@ -18,6 +21,7 @@ against set arithmetic on cell coordinates.
 
 import functools
 import math
+import re
 import tempfile
 import time
 import warnings
@@ -36,6 +40,7 @@ from cleanbench.models import (
     KNNModel,
     LogisticModel,
     _softmax,
+    _softmax_descent,
     logistic_loss_and_grad,
     silhouette,
 )
@@ -43,13 +48,16 @@ from cleanbench.repair import RepairError, _donor_distances, _mode, _numeric_sta
 from cleanbench.seeding import derive_rng
 from cleanbench.stats import PairedSample, _average_ranks, _exact_p, wilcoxon_signed_rank
 from cleanbench.tabular import (
+    DEFAULT_NULL_TOKENS,
     CellRef,
     CsvFormatError,
     Dataset,
     DetectionMask,
     TabularError,
+    _parse_texts,
     diff_cells,
     load_mask,
+    make_cell,
     mask_from,
     save_mask,
     union_masks,
@@ -528,17 +536,61 @@ def ref_logistic_fit(X: np.ndarray, y: np.ndarray, lr: float, epochs: int, l2: f
     Y = np.zeros((len(y), len(classes)))
     for i, label in enumerate(y):
         Y[i, index[label]] = 1.0
-    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-    W = np.zeros((Xb.shape[1], len(classes)))
+    return classes, ref_descent(np.hstack([X, np.ones((X.shape[0], 1))]), Y, lr, epochs, l2)
+
+
+def ref_descent(Xb: np.ndarray, Y: np.ndarray, lr: float, epochs: int, l2: float) -> np.ndarray:
+    """W after an epoch loop through the loss from zero, for one design alone."""
+    W = np.zeros((Xb.shape[1], Y.shape[1]))
     for _ in range(epochs):
         _, grad = ref_logistic_loss_and_grad(W, Xb, Y, l2)
         W -= lr * grad
-    return classes, W
+    return W
 
 
 def ref_logistic_predict(classes: list, W: np.ndarray, data: np.ndarray):
     probs = ref_softmax(np.hstack([data, np.ones((data.shape[0], 1))]) @ W)
     return probs, [classes[int(i)] for i in np.argmax(probs, axis=1)]
+
+
+def ref_stratified_folds(labels, folds: int, rng: np.random.Generator) -> np.ndarray:
+    """Each class's shuffled rows dealt to the folds in turn, one row at a time."""
+    assignment = np.zeros(len(labels), dtype=int)
+    by_class: dict[str, list[int]] = {}
+    for i, lab in enumerate(labels):
+        by_class.setdefault(lab, []).append(i)
+    for lab in sorted(by_class):
+        idx = np.array(by_class[lab])
+        if len(idx) < folds:
+            raise detect.DetectorError(f"class {lab!r} has {len(idx)} members, fewer than {folds} folds")
+        rng.shuffle(idx)
+        for pos, i in enumerate(idx):
+            assignment[i] = pos % folds
+    return assignment
+
+
+def ref_detect_mislabels(ds: Dataset, label_column: str, folds: int, base: str, seed: int) -> set:
+    """The flagged cells of fold-by-fold cross-fitting: one lone fit per fold
+    (the epoch loop for the logit), its probability columns placed by class."""
+    labels = ds.column(label_column).raw
+    classes = sorted(set(labels))
+    X = models.encode(ds, ds, target=label_column)[0].features
+    fold_of = ref_stratified_folds(labels, folds, derive_rng(seed, "mislabel-folds"))
+    probs = np.zeros((ds.row_count, len(classes)))
+    for f in range(folds):
+        train, test = fold_of != f, fold_of == f
+        if base == "logit":
+            p = models.DEFAULT_PARAMS["logit"]
+            fold_classes, W = ref_logistic_fit(X[train], labels[train], p["lr"], p["epochs"], p["l2"])
+            fold_probs, _ = ref_logistic_predict(fold_classes, W, X[test])
+        else:
+            model = models.build_model(models.ModelSpec(base, "classification", seed=seed))
+            model.fit(X[train], labels[train])
+            fold_classes, fold_probs = model.classes_, model.predict_proba(X[test])
+        for col, cls in enumerate(fold_classes):
+            probs[test, classes.index(cls)] = fold_probs[:, col]
+    label_idx = ds.col_index(label_column)
+    return {CellRef(r, label_idx) for r in ref_confident_learning_flags(probs, list(labels), classes)}
 
 
 def ref_confident_learning_flags(probs: np.ndarray, labels: list, classes: list) -> set:
@@ -908,6 +960,125 @@ def test_logistic_loss_and_grad_unchanged(data, k, n, l2):
     assert loss == want_loss and np.array_equal(grad, want_grad)
 
 
+def random_design(data, n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """An (Xb, Y) design: n drawn rows of d features plus the ones column,
+    and one-hot rows over k classes."""
+    X = np.array(data.draw(st.lists(st.lists(st.floats(-5, 5), min_size=d, max_size=d), min_size=n, max_size=n)))
+    Y = np.zeros((n, k))
+    Y[np.arange(n), data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))] = 1.0
+    return np.hstack([X.reshape(n, d), np.ones((n, 1))]), Y
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal floats bit for bit, so that 0.0 and -0.0 differ."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    problems=st.integers(1, 5),
+    d=st.integers(1, 3),
+    k=st.integers(1, 10),
+    lr=st.floats(1e-3, 1.0),
+    epochs=st.integers(1, 15),
+    l2=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+)
+def test_lockstep_descent_matches_lone_epoch_loops(data, problems, d, k, lr, epochs, l2):
+    designs = [random_design(data, data.draw(st.integers(1, 30)), d, k) for _ in range(problems)]
+    W = _softmax_descent(designs, lr, epochs, l2)
+    assert W.shape == (problems, d + 1, k)
+    for (Xb, Y), got in zip(designs, W):
+        assert same_bits(got, ref_descent(Xb, Y, lr, epochs, l2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["logit", "dt", "knn"]), problems=st.integers(0, 4))
+def test_fit_many_matches_lone_fits(data, kind, problems):
+    # Training sets of two widths and varied class sets: logit fits of one
+    # weight shape descend together, the others alone.
+    params = {"logit": {"epochs": 7}, "dt": {"min_leaf": 1}, "knn": {"k": 3}}[kind]
+    spec = models.ModelSpec(kind, "classification", params)
+    sets = []
+    for _ in range(problems):
+        n, d = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 2))
+        X = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=n * d, max_size=n * d))).reshape(n, d)
+        y = np.array(data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=n, max_size=n)), dtype=object)
+        sets.append((X, y))
+    fitted = models.fit_many(spec, sets)
+    assert len(fitted) == problems
+    for model, (X, y) in zip(fitted, sets):
+        lone = models.build_model(spec).fit(X, y)
+        assert type(model) is type(lone) and model.classes_ == lone.classes_
+        assert np.array_equal(model.predict_proba(X), lone.predict_proba(X))
+        if kind == "logit":
+            classes, W = ref_logistic_fit(X, y, 0.1, 7, 1e-3)
+            assert model.classes_ == classes and same_bits(model.W, W)
+
+
+# -- confident-learning folds ----------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    labels=st.lists(st.sampled_from(["a", "b", "c", ""]), max_size=40),
+    folds=st.integers(1, 6),
+    seed=st.integers(0, 3),
+)
+def test_stratified_folds_match_per_row_loop(labels, folds, seed):
+    got_rng, want_rng = derive_rng(seed, "folds"), derive_rng(seed, "folds")
+    try:
+        want = ref_stratified_folds(labels, folds, want_rng)
+    except detect.DetectorError as exc:
+        with pytest.raises(detect.DetectorError, match=re.escape(str(exc))):
+            detect._stratified_folds(labels, folds, got_rng)
+        return
+    got = detect._stratified_folds(labels, folds, got_rng)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+FEATURE_TEXT = st.one_of(st.floats(-5, 5).map(repr), st.sampled_from(["", "x", "-0.0", "3", "1e3"]))
+
+
+@st.composite
+def labelled_tables(draw):
+    """(table, folds): numeric and categorical features, and a label column
+    of 2 to 9 classes with folds to folds + 4 rows each, in drawn order, so
+    that folds often differ in size."""
+    folds = draw(st.integers(2, 5))
+    counts = draw(st.lists(st.integers(folds, folds + 4), min_size=2, max_size=9))
+    labels = draw(st.permutations([f"k{c}" for c, count in enumerate(counts) for _ in range(count)]))
+    n = len(labels)
+    cols = [(f"x{j}", "numeric", draw(st.lists(FEATURE_TEXT, min_size=n, max_size=n))) for j in range(draw(st.integers(1, 2)))]
+    # a one-hot block is never dropped, so the table always encodes
+    cols.append(("cat", "categorical", draw(st.lists(st.sampled_from(["p", "q"]), min_size=n, max_size=n))))
+    cols.append(("label", "categorical", labels))
+    return Dataset.from_columns("t", cols), folds
+
+
+@settings(max_examples=30, deadline=None)
+@given(table=labelled_tables(), base=st.sampled_from(["logit", "dt", "knn"]), seed=st.integers(0, 3))
+def test_mislabel_folds_fitted_together_match_fold_by_fold(table, base, seed):
+    ds, folds = table
+    got = detect.detect_mislabels(ds, "label", folds=folds, base=base, seed=seed)
+    assert mask_cells(got) == ref_detect_mislabels(ds, "label", folds, base, seed)
+
+
+def test_mislabel_folds_of_unequal_size_with_nine_classes():
+    # 9 classes of 7 rows in 5 folds: two folds hold 18 rows, three hold 9
+    rng = np.random.default_rng(5)
+    labels = [f"k{c}" for c in range(9) for _ in range(7)]
+    rng.shuffle(labels)
+    codes = np.array([int(lab[1:]) for lab in labels])
+    x = [repr(float(v)) for v in codes + rng.normal(scale=2.0, size=codes.size)]
+    ds = Dataset.from_columns("t", [("x", "numeric", x), ("label", "categorical", labels)])
+    fold_sizes = np.bincount(ref_stratified_folds(labels, 5, derive_rng(0, "mislabel-folds")))
+    assert sorted(fold_sizes.tolist()) == [9, 9, 9, 18, 18]
+    got = detect.detect_mislabels(ds, "label", folds=5, seed=0)
+    assert mask_cells(got) == ref_detect_mislabels(ds, "label", 5, "logit", 0) != set()
+
+
 # -- confident-learning flags --------------------------------------------------
 
 
@@ -1177,6 +1348,41 @@ def test_iso_tree_growth_makes_the_recursive_growers_draws(rows, limit, seed):
 def test_mode_keeps_smallest_most_frequent_value(values):
     got = _numeric_stat(np.array(values), "mode")
     assert repr(got) == repr(ref_numeric_mode(values))
+
+
+# -- column parsing --------------------------------------------------------------
+
+# Null tokens, non-finite spellings, signed zero, padding, overflow to inf,
+# digit separators and other text Python's float() may or may not take.
+PARSE_TEXT = st.one_of(
+    st.sampled_from(
+        ["", "NA", "N/A", "NaN", "nan", "null", "NULL", "?", "inf", "-inf", "Infinity", "-nan", "-0.0", "0",
+         " 3", "3 ", "1e309", "-1e309", "1_000", "1__0", "_1", "x", "1.5", "5e-324", "1e-400"]
+    ),
+    st.floats().map(repr),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(PARSE_TEXT, max_size=20), null_tokens=st.sampled_from([DEFAULT_NULL_TOKENS, frozenset({"x", "-0.0"})]))
+def test_parse_texts_match_make_cell_loop(texts, null_tokens):
+    raw, parsed, empty = _parse_texts(texts, null_tokens)
+    cells = [make_cell(text, null_tokens) for text in texts]
+    want = np.array([math.nan if c.parsed is None else c.parsed for c in cells], dtype=float)
+    assert raw.dtype == object and raw.shape == (len(texts),) and raw.tolist() == [c.raw for c in cells]
+    assert parsed.dtype == np.float64 and np.array_equal(parsed, want, equal_nan=True)
+    assert np.signbit(parsed).tolist() == np.signbit(want).tolist()
+    assert empty.dtype == bool and empty.tolist() == [c.is_empty for c in cells]
+
+
+def test_parse_texts_of_edge_spellings():
+    texts = ["NA", "inf", "-inf", "nan", "-0.0", " 3", "1e309", "1_000", "x"]
+    raw, parsed, empty = _parse_texts(texts, DEFAULT_NULL_TOKENS)
+    assert raw.tolist() == texts
+    assert empty.tolist() == [True, False, False, True, False, False, False, False, False]
+    assert np.isnan(parsed).tolist() == [True, True, True, True, False, False, True, False, True]
+    assert parsed[[4, 5, 7]].tolist() == [0.0, 3.0, 1000.0] and np.signbit(parsed[4])
 
 
 # -- column-wise detectors -----------------------------------------------------
