@@ -11,7 +11,9 @@ produce repaired versions; the dirty version joins the grid as strategy
 from __future__ import annotations
 
 import json
+import queue
 import threading
+import weakref
 from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -314,30 +316,61 @@ def plan_experiments(cfg: BenchmarkConfig, tags: frozenset[str]) -> ExperimentGr
 # -- execution ---------------------------------------------------------------
 
 
+_helpers = threading.local()  # each thread's `_Helper`, made by its first bounded call
+
+
+class _Helper:
+    """A daemon thread that runs one owner thread's bounded calls, one at a
+    time, in the order they are put on `calls`. It exits once it is dropped
+    (its owner abandoned it after an overrun, or the owner thread ended) and
+    the call it is running has returned."""
+
+    def __init__(self):
+        self.calls: queue.SimpleQueue = queue.SimpleQueue()
+        threading.Thread(target=self._serve, args=(self.calls,), daemon=True).start()
+        weakref.finalize(self, self.calls.put, None)
+
+    @staticmethod
+    def _serve(calls: queue.SimpleQueue) -> None:
+        while (call := calls.get()) is not None:
+            call()
+            del call  # an idle helper holds nothing of its last call
+
+
 def _attempt(fn, timeout: float | None):
     """Call `fn()`: (its result, None), or (None, "<ExcType>: <msg>") when it
     raised an Exception or did not finish within `timeout` seconds (None: no
     bound). Any other exception, such as KeyboardInterrupt, propagates.
 
-    The timeout is cooperative: a bounded call runs on a daemon thread of its
-    own, which an overrun leaves running until the call ends or the process
-    exits, while the caller moves on and records the failure.
+    The timeout is cooperative. A bounded call runs on the calling thread's
+    helper, one daemon thread that runs each of that thread's bounded calls
+    in turn and exits when the thread ends. An overrun abandons the helper,
+    which keeps running the call until it returns and then exits, while the
+    caller records the failure; the caller's next bounded call starts a
+    fresh helper.
     """
     outcome: list[tuple] = []
+    done = threading.Lock()
+    done.acquire()
 
     def call() -> None:
         try:
             outcome.append((fn(), None))
         except BaseException as exc:  # the caller re-raises what is not an Exception
             outcome.append((None, exc))
+        finally:
+            done.release()
 
     if timeout is None:
         call()
     else:
-        thread = threading.Thread(target=call, daemon=True)
-        thread.start()
-        thread.join(timeout)
+        helper = getattr(_helpers, "helper", None)
+        if helper is None:
+            helper = _helpers.helper = _Helper()
+        helper.calls.put(call)
+        done.acquire(timeout=timeout)
         if not outcome:
+            _end_helper()
             return None, f"BenchError: timed out after {timeout:g}s"
     result, exc = outcome[0]
     if exc is None:
@@ -345,6 +378,12 @@ def _attempt(fn, timeout: float | None):
     if isinstance(exc, Exception):  # every detector, repair and cell failure becomes a record
         return None, f"{type(exc).__name__}: {exc}"
     raise exc
+
+
+def _end_helper() -> None:
+    """Drop the calling thread's helper: it exits once its running call, if
+    any, returns."""
+    _helpers.__dict__.pop("helper", None)
 
 
 def _rows_on_side(version: RepairedDataset, pair: DatasetPair, side: set[int]) -> list[int]:
@@ -390,43 +429,82 @@ def _fit_key(cell: GridCell) -> tuple:
     return version, cell.model, cell.seed
 
 
-class SharedFits:
-    """One `models.fit` per training set, shared by the grid cells that train
-    on it (`_fit_key`).
+def _data_key(cell: GridCell) -> tuple:
+    """The rows a cell trains and tests on: its scenario and version pick
+    them, and the repeat fixes the split. The models of a key share them."""
+    return cell.scenario, cell.detector, cell.repair, cell.seed
 
-    A fit is deterministic in its training rows and spec, so the first cell
-    of a key computes it and later cells wait for its result, or its
+
+class SharedFits:
+    """What the grid cells share, each computed once: one `models.fit` per
+    training set (`_fit_key`), and one split, row selection and
+    `models.encode` per (`_data_key`, target column).
+
+    Both are deterministic in their inputs, so the first cell of a key
+    computes the value and later cells wait for its result, or its
     exception. Each cell calls `release` when it is done; the last cell of a
-    key drops the fit.
+    key drops what it shared.
     """
 
     def __init__(self, cells: list[GridCell]):
         self._lock = threading.Lock()
         self._fits: dict[tuple, Future] = {}
+        self._data: dict[tuple, Future] = {}  # by (_data_key, target column)
         self._left = Counter(_fit_key(cell) for cell in cells)
+        self._data_left = Counter(_data_key(cell) for cell in cells)
 
-    def fit(self, cell: GridCell, spec: models.ModelSpec, train: models.EncodedMatrix) -> models.FittedModel:
-        key = _fit_key(cell)
+    def _share(self, memo: dict, key: tuple, left: Counter, counted: tuple, compute):
+        """compute(), or what the first call under `key` in `memo` gave,
+        kept there while `left[counted]` cells may still ask for it."""
         with self._lock:
-            shared = self._fits.get(key)
+            shared = memo.get(key)
             owner = shared is None
             if owner:
                 shared = Future()
-                if self._left[key]:  # a cell that outlived its key's last cell shares nothing
-                    self._fits[key] = shared
+                if left[counted]:  # a cell that outlived its key's last cell shares nothing
+                    memo[key] = shared
         if owner:
             try:
-                shared.set_result(models.fit(spec, train))
+                shared.set_result(compute())
             except BaseException as exc:  # result() raises it again, here and in every waiting cell
                 shared.set_exception(exc)
         return shared.result()
 
-    def release(self, cell: GridCell) -> None:
+    def fit(self, cell: GridCell, spec: models.ModelSpec, train: models.EncodedMatrix) -> models.FittedModel:
         key = _fit_key(cell)
+        return self._share(self._fits, key, self._left, key, lambda: models.fit(spec, train))
+
+    def data(self, cell: GridCell, target: str | None, encoded) -> tuple[models.EncodedMatrix, models.EncodedMatrix]:
+        """`encoded()`, the cell's encoded (train, test) matrices, shared by
+        the cells of its data key that encode the same target column."""
+        key = _data_key(cell)
+        return self._share(self._data, (key, target), self._data_left, key, encoded)
+
+    def release(self, cell: GridCell) -> None:
+        key, data_key = _fit_key(cell), _data_key(cell)
         with self._lock:
             self._left[key] -= 1
             if not self._left[key]:
                 self._fits.pop(key, None)
+            self._data_left[data_key] -= 1
+            if not self._data_left[data_key]:
+                for done in [k for k in self._data if k[0] == data_key]:
+                    del self._data[done]
+
+
+def _cell_rows(
+    cfg: BenchmarkConfig,
+    cell: GridCell,
+    version: RepairedDataset,
+    dirty_version: RepairedDataset,
+    pair: DatasetPair,
+) -> tuple[Dataset, Dataset]:
+    """The cell's training and test rows (see `_data_key`)."""
+    train_idx, test_idx = split_indices(
+        pair.ground_truth.row_count,
+        SplitSpec(cfg.test_fraction, derive_seed(cfg.master_seed, "split", cell.seed)),
+    )
+    return _scenario_data(cell.scenario, version, dirty_version, pair, train_idx, test_idx)
 
 
 def _run_cell(
@@ -439,17 +517,13 @@ def _run_cell(
     detect_runtime: float,
     fits: SharedFits,
 ) -> dict:
-    train_idx, test_idx = split_indices(
-        pair.ground_truth.row_count,
-        SplitSpec(cfg.test_fraction, derive_seed(cfg.master_seed, "split", cell.seed)),
-    )
-    train_ds, test_ds = _scenario_data(
-        cell.scenario, version, dirty_version, pair, train_idx, test_idx
-    )
     target = cfg.target_for_task(spec.task)
     if spec.task in ("classification", "regression") and target is None:
+        _cell_rows(cfg, cell, version, dirty_version, pair)  # a failed split or row selection still reports first
         raise BenchError(f"{spec.task} model {cell.model} needs a target column in the config")
-    train_mat, test_mat = models.encode(train_ds, test_ds, target=target)
+    train_mat, test_mat = fits.data(
+        cell, target, lambda: models.encode(*_cell_rows(cfg, cell, version, dirty_version, pair), target=target)
+    )
     run_spec = models.ModelSpec(
         spec.kind,
         spec.task,
@@ -574,14 +648,17 @@ def run_benchmark(
     detector and repair call, within `cfg.timeout` seconds; the time its
     version takes to build does not count against it.
 
-    Each model is fitted once per training set (see `SharedFits`): S1, S2
-    and S5 share the fit on their version, and S3 and S4 the fit on the
-    ground truth, for each model and repeat. Each cell still splits,
-    encodes, predicts and scores on its own. The records of a shared fit
-    carry its one `train_runtime`, and a failed fit gives each of them the
-    same error text. A cell waiting on a shared fit counts the wait against
-    its own timeout; when the cell computing the fit times out, its
-    abandoned thread still finishes the fit, and later cells may reuse it.
+    Cells compute shared work once (see `SharedFits`). The models of a
+    (scenario, version, repeat) share its split, rows and encoding. Each model is fitted once per training set:
+    S1, S2 and S5 share the fit on their version, and S3 and S4 the fit on
+    the ground truth, for each model and repeat. Each cell predicts and
+    scores on its own. The records of a shared fit carry its one
+    `train_runtime`, and a failed encoding or fit gives each cell sharing it
+    the same error text. A cell waiting on shared data or a shared fit
+    counts the wait against its own timeout; when the cell computing it
+    times out, its abandoned helper thread still finishes it, and later
+    cells may reuse it. Each pool thread runs its bounded calls on one
+    helper thread of its own (see `_attempt`), which exits with the pool.
     """
     store = store if store is not None else ResultsStore()
     mat = materialize(cfg)
@@ -702,7 +779,10 @@ def _sweep_step(cfg, data, profile, constraints, inject_seed, detect_seed, store
     """Inject `profile` into `data`, then score every detector on the dirty copy."""
     pair, report = inject(data, profile, inject_seed, constraints)
     ctx = detector_context(cfg, constraints, report.union_mask(), report, detect_seed)
-    score_detectors(cfg, pair.dirty, ctx, store, common, scored)
+    try:
+        score_detectors(cfg, pair.dirty, ctx, store, common, scored)
+    finally:
+        _end_helper()  # the step's detector calls ran on this thread's helper
 
 
 def run_robustness_sweep(

@@ -9,6 +9,7 @@ macro-averaged over the classes present in the test truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -189,20 +190,26 @@ def repair_metrics_categorical(
 
 
 def f1_macro(predictions, truth) -> tuple[float, dict[str, float]]:
-    """Macro-averaged F1 over the classes present in the truth labels."""
+    """Macro-averaged F1 over the classes present in the truth labels.
+
+    Each label is coded once by its position in the sorted truth classes (a
+    dict, so a tuple label stays one label), and tp, fp and fn are integer
+    counts of those codes."""
     truth = list(truth)
     predictions = list(predictions)
     if len(truth) != len(predictions):
         raise MetricError("prediction/truth length mismatch")
     classes = sorted(set(truth))
-    per_class = {}
-    for cls in classes:
-        tp = sum(1 for p, t in zip(predictions, truth) if p == cls and t == cls)
-        fp = sum(1 for p, t in zip(predictions, truth) if p == cls and t != cls)
-        fn = sum(1 for p, t in zip(predictions, truth) if p != cls and t == cls)
-        precision = _ratio(tp, tp + fp)
-        recall = _ratio(tp, tp + fn)
-        per_class[str(cls)] = _f1(precision, recall)
+    code = {cls: i for i, cls in enumerate(classes)}
+    k = len(classes)
+    t = np.fromiter(map(code.__getitem__, truth), dtype=np.intp, count=len(truth))
+    p = np.fromiter(map(code.get, predictions, repeat(k)), dtype=np.intp, count=len(predictions))
+    tp = np.bincount(t[p == t], minlength=k).tolist()
+    predicted = np.bincount(p, minlength=k + 1).tolist()  # tp + fp; code k counts the classes not in the truth
+    actual = np.bincount(t, minlength=k).tolist()  # tp + fn
+    per_class = {
+        str(cls): _f1(_ratio(tp[i], predicted[i]), _ratio(tp[i], actual[i])) for i, cls in enumerate(classes)
+    }
     return float(np.mean(list(per_class.values()))), per_class
 
 

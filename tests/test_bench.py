@@ -243,9 +243,14 @@ class TestStreamedGrid:
         paths = []
         for workers in (1, POOL_WORKERS):
             paths.append(tmp_path / f"results-{workers}.jsonl")
-            run_benchmark(desk_config(repeats=2, workers=workers), store=ResultsStore(paths[-1]))
+            # every scenario, so that pooled cells share each kind of fit and encoding
+            cfg = desk_config(
+                repeats=2, scenarios=ALL_SCENARIOS, workers=workers,
+                models=[ModelSpec(kind, "classification") for kind in ("logit", "dt", "knn")],
+            )
+            run_benchmark(cfg, store=ResultsStore(paths[-1]))
         serial, pooled = (stripped_lines(p) for p in paths)
-        assert len(serial) == 32 and serial == pooled
+        assert len(serial) == 7 * 3 * 2 * 4 + 3 * 2 and serial == pooled
 
     @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
     def test_each_detector_and_repair_runs_once(self, tmp_path, monkeypatch, workers):
@@ -412,13 +417,177 @@ class TestSharedFits:
         assert len(calls) == 32 and all(ref() is None for _, ref in calls)
 
 
+def data_keys(grid) -> set:
+    return {(c.scenario, c.detector, c.repair, c.seed) for c in grid.cells}
+
+
+def spy_encodes(monkeypatch) -> list:
+    """Patch `models.encode` to note each call's target column."""
+    calls, encode = [], models.encode
+
+    def spy(train, test, target=None):
+        calls.append(target)
+        return encode(train, test, target=target)
+
+    monkeypatch.setattr(models, "encode", spy)
+    return calls
+
+
+class TestSharedData:
+    @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
+    def test_one_encoding_per_data_key(self, monkeypatch, workers):
+        calls = spy_encodes(monkeypatch)
+        cfg = desk_config(
+            repeats=2, scenarios=ALL_SCENARIOS, workers=workers,
+            models=[ModelSpec(kind, "classification") for kind in ("logit", "dt", "knn")],
+        )
+        grid = plan_experiments(cfg, materialize(cfg).tags)
+        store = run_benchmark(cfg, grid=grid)
+        assert store.failures() == [] and len(store) == len(grid.cells) == 7 * 3 * 2 * 4 + 3 * 2
+        # the grid_models workload's shape gives 42 keys for 126 cells
+        assert len(calls) == len(data_keys(grid)) == 7 * 2 * 4 + 2
+
+    def test_models_of_one_key_share_only_their_target_column(self, monkeypatch):
+        calls = spy_encodes(monkeypatch)
+        cfg = desk_config(
+            repeats=2, detectors=[DetectorSpec("mvd")], repairs=[RepairSpec("mean")],
+            models=[ModelSpec("logit", "classification"), ModelSpec("dt", "classification"),
+                    ModelSpec("kmeans", "clustering")],
+        )
+        grid = plan_experiments(cfg, materialize(cfg).tags)
+        store = run_benchmark(cfg, grid=grid)
+        assert store.failures() == [] and len(store) == 2 * 3 * 2 + 3 * 2
+        assert Counter(calls) == {"label": len(data_keys(grid)), None: len(data_keys(grid))}
+
+    def test_a_failed_encoding_fails_every_cell_sharing_it_alike(self, monkeypatch):
+        failed = Counter()
+
+        def failing_encode(train, test, target=None):
+            failed[target] += 1
+            raise models.ModelError(f"encoding {target} #{failed[target]} failed")
+
+        monkeypatch.setattr(models, "encode", failing_encode)
+        # no label column: the classification models' own error keeps its precedence
+        cfg = desk_config(
+            repeats=2, scenarios=ALL_SCENARIOS, detectors=[DetectorSpec("mvd")], repairs=[RepairSpec("mean")],
+            label_column=None,
+            models=[ModelSpec("logit", "classification"), ModelSpec("kmeans", "clustering"),
+                    ModelSpec("kmeans", "clustering", {"k": 3})],
+        )
+        grid = plan_experiments(cfg, materialize(cfg).tags)
+        store = run_benchmark(cfg, grid=grid)
+        assert len(store) == len(grid.cells) == len(store.failures())
+        by_key = {}
+        for r in store.records():
+            if r["model"] == "logit":
+                assert r["error"] == "BenchError: classification model logit needs a target column in the config"
+            else:
+                by_key.setdefault((r["scenario"], r["detector"], r["repair"], r["seed"]), set()).add(r["error"])
+        # kmeans skips S5; each other key's two kmeans cells got the one failed encoding's text
+        assert failed == {None: len(by_key)} and len(by_key) == 2 * 2 * 3 + 2
+        texts = [next(iter(errors)) for errors in by_key.values()]
+        assert all(len(errors) == 1 for errors in by_key.values())
+        assert sorted(texts) == sorted(f"ModelError: encoding None #{i} failed" for i in range(1, len(by_key) + 1))
+
+    def test_racing_cells_encode_each_key_once(self, monkeypatch):
+        # 5 scenarios x 2 repeats; logit and dt share the label's encoding, kmeans encodes without a target
+        targets = {"logit": "label", "dt": "label", "kmeans": None}
+        cells = [
+            bench.GridCell("d", "mvd", "mean", model, s, rep)
+            for s in ALL_SCENARIOS for rep in range(2) for model in targets
+        ]
+        fits, encoded, got = bench.SharedFits(cells), [], {}
+        start = threading.Barrier(len(cells))
+
+        def encode():
+            made = object()
+            encoded.append(made)
+            time.sleep(0.001)
+            return made
+
+        def run(cell):
+            start.wait(timeout=10)
+            got[cell.model, cell.scenario, cell.seed] = fits.data(cell, targets[cell.model], encode)
+            fits.release(cell)
+
+        class SlowFuture(bench.Future):  # yields the thread between the memo's lookup and its store
+            def __init__(self):
+                time.sleep(0.001)
+                super().__init__()
+
+        monkeypatch.setattr(bench, "Future", SlowFuture)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(cell,)) for cell in cells]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and len(got) == len(cells)
+        assert len(encoded) == 5 * 2 * 2
+        for s in ALL_SCENARIOS:
+            for rep in range(2):
+                assert got["logit", s, rep] is got["dt", s, rep] is not got["kmeans", s, rep]
+        assert fits._data == {}
+
+    @pytest.mark.parametrize("label_column", [None, "label"])
+    def test_a_failed_split_reports_before_a_missing_target(self, label_column):
+        cfg = desk_config(repeats=1, detectors=[DetectorSpec("mvd")], repairs=[RepairSpec("mean")],
+                          test_fraction=0.0, label_column=label_column)
+        store = run_benchmark(cfg)
+        assert len(store) == 2 * 2 * 1 + 2 * 1
+        assert {r["error"] for r in store.records()} == {
+            "SplitError: test_fraction must lie in (0,1), got 0.0"
+        }
+
+    @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
+    def test_no_encoding_outlives_its_cells(self, monkeypatch, workers):
+        cfg = desk_config(repeats=2, scenarios=ALL_SCENARIOS, workers=workers)
+        grid = plan_experiments(cfg, materialize(cfg).tags)
+        last = {}
+        for i, cell in enumerate(grid.cells):
+            last[cell.scenario, cell.detector, cell.repair, cell.seed] = i
+        encoded, data = [], bench.SharedFits.data
+
+        def watched_data(self, cell, target, encode):
+            def watched():
+                train, test = encode()
+                encoded.append((last[bench._data_key(cell)], weakref.ref(train), weakref.ref(test)))
+                return train, test
+
+            return data(self, cell, target, watched)
+
+        monkeypatch.setattr(bench.SharedFits, "data", watched_data)
+        stored, outlived = [], []
+
+        class WatchingStore(ResultsStore):
+            def append(self, record):
+                # every cell up to this record's has released what it shared
+                gc.collect()
+                outlived.extend(
+                    (end, len(stored)) for end, *refs in encoded if end <= len(stored) and any(r() for r in refs)
+                )
+                stored.append(record)
+                return super().append(record)
+
+        run_benchmark(cfg, grid=grid, store=WatchingStore())
+        assert len(stored) == len(grid.cells) and len(encoded) == len(last)
+        assert outlived == []
+        gc.collect()
+        assert not any(r() for _, *refs in encoded for r in refs)
+
+
 SLOW_CELL_RUN = """
 import json, sys, time
 from cleanbench import bench
 from cleanbench.models import ModelSpec
 
 def slow_cell(*args):
-    print(time.time(), flush=True)
+    sys.stdout.write(f"{time.time()}\\n")  # one write per line: print's two writes let two cells' lines merge
+    sys.stdout.flush()
     time.sleep(2.0)
 
 bench._run_cell = slow_cell
@@ -429,6 +598,16 @@ cfg = bench.BenchmarkConfig(
 )
 print(json.dumps([r["error"] for r in bench.run_benchmark(cfg).records()]), flush=True)
 """
+
+
+def wait_for(condition, seconds: float = 5.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        gc.collect()
+        time.sleep(0.001)
+    return True
 
 
 class TestAttempt:
@@ -445,6 +624,53 @@ class TestAttempt:
         assert json.loads(errors) == ["BenchError: timed out after 0.2s"] * 2
         # each cell sleeps 2 s: the process must not wait for the last one
         assert len(starts) == 2 and exited - max(float(t) for t in starts) < 1.5
+
+    @staticmethod
+    def assert_no_thread_left(before: set) -> None:
+        """No thread started since `before` is alive after a bounded join."""
+        for thread in set(threading.enumerate()) - before:
+            thread.join(timeout=5)
+        assert set(threading.enumerate()) <= before and threading.active_count() <= len(before)
+
+    def test_helpers_end_with_their_run(self):
+        before = set(threading.enumerate())
+        for workers in (1, POOL_WORKERS):
+            run_benchmark(desk_config(repeats=1, workers=workers))
+            self.assert_no_thread_left(before)
+        cfg = desk_config(detectors=[DetectorSpec("mvd"), DetectorSpec("sd", {"n": 2.0})], repeats=2)
+        run_robustness_sweep(cfg, "outlier_degree", [2.0, 4.0])
+        self.assert_no_thread_left(before)
+
+    def test_bounded_calls_reuse_one_helper_until_it_overruns(self):
+        release, ran_on = threading.Event(), []
+
+        def slow():
+            ran_on.append(threading.current_thread())
+            release.wait(timeout=10)
+
+        def run():
+            ran_on.append(bench._attempt(threading.current_thread, 5.0)[0])
+            result = weakref.ref(bench._attempt(Counter, 5.0)[0])
+            idle = wait_for(lambda: result() is None)  # an idle helper holds nothing of its last call
+            ran_on.append(idle and bench._attempt(threading.current_thread, 5.0)[0])
+            ran_on.append(bench._attempt(slow, 0.05))
+            ran_on.append(bench._attempt(threading.current_thread, 5.0)[0])
+
+        owner = threading.Thread(target=run)
+        owner.start()
+        owner.join(timeout=10)
+        first, again, overrun, timed_out, fresh = ran_on
+        assert again is first and overrun is first and first is not owner
+        assert timed_out == (None, "BenchError: timed out after 0.05s")
+        # the abandoned helper runs its call to the end and then exits
+        assert first.is_alive()
+        release.set()
+        first.join(timeout=5)
+        assert not first.is_alive()
+        # the next call ran on a fresh helper, which exited with its owner thread
+        assert fresh is not first and fresh is not owner
+        fresh.join(timeout=5)
+        assert not fresh.is_alive()
 
     def test_results_errors_and_interrupts(self):
         assert bench._attempt(lambda: 3, 1.0) == (3, None)

@@ -34,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cleanbench import detect, models
-from cleanbench.metrics import RepairScore, detection_metrics, iou, repair_metrics_categorical
+from cleanbench.metrics import RepairScore, detection_metrics, f1_macro, iou, repair_metrics_categorical
 from cleanbench.models import (
     DecisionTree,
     KNNModel,
@@ -1668,3 +1668,69 @@ def test_exact_p_for_forty_pairs_is_fast():
     result = wilcoxon_signed_rank(PairedSample([(float(v), 0.0) for v in diffs]), mode="exact")
     assert time.perf_counter() - start < 1.0
     assert result.mode == "exact" and result.n_effective == 40 and 0.0 < result.p_value <= 1.0
+
+
+# -- macro F1 --------------------------------------------------------------------
+
+
+def ref_f1_macro(predictions, truth) -> tuple[float, dict[str, float]]:
+    """Three counting passes per truth class, comparing labels with `==`."""
+    truth, predictions = list(truth), list(predictions)
+    per_class = {}
+    for cls in sorted(set(truth)):
+        tp = sum(1 for p, t in zip(predictions, truth) if p == cls and t == cls)
+        fp = sum(1 for p, t in zip(predictions, truth) if p == cls and t != cls)
+        fn = sum(1 for p, t in zip(predictions, truth) if p != cls and t == cls)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        per_class[str(cls)] = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return float(np.mean(list(per_class.values()))), per_class
+
+
+def assert_f1_macro_matches(predictions, truth):
+    value, per_class = f1_macro(predictions, truth)
+    ref_value, ref_per_class = ref_f1_macro(predictions, truth)
+    assert value == ref_value and per_class == ref_per_class
+    assert type(value) is float and all(type(f) is float for f in per_class.values())
+
+
+# sorted() orders the truth classes, so one draw's labels are all strings or all tuples
+F1_LABELS = [["a", "b", "c", "10", "9", "zzz"], [("a", 1), ("a", 2), ("b", 1), ("a",), ("q", 0, 1)]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(F1_LABELS), st.data())
+def test_f1_macro_matches_per_class_loops(labels, data):
+    truth_pool = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True))
+    # predictions may name classes absent from the truth
+    pred_pool = truth_pool + data.draw(st.lists(st.sampled_from(labels), max_size=3))
+    n = data.draw(st.integers(1, 40))
+    truth = data.draw(st.lists(st.sampled_from(truth_pool), min_size=n, max_size=n))
+    predictions = data.draw(st.lists(st.sampled_from(pred_pool), min_size=n, max_size=n))
+    assert_f1_macro_matches(predictions, truth)
+    assert_f1_macro_matches(models._label_array(predictions), models._label_array(truth))
+
+
+def test_f1_macro_edge_cases():
+    tuples = [("a", 1), ("a", 2), ("a", 1), ("b", 1)]
+    assert_f1_macro_matches(tuples[::-1], tuples)
+    assert set(f1_macro(tuples[::-1], tuples)[1]) == {"('a', 1)", "('a', 2)", "('b', 1)"}
+    assert_f1_macro_matches(["x", "y", "z", "x"], ["x", "x", "x", "x"])  # absent classes; one-class truth
+    assert_f1_macro_matches(["y", "y"], ["x", "x"])  # nothing right
+    assert_f1_macro_matches(["x"], ["x"])
+    with pytest.raises(Exception, match="length mismatch"):
+        f1_macro(["x"], ["x", "y"])
+
+
+@pytest.mark.parametrize("kind", ["logit", "dt", "knn"])
+def test_f1_macro_on_a_grid_cells_object_arrays(kind):
+    # what a grid cell scores: predictions from `models.predict`, truth from the encoded test target
+    from cleanbench.inject import make_synthetic
+
+    ds = make_synthetic("two_class", 120, 3)
+    train, test = models.encode(ds.take_rows(list(range(80))), ds.take_rows(list(range(80, 120))), target="label")
+    fitted = models.fit(models.ModelSpec(kind, "classification"), train)
+    predictions = models.predict(fitted, test)
+    assert predictions.dtype == object and test.target.dtype == object
+    assert_f1_macro_matches(predictions, test.target)
+    assert_f1_macro_matches(np.full(test.target.shape, "9", dtype=object), test.target)
