@@ -402,22 +402,21 @@ def _scenario_data(
     test_idx: np.ndarray,
 ) -> tuple[Dataset, Dataset]:
     gt = pair.ground_truth
-    train_set, test_set = set(train_idx.tolist()), set(test_idx.tolist())
     if scenario == "S4":
         return gt.take_rows(train_idx.tolist()), gt.take_rows(test_idx.tolist())
-    v_train = version.data.take_rows(_rows_on_side(version, pair, train_set))
+    train_set, test_set = set(train_idx.tolist()), set(test_idx.tolist())
+
+    def side(of: RepairedDataset, rows: set) -> Dataset:
+        return of.data.take_rows(_rows_on_side(of, pair, rows))
+
     if scenario == "S1":
-        v_test = version.data.take_rows(_rows_on_side(version, pair, test_set))
-        return v_train, v_test
+        return side(version, train_set), side(version, test_set)
     if scenario == "S2":
-        return v_train, gt.take_rows(test_idx.tolist())
+        return side(version, train_set), gt.take_rows(test_idx.tolist())
     if scenario == "S3":
-        g_train = gt.take_rows(train_idx.tolist())
-        v_test = version.data.take_rows(_rows_on_side(version, pair, test_set))
-        return g_train, v_test
+        return gt.take_rows(train_idx.tolist()), side(version, test_set)
     if scenario == "S5":
-        d_test = dirty_version.data.take_rows(_rows_on_side(dirty_version, pair, test_set))
-        return v_train, d_test
+        return side(version, train_set), side(dirty_version, test_set)
     raise BenchError(f"unknown scenario {scenario!r}")
 
 

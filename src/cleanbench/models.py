@@ -223,21 +223,25 @@ def _label_array(classes: list) -> np.ndarray:
 # -- CART decision tree ------------------------------------------------------
 
 
-def tree_leaves(Xt: np.ndarray, feature, threshold, kids, steps: int, goes_left) -> np.ndarray:
+def tree_leaves(Xt: np.ndarray, feature, threshold, kids, steps: int, goes_left, roots=None) -> np.ndarray:
     """Leaf of every column of Xt (the rows of X) in a flat binary tree.
 
     Node 0 is the root. A row x at node i goes to `kids[2i]` when
     `goes_left(x[feature[i]], threshold[i])`, else to `kids[2i + 1]`; CART
     passes np.less_equal and the isolation forest np.less, and NaN goes right
     under both. A leaf's kids are itself, so `steps` (the tree's depth) steps
-    of one level each reach every leaf.
+    of one level each reach every leaf. With `roots`, the arrays hold one
+    tree per root, every row walks each of them, and the result has one row
+    of leaves per root.
     """
+    if roots is None:
+        return tree_leaves(Xt, feature, threshold, kids, steps, goes_left, [0])[0]
     n = Xt.shape[1]
-    flat, rows = Xt.ravel(), np.arange(n)
-    node = np.zeros(n, dtype=np.intp)
+    flat, rows = Xt.ravel(), np.tile(np.arange(n), len(roots))
+    node = np.repeat(roots, n)
     for _ in range(steps):
         node = kids[2 * node + ~goes_left(flat[feature[node] * n + rows], threshold[node])]
-    return node
+    return node.reshape(len(roots), n)
 
 
 def _first_best(gains: list) -> int:

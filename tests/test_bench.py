@@ -31,7 +31,7 @@ from cleanbench.models import ModelSpec
 from cleanbench.repair import RepairSpec
 from cleanbench.seeding import derive_seed
 from cleanbench.store import ResultsStore, make_record, record_key
-from cleanbench.tabular import SplitSpec, split_indices
+from cleanbench.tabular import Dataset, SplitSpec, split_indices
 from helpers import POOL_WORKERS
 
 
@@ -446,6 +446,24 @@ class TestSharedData:
         assert store.failures() == [] and len(store) == len(grid.cells) == 7 * 3 * 2 * 4 + 3 * 2
         # the grid_models workload's shape gives 42 keys for 126 cells
         assert len(calls) == len(data_keys(grid)) == 7 * 2 * 4 + 2
+
+    def test_each_data_key_takes_only_the_rows_it_uses(self, monkeypatch):
+        calls, take_rows = [], Dataset.take_rows
+
+        def spy(self, indices, name=None):
+            calls.append(len(indices))
+            return take_rows(self, indices, name)
+
+        monkeypatch.setattr(Dataset, "take_rows", spy)
+        cfg = desk_config(
+            repeats=2, scenarios=ALL_SCENARIOS,
+            models=[ModelSpec(kind, "classification") for kind in ("logit", "dt", "knn")],
+        )
+        grid = plan_experiments(cfg, materialize(cfg).tags)
+        store = run_benchmark(cfg, grid=grid)
+        assert store.failures() == [] and len(store) == len(grid.cells)
+        # one training and one test selection per key; S3 trains on the ground truth only
+        assert len(calls) == 2 * len(data_keys(grid)) == 2 * (7 * 2 * 4 + 2)
 
     def test_models_of_one_key_share_only_their_target_column(self, monkeypatch):
         calls = spy_encodes(monkeypatch)

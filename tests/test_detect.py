@@ -198,6 +198,30 @@ class TestIsolationForest:
         assert len(detect_outliers_iforest(column(["1e308", "0", "1", "2"]), trees=3, contamination=0.25)) == 1
 
 
+    @pytest.mark.parametrize("subsample", [0, -3])
+    def test_subsample_below_one_rejected(self, subsample):
+        from cleanbench.detect import iforest_scores
+
+        ds = make_synthetic("two_class", 50, 0)
+        with pytest.raises(DetectorError, match="subsample >= 1"):
+            detect_outliers_iforest(ds, trees=3, subsample=subsample)
+        with pytest.raises(DetectorError, match="subsample >= 1"):
+            iforest_scores(ds, trees=3, subsample=subsample)
+        with pytest.raises(DetectorError, match="subsample >= 1"):
+            run_detector(DetectorSpec("if", {"subsample": subsample}), ds)
+
+    @pytest.mark.parametrize("contamination", [-0.5, 1.5, float("nan")])
+    def test_contamination_outside_zero_to_one_rejected(self, contamination):
+        ds = make_synthetic("two_class", 50, 0)
+        with pytest.raises(DetectorError, match="contamination"):
+            detect_outliers_iforest(ds, trees=3, contamination=contamination)
+
+    def test_contamination_bounds_accepted(self):
+        ds = make_synthetic("two_class", 50, 0)
+        assert len(detect_outliers_iforest(ds, trees=3, contamination=0.0)) == 0
+        flagged = detect_outliers_iforest(ds, trees=3, contamination=1.0)
+        assert {ref.row for ref in mask_cells(flagged)} == set(range(50))
+
     def test_blank_filled_with_a_median_whose_sum_overflows(self):
         from cleanbench.detect import _iforest_features, iforest_scores
 

@@ -2,15 +2,20 @@
 
 The CART split search and level-by-level tree growth (its flat node arrays,
 turned into nested nodes, against the recursive grower node by node), kNN
-imputation, kNN model votes, isolation-tree growth (against the recursive
-grower and its generator state), the level walk that CART and the isolation
-forest share (against per-row walks, CART's over its flat arrays and the
-forest's over the recursive grower's tree, and on one hand-built tree under
-both tie rules), the numeric mode, the logit's softmax and gradient descent,
-the lockstep descent of several logit designs (each against its lone epoch
-loop), the confident-learning folds and flags and the cross-fitting of
-every fold together (against fold-by-fold fits), the silhouette, the
-Wilcoxon exact p, column parsing (against a `make_cell` loop) and the
+imputation, kNN model votes, isolation-tree growth on rank-space bitsets
+with its replayed generator draws (against the recursive grower and the
+forest's list grower, bit for bit and on the generator state after, also
+on the replay's rare paths: a Lemire rejection, a buffered half-word at the
+start, nodes with one usable column, a draw block that runs out, bitsets of
+several words, signed zeros and ties, and an overflowing range), the level
+walk that CART and the isolation forest share (against per-row walks,
+CART's over its flat arrays and the forest's over the recursive grower's
+tree, on one hand-built tree under both tie rules, and on stacked trees
+against each tree's walk), the numeric mode, the logit's softmax and
+gradient descent, the lockstep descent of several logit designs (each
+against its lone epoch loop), the confident-learning folds and flags and
+the cross-fitting of every fold together (against fold-by-fold fits), the
+silhouette, the Wilcoxon exact p, column parsing (against a `make_cell` loop) and the
 column-wise detectors (mvd, fahes, sd, iqr and the isolation forest's cell
 selection) are checked against straightforward per-element implementations
 kept here as references. Results must be equal
@@ -19,6 +24,7 @@ same tie rules. The bool-matrix detection masks are checked the same way
 against set arithmetic on cell coordinates.
 """
 
+import copy
 import functools
 import math
 import re
@@ -1229,9 +1235,32 @@ def test_knn_matches_per_cell_reference(rows, flags, k):
 # -- isolation-forest scoring --------------------------------------------------
 
 
+def iso_names(X: np.ndarray) -> list:
+    return [f"c{j}" for j in range(X.shape[1])]
+
+
 def grow_flat_iso_tree(X: np.ndarray, limit: int, rng: np.random.Generator):
-    table = [detect._c_factor(size) for size in range(X.shape[0] + 1)]
-    return detect._grow_iso_tree(X.tolist(), limit, rng, table, [f"c{j}" for j in range(X.shape[1])])
+    return detect._grow_iso_tree(np.ascontiguousarray(X.T), limit, rng, detect._IsoTables(*X.shape), iso_names(X))
+
+
+def assert_grows_like_references(X: np.ndarray, limit: int, rng: np.random.Generator):
+    """Grow X on copies of rng with the forest's bitset grower, its list
+    grower (the flat reference: the generator's own calls over the rows as
+    Python lists) and the recursive reference: the same flat arrays bit for
+    bit, the same path lengths and the same generator state after. Returns
+    the bitset grower's tree."""
+    flat_rng, reference = copy.deepcopy(rng), copy.deepcopy(rng)
+    tree = grow_flat_iso_tree(X, limit, rng)
+    flat = detect._grow_iso_tree_lists(
+        np.ascontiguousarray(X.T), limit, flat_rng, detect._IsoTables(*X.shape), iso_names(X)
+    )
+    root = ref_grow_iso_tree(X, 0, limit, reference)
+    for got, want in zip(tree, flat):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == flat_rng.bit_generator.state == reference.bit_generator.state
+    got = iso_path_lengths(X, tree, limit)
+    assert got.tolist() == [ref_iso_path_length(x, root) for x in X]
+    return tree
 
 
 def iso_path_lengths(X: np.ndarray, tree, limit: int) -> np.ndarray:
@@ -1265,6 +1294,19 @@ def test_iso_path_lengths_send_threshold_ties_right():
     assert models.tree_leaves(Xt, *flat[:3], 2, np.less_equal).tolist() == [1, 1, 1, 4, 1, 3, 3, 4]
 
 
+def test_level_walk_of_stacked_trees_matches_each_trees_walk():
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(50, 3))
+    Xt = np.ascontiguousarray(X.T)
+    trees = [grow_flat_iso_tree(X[rng.choice(50, size=16, replace=False)], 4, rng) for _ in range(3)]
+    feature, threshold, kids, h, roots = detect._stack_trees(trees)
+    got = models.tree_leaves(Xt, feature, threshold, kids, 4, np.less, roots)
+    for tree, root, leaves in zip(trees, roots, got):
+        want = models.tree_leaves(Xt, *tree[:3], 4, np.less)
+        assert (leaves - root).tolist() == want.tolist()
+        assert h[leaves].tolist() == tree[3][want].tolist()
+
+
 def test_iforest_scores_with_a_constant_column():
     rng = np.random.default_rng(5)
     ds = Dataset.from_columns(
@@ -1293,7 +1335,7 @@ def iforest_tables(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(ds=iforest_tables(), trees=st.integers(1, 5), subsample=st.integers(1, 40), seed=st.integers(0, 3))
+@given(ds=iforest_tables(), trees=st.integers(1, 12), subsample=st.integers(1, 40), seed=st.integers(0, 3))
 def test_iforest_scores_match_per_row_walk(ds, trees, subsample, seed):
     got = detect.iforest_scores(ds, trees=trees, subsample=subsample, seed=seed)
     assert got.tolist() == ref_iforest_scores(ds, trees, subsample, seed).tolist()
@@ -1306,13 +1348,12 @@ def test_iforest_scores_match_per_row_walk_at_the_depth_limit():
     values[40:80] = values[80:120]  # duplicate rows
     ds = Dataset.from_columns("t", [(f"c{j}", "numeric", [repr(float(v)) for v in values[:, j]]) for j in range(3)])
     X, _, _ = detect._iforest_features(ds, [0, 1, 2])
-    grown, reference = derive_rng(0, "iforest"), derive_rng(0, "iforest")
-    sample = X[reference.choice(600, size=256, replace=False)]
-    grown.choice(600, size=256, replace=False)
-    tree = grow_flat_iso_tree(sample, 8, grown)
+    grown = derive_rng(0, "iforest")
+    sample = X[grown.choice(600, size=256, replace=False)]
+    reference = copy.deepcopy(grown)
+    tree = assert_grows_like_references(sample, 8, grown)
     root = ref_grow_iso_tree(sample, 0, 8, reference)
     assert ref_iso_depth(root) == 8
-    assert grown.bit_generator.state == reference.bit_generator.state
     got = iso_path_lengths(X, tree, 8)
     assert got.tolist() == [ref_iso_path_length(x, root) for x in X]
     for seed in (0, 1, 7):
@@ -1331,13 +1372,111 @@ def test_iforest_scores_match_per_row_walk_at_the_depth_limit():
     seed=st.integers(0, 1000),
 )
 def test_iso_tree_growth_makes_the_recursive_growers_draws(rows, limit, seed):
-    X = np.array(rows)
-    grown, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    tree = grow_flat_iso_tree(X, limit, grown)
-    root = ref_grow_iso_tree(X, 0, limit, reference)
-    assert grown.bit_generator.state == reference.bit_generator.state
-    got = iso_path_lengths(X, tree, limit)
-    assert got.tolist() == [ref_iso_path_length(x, root) for x in X]
+    assert_grows_like_references(np.array(rows), limit, np.random.default_rng(seed))
+
+
+# PCG64's LCG multiplier: the state steps to state * multiplier + increment
+# (mod 2**128), and a raw output is a function of the stepped state that
+# maps 0 to 0.
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def generator_whose_next_word_is_zero(inc: int = 2 * 12345 + 1) -> np.random.Generator:
+    state = -inc * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bitgen)
+
+
+def test_iso_tree_replays_a_lemire_rejection():
+    rng = generator_whose_next_word_is_zero()
+    assert copy.deepcopy(rng).bit_generator.random_raw(2)[0] == 0
+    # integers(3) rejects both zero halves of that word (Lemire's threshold
+    # is 2**32 % 3 == 1) and takes the low half of the next one.
+    probe, skipped = copy.deepcopy(rng), copy.deepcopy(rng)
+    probe.integers(3)
+    skipped.bit_generator.advance(2)
+    assert probe.bit_generator.state["state"] == skipped.bit_generator.state["state"]
+    assert probe.bit_generator.state["has_uint32"] == 1
+    # The root of a three-column sample draws integers(3) first.
+    X = np.random.default_rng(4).normal(size=(40, 3))
+    tree = assert_grows_like_references(X, 6, rng)
+    assert len(tree[0]) > 1
+
+
+def test_iso_tree_starts_on_a_buffered_half_word():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(100, 3))[rng.choice(100, size=50, replace=False)]
+    assert rng.bit_generator.state["has_uint32"] == 1
+    assert_grows_like_references(X, 6, rng)
+
+
+def test_iso_tree_nodes_with_one_usable_column_draw_no_integer():
+    rng = np.random.default_rng(2)
+    rng.integers(5)  # leave a half-word buffered, which no split may take
+    start = rng.bit_generator.state
+    X = rng.normal(size=(30, 1))
+    after_sample = copy.deepcopy(rng)
+    tree = assert_grows_like_references(X, 5, rng)
+    # Every split took one whole word for its threshold and nothing else.
+    splits = int((tree[2][::2] != np.arange(len(tree[0]))).sum())
+    after_sample.bit_generator.advance(splits)
+    state = after_sample.bit_generator.state
+    state["has_uint32"], state["uinteger"] = start["has_uint32"], start["uinteger"]
+    assert rng.bit_generator.state == state
+    # Below the root each half holds one value of column 0, so only column 1
+    # is usable there.
+    X = np.column_stack([np.repeat([0.0, 1.0], 20), np.random.default_rng(3).normal(size=40)])
+    for seed in range(5):
+        assert_grows_like_references(X, 6, np.random.default_rng(seed))
+
+
+def test_iso_tree_draw_block_that_runs_out(monkeypatch):
+    X = np.random.default_rng(6).normal(size=(300, 3))
+    for block in (1, 3):
+        monkeypatch.setattr(detect, "_DRAW_BLOCK", block)
+        assert_grows_like_references(X, 9, np.random.default_rng(block))
+
+
+@pytest.mark.parametrize("psi", [63, 64, 65, 300])
+def test_iso_tree_bitsets_across_word_boundaries(psi):
+    rng = np.random.default_rng(psi)
+    X = rng.normal(size=(psi, 3))
+    X[: psi // 4, 1] = X[psi // 4 : 2 * (psi // 4), 1]  # ties in one column
+    assert_grows_like_references(X, math.ceil(math.log2(psi)), rng)
+
+
+def test_iso_tree_signed_zeros_and_ties():
+    rng = np.random.default_rng(8)
+    X = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, 2.0], size=(64, 3))
+    for seed in range(10):
+        assert_grows_like_references(X, 6, np.random.default_rng(seed))
+    # Adjacent floats: a threshold drawn in the lower half of the gap rounds
+    # to the column's least value, and the split sends every row right.
+    X = np.column_stack([np.repeat([0.0, -0.0], 8), np.tile([1.0, 1.0000000000000002], 8)])
+    for seed in range(10):
+        assert_grows_like_references(X, 4, np.random.default_rng(seed))
+
+
+def test_iso_tree_range_that_overflows_raises_the_same_error():
+    X = np.array([[1e308, 0.0], [-1e308, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(detect.DetectorError) as want:
+        detect._grow_iso_tree_lists(X.T.copy(), 2, np.random.default_rng(0), detect._IsoTables(4, 2), iso_names(X))
+    with pytest.raises(detect.DetectorError, match=re.escape(str(want.value))):
+        grow_flat_iso_tree(X, 2, np.random.default_rng(0))
+    assert "column 'c0'" in str(want.value) and "overflows" in str(want.value)
+
+
+@pytest.mark.parametrize("bits", [0, 64])
+def test_iforest_scores_of_samples_too_wide_for_bitsets(monkeypatch, bits):
+    # Samples wider than `_BITSET_BITS` grow on lists; at 64 bits the
+    # 40-row samples do and the 20-row ones of two columns do not.
+    rng = np.random.default_rng(12)
+    ds = Dataset.from_columns("t", [(f"c{j}", "numeric", [repr(float(v)) for v in rng.normal(size=60)]) for j in range(2)])
+    monkeypatch.setattr(detect, "_BITSET_BITS", bits)
+    for subsample in (20, 40):
+        got = detect.iforest_scores(ds, trees=7, subsample=subsample, seed=3)
+        assert got.tolist() == ref_iforest_scores(ds, 7, subsample, 3).tolist()
 
 
 # -- numeric mode --------------------------------------------------------------
