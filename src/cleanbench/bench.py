@@ -266,7 +266,13 @@ def label_models(specs: list[models.ModelSpec]) -> list[str]:
 
 
 def plan_experiments(cfg: BenchmarkConfig, tags: frozenset[str]) -> ExperimentGrid:
-    """Apply the skip table and lay out every (version, model, scenario, seed)."""
+    """Apply the skip table and lay out every (version, model, scenario, seed).
+
+    Cells come version by version (the dirty one, then each detector's
+    repairs), each with its S1, S2, S3 and S5 cells over models and repeats;
+    the S4 cells come last. So each detector's versions form one block, and
+    only the ground-truth fits of S3 and S4 outlive their version's cells.
+    """
     skipped: list[tuple[str, str]] = []
     surviving: list[DetectorSpec] = []
     duplicates_only = tags == frozenset({"duplicates"})
@@ -292,10 +298,8 @@ def plan_experiments(cfg: BenchmarkConfig, tags: frozenset[str]) -> ExperimentGr
     cells: list[GridCell] = []
     versions = [("none", "none")] + [(d.name, r.name) for d, r in strategies]
     dataset_name = dataset_label(cfg.dataset)
-    for scenario in cfg.scenarios:
-        if scenario == "S4":
-            continue
-        for det_name, rep_name in versions:
+    for det_name, rep_name in versions:
+        for scenario in [s for s in cfg.scenarios if s != "S4"]:
             for label, spec in zip(labels, cfg.models):
                 if scenario == "S5" and spec.task == "clustering":
                     skip_key = f"{label}/{scenario}"
@@ -354,11 +358,13 @@ def _attempt(fn, timeout: float | None):
     done.acquire()
 
     def call() -> None:
+        nonlocal fn
         try:
             outcome.append((fn(), None))
         except BaseException as exc:  # the caller re-raises what is not an Exception
             outcome.append((None, exc))
         finally:
+            fn = None  # what the call held goes with the caller, though this helper lingers
             done.release()
 
     if timeout is None:
@@ -372,7 +378,7 @@ def _attempt(fn, timeout: float | None):
         if not outcome:
             _end_helper()
             return None, f"BenchError: timed out after {timeout:g}s"
-    result, exc = outcome[0]
+    result, exc = outcome.pop()  # so, too, an exception's frames
     if exc is None:
         return result, None
     if isinstance(exc, Exception):  # every detector, repair and cell failure becomes a record
@@ -435,33 +441,37 @@ def _data_key(cell: GridCell) -> tuple:
 
 
 class SharedFits:
-    """What the grid cells share, each computed once: one `models.fit` per
+    """What the grid cells share, each computed once: the versions of each
+    detector (`build_versions` over its strategies), one `models.fit` per
     training set (`_fit_key`), and one split, row selection and
     `models.encode` per (`_data_key`, target column).
 
-    Both are deterministic in their inputs, so the first cell of a key
+    All are deterministic in their inputs, so the first cell of a key
     computes the value and later cells wait for its result, or its
     exception. Each cell calls `release` when it is done; the last cell of a
-    key drops what it shared.
+    key drops what it shared, so in grid order (see `plan_experiments`) a
+    detector's versions and runs go after its block of cells.
     """
 
     def __init__(self, cells: list[GridCell]):
         self._lock = threading.Lock()
-        self._fits: dict[tuple, Future] = {}
-        self._data: dict[tuple, Future] = {}  # by (_data_key, target column)
-        self._left = Counter(_fit_key(cell) for cell in cells)
-        self._data_left = Counter(_data_key(cell) for cell in cells)
+        self._shared: dict[tuple, dict] = {}  # {(kind, key): {detail: Future}}
+        self._left = Counter(key for cell in cells for key in self._keys(cell))
 
-    def _share(self, memo: dict, key: tuple, left: Counter, counted: tuple, compute):
-        """compute(), or what the first call under `key` in `memo` gave,
-        kept there while `left[counted]` cells may still ask for it."""
+    @staticmethod
+    def _keys(cell: GridCell) -> tuple:
+        return ("build", cell.detector), ("fit", _fit_key(cell)), ("data", _data_key(cell))
+
+    def _share(self, key: tuple, compute, detail=None):
+        """compute(), or what the first call under (`key`, `detail`) gave,
+        kept while cells of `key` are left."""
         with self._lock:
-            shared = memo.get(key)
+            shared = self._shared.get(key, {}).get(detail)
             owner = shared is None
             if owner:
                 shared = Future()
-                if left[counted]:  # a cell that outlived its key's last cell shares nothing
-                    memo[key] = shared
+                if self._left[key]:  # a cell that outlived its key's last cell shares nothing
+                    self._shared.setdefault(key, {})[detail] = shared
         if owner:
             try:
                 shared.set_result(compute())
@@ -469,26 +479,25 @@ class SharedFits:
                 shared.set_exception(exc)
         return shared.result()
 
+    def versions(self, cell: GridCell, build):
+        """`build()`, the versions, runs and `broken` of the cell's detector
+        (see `build_versions`), shared by the cells of its block."""
+        return self._share(("build", cell.detector), build)
+
     def fit(self, cell: GridCell, spec: models.ModelSpec, train: models.EncodedMatrix) -> models.FittedModel:
-        key = _fit_key(cell)
-        return self._share(self._fits, key, self._left, key, lambda: models.fit(spec, train))
+        return self._share(("fit", _fit_key(cell)), lambda: models.fit(spec, train))
 
     def data(self, cell: GridCell, target: str | None, encoded) -> tuple[models.EncodedMatrix, models.EncodedMatrix]:
         """`encoded()`, the cell's encoded (train, test) matrices, shared by
         the cells of its data key that encode the same target column."""
-        key = _data_key(cell)
-        return self._share(self._data, (key, target), self._data_left, key, encoded)
+        return self._share(("data", _data_key(cell)), encoded, target)
 
     def release(self, cell: GridCell) -> None:
-        key, data_key = _fit_key(cell), _data_key(cell)
         with self._lock:
-            self._left[key] -= 1
-            if not self._left[key]:
-                self._fits.pop(key, None)
-            self._data_left[data_key] -= 1
-            if not self._data_left[data_key]:
-                for done in [k for k in self._data if k[0] == data_key]:
-                    del self._data[done]
+            for key in self._keys(cell):
+                self._left[key] -= 1
+                if not self._left[key]:
+                    self._shared.pop(key, None)
 
 
 def _cell_rows(
@@ -637,27 +646,31 @@ def run_benchmark(
 ) -> ResultsStore:
     """Execute the planned grid; per-cell failures are recorded, not raised.
 
-    The cells run in grid order. A detector runs, with each of its repairs,
-    when the first cell that needs one of its versions comes up, so every
-    detector and every repair still runs once. Each cell's record is
-    appended to `store` as soon as its turn in grid order comes: a run that
-    is killed keeps the records of every cell before the one it was on, and
-    the store file lists records in grid order for any `cfg.workers`.
-    Each cell runs on a pool of `cfg.workers` threads and, like each
-    detector and repair call, within `cfg.timeout` seconds; the time its
-    version takes to build does not count against it.
+    The cells run in grid order, version by version (see
+    `plan_experiments`), on a pool of `cfg.workers` threads. Each cell's
+    record is appended to `store` as soon as its turn in grid order comes:
+    a run that is killed keeps the records of every cell before the one it
+    was on, and the store file lists records in grid order for any
+    `cfg.workers`.
 
-    Cells compute shared work once (see `SharedFits`). The models of a
-    (scenario, version, repeat) share its split, rows and encoding. Each model is fitted once per training set:
-    S1, S2 and S5 share the fit on their version, and S3 and S4 the fit on
-    the ground truth, for each model and repeat. Each cell predicts and
-    scores on its own. The records of a shared fit carry its one
-    `train_runtime`, and a failed encoding or fit gives each cell sharing it
-    the same error text. A cell waiting on shared data or a shared fit
-    counts the wait against its own timeout; when the cell computing it
-    times out, its abandoned helper thread still finishes it, and later
-    cells may reuse it. Each pool thread runs its bounded calls on one
-    helper thread of its own (see `_attempt`), which exits with the pool.
+    Cells compute shared work once (see `SharedFits`). A detector runs,
+    with each of its repairs, when the first cell of its block comes up;
+    its versions are dropped after the block's last cell. The models of
+    a (scenario, version, repeat) share its split, rows and encoding. Each
+    model is fitted once per training set: S1, S2 and S5 share the fit on
+    their version, and S3 and S4 the fit on the ground truth, for each
+    model and repeat. Each cell predicts and scores on its own. The records
+    of a shared fit carry its one `train_runtime`, and a failed encoding or
+    fit gives each cell sharing it the same error text.
+
+    Each cell runs within `cfg.timeout` seconds, as does each detector and
+    repair call; the time its detector's versions take to build, or that it
+    waits for them, does not count against it. A cell waiting on shared
+    data or a shared fit counts the wait against its own timeout; when the
+    cell computing it times out, its abandoned helper thread still finishes
+    it, and later cells may reuse it. Each pool thread runs its bounded
+    calls on one helper thread of its own (see `_attempt`), which exits
+    with the pool.
     """
     store = store if store is not None else ResultsStore()
     mat = materialize(cfg)
@@ -670,18 +683,6 @@ def run_benchmark(
     spec_of = dict(zip(grid.model_labels, cfg.models))
     fits = SharedFits(grid.cells)
     dirty_version = _dirty_version(mat.pair.dirty)
-    versions = {("none", "none"): dirty_version}
-    runs: dict[str, DetectorRun] = {}
-    broken: dict[tuple[str, str], str] = {}
-    unbuilt: dict[str, list[tuple[DetectorSpec, RepairSpec]]] = {}
-    for det, rep in grid.strategies:
-        unbuilt.setdefault(det.name, []).append((det, rep))
-
-    def build(strategies: list[tuple[DetectorSpec, RepairSpec]]) -> None:
-        built, det_runs, det_broken = build_versions(cfg, mat, strategies, out_dir=out_dir)
-        versions.update(built)
-        runs.update(det_runs)
-        broken.update(det_broken)
 
     def failure(cell: GridCell, spec: models.ModelSpec, message: str) -> dict:
         return make_record(
@@ -689,17 +690,18 @@ def run_benchmark(
             METRIC_FOR_TASK[spec.task], None, error=message,
         )
 
-    def execute(cell: GridCell, built: Future | None) -> dict:
-        """The cell's record, once the build of its version is done."""
+    def execute(cell: GridCell) -> dict:
         try:
-            if built is not None:
-                built.result()
             spec = spec_of[cell.model]
             key = (cell.detector, cell.repair)
-            version = dirty_version if cell.scenario == "S4" else versions.get(key)
-            if version is None:
-                return failure(cell, spec, broken[key])
-            detect_runtime = runs[cell.detector].runtime if cell.detector in runs else 0.0
+            version, detect_runtime = dirty_version, 0.0
+            if cell.scenario != "S4" and key != ("none", "none"):
+                versions, runs, broken = fits.versions(cell, lambda: build_versions(
+                    cfg, mat, [s for s in grid.strategies if s[0].name == cell.detector], out_dir=out_dir
+                ))
+                if key not in versions:
+                    return failure(cell, spec, broken[key])
+                version, detect_runtime = versions[key], runs[cell.detector].runtime
             record, error = _attempt(
                 lambda: _run_cell(cfg, cell, spec, version, dirty_version, mat.pair, detect_runtime, fits),
                 cfg.timeout,
@@ -708,19 +710,9 @@ def run_benchmark(
         finally:
             fits.release(cell)
 
-    # The pool takes tasks in submission order, so a build has started
-    # before any cell that waits on it: the waits cannot deadlock.
     pool = ThreadPoolExecutor(max_workers=cfg.workers)
     try:
-        builds: dict[str, Future] = {}
-        tasks = []
-        for cell in grid.cells:
-            built = None
-            if cell.scenario != "S4":
-                if cell.detector in unbuilt:
-                    builds[cell.detector] = pool.submit(build, unbuilt.pop(cell.detector))
-                built = builds.get(cell.detector)
-            tasks.append(pool.submit(execute, cell, built))
+        tasks = [pool.submit(execute, cell) for cell in grid.cells]
         for task in tasks:
             store.append(task.result())
     finally:

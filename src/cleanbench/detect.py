@@ -460,10 +460,11 @@ def _forest_scores(X: np.ndarray, trees: int, subsample: int, seed: int, names: 
 
 
 def _check_forest(trees: int, subsample: int) -> None:
-    if trees < 1:
-        raise DetectorError("iforest requires trees >= 1")
-    if subsample < 1:
-        raise DetectorError("iforest requires subsample >= 1")
+    for name, value in (("trees", trees), ("subsample", subsample)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DetectorError(f"iforest requires an integer {name}, got {value!r}")
+        if value < 1:
+            raise DetectorError(f"iforest requires {name} >= 1")
 
 
 def iforest_scores(
@@ -492,10 +493,10 @@ def detect_outliers_iforest(
     (|x - median| / (1.4826 * MAD)) exceeds 3, or all its numeric cells when
     none does.
     """
+    _check_forest(trees, subsample)
     num_cols = ds.numeric_column_indices()
     if not num_cols:
         raise DetectorError("iforest requires at least one numeric column")
-    _check_forest(trees, subsample)
     if not 0.0 <= contamination <= 1.0:
         raise DetectorError("iforest requires 0 <= contamination <= 1")
     n = ds.row_count

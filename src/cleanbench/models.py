@@ -662,6 +662,10 @@ class KMeansModel:
     def __init__(self, k: int = 2, max_iter: int = 100, restarts: int = 5, seed: int = 0):
         if k < 2:
             raise ModelError("kmeans requires k >= 2")
+        if max_iter < 1:
+            raise ModelError("kmeans requires max_iter >= 1")
+        if restarts < 1:
+            raise ModelError("kmeans requires restarts >= 1")
         self.k = k
         self.max_iter = max_iter
         self.restarts = restarts

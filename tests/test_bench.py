@@ -114,6 +114,24 @@ class TestPlanning:
         assert s5_models == {"logit"}
         assert any("S5" in key for key, _ in grid.skipped)
 
+    def test_cells_come_version_by_version_with_s4_last(self):
+        cfg = desk_config(
+            scenarios=["S5", "S4", "S1", "S3"], repeats=2,
+            models=[ModelSpec("kmeans", "clustering"), ModelSpec("logit", "classification")],
+        )
+        grid = plan_experiments(cfg, frozenset())
+        s4 = [c for c in grid.cells if c.scenario == "S4"]
+        assert grid.cells[-len(s4):] == s4 and len(s4) == 2 * 2
+        versions = [(c.detector, c.repair) for c in grid.cells[:-len(s4)]]
+        starts = [v for i, v in enumerate(versions) if i == 0 or versions[i - 1] != v]
+        # each version's cells are contiguous, in strategy order after the dirty version
+        assert starts == [("none", "none")] + [(d.name, r.name) for d, r in grid.strategies]
+        for version in starts:
+            assert [(c.scenario, c.model, c.seed) for c in grid.cells if (c.detector, c.repair) == version] == [
+                (s, m, rep) for s in ("S5", "S1", "S3") for m in ("kmeans", "logit") for rep in range(2)
+                if (s, m) != ("S5", "kmeans")
+            ]
+
     def test_s4_always_planned(self):
         cfg = desk_config(scenarios=["S4"])
         grid = plan_experiments(cfg, frozenset())
@@ -251,6 +269,20 @@ class TestStreamedGrid:
             run_benchmark(cfg, store=ResultsStore(paths[-1]))
         serial, pooled = (stripped_lines(p) for p in paths)
         assert len(serial) == 7 * 3 * 2 * 4 + 3 * 2 and serial == pooled
+
+    @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
+    def test_a_cells_timeout_leaves_out_its_versions_build(self, monkeypatch, workers):
+        apply_repair = bench.apply_repair
+
+        def slow_repair(*args, **kwargs):
+            time.sleep(0.2)
+            return apply_repair(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "apply_repair", slow_repair)
+        # mvd's three repairs take 0.6 s, each within the timeout but together beyond it
+        cfg = desk_config(detectors=[DetectorSpec("mvd")], repeats=1, timeout=0.3, workers=workers)
+        store = run_benchmark(cfg)
+        assert len(store) == 4 * 2 + 2 and store.failures() == []
 
     @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
     def test_each_detector_and_repair_runs_once(self, tmp_path, monkeypatch, workers):
@@ -395,26 +427,48 @@ class TestSharedFits:
         assert len(fitted) == 4 * 2
         for rep in range(4):
             assert got["S1", rep] is got["S2", rep] is got["S5", rep] and got["S3", rep] is got["S4", rep]
-        assert fits._fits == {}
+        assert fits._shared == {}
 
     @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
     def test_no_fit_outlives_its_cells(self, monkeypatch, workers):
         calls = spy_fits(monkeypatch)
-        live_at_s4 = []
+        built, build_versions = [], bench.build_versions
+
+        def watched_build(cfg, mat, strategies, out_dir=None):
+            versions, runs, broken = build_versions(cfg, mat, strategies, out_dir=out_dir)
+            refs = [weakref.ref(v) for v in versions.values()] + [weakref.ref(r) for r in runs.values()]
+            built.append((strategies[0][0].name, refs))
+            return versions, runs, broken
+
+        monkeypatch.setattr(bench, "build_versions", watched_build)
+        cfg = desk_config(repeats=2, scenarios=ALL_SCENARIOS, workers=workers)
+        grid = plan_experiments(cfg, materialize(cfg).tags)
+        last = {cell.detector: i for i, cell in enumerate(grid.cells)}
+        live_fits, live_at_s4, outlived = [], [], []
 
         class WatchingStore(ResultsStore):
             def append(self, record):
-                if record["scenario"] == "S4":  # every version cell (S1, S2, S5) is done by now
-                    gc.collect()
-                    live_at_s4.append(sum(ref() is not None for _, ref in calls))
+                # every cell up to this record's has released what it shared
+                gc.collect()
+                live_fits.append(sum(ref() is not None for _, ref in calls))
+                if record["scenario"] == "S4":  # every version cell (S1, S2, S3, S5) is done by now
+                    live_at_s4.append(live_fits[-1])
+                outlived.extend(
+                    (det, len(self)) for det, refs in built if last[det] <= len(self) and any(r() for r in refs)
+                )
                 return super().append(record)
 
-        cfg = desk_config(repeats=2, scenarios=ALL_SCENARIOS, workers=workers)
-        run_benchmark(cfg, store=WatchingStore())
+        store = run_benchmark(cfg, grid=grid, store=WatchingStore())
+        assert store.failures() == [] and len(store) == len(grid.cells)
+        assert sorted(det for det, _ in built) == ["mvd", "sd(n=2)"] and outlived == []
         # at most the ground-truth fits (2 models x 2 repeats) are left for S4's cells
         assert len(live_at_s4) == 4 and max(live_at_s4) <= 4
+        if workers == 1:
+            # the ground truth's fits and one version's, for each of 2 models and 2 repeats
+            assert max(live_fits) <= 2 * 2 * 2
         gc.collect()
         assert len(calls) == 32 and all(ref() is None for _, ref in calls)
+        assert not any(r() for _, refs in built for r in refs)
 
 
 def data_keys(grid) -> set:
@@ -549,7 +603,7 @@ class TestSharedData:
         for s in ALL_SCENARIOS:
             for rep in range(2):
                 assert got["logit", s, rep] is got["dt", s, rep] is not got["kmeans", s, rep]
-        assert fits._data == {}
+        assert fits._shared == {}
 
     @pytest.mark.parametrize("label_column", [None, "label"])
     def test_a_failed_split_reports_before_a_missing_target(self, label_column):

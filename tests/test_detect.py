@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -209,6 +210,29 @@ class TestIsolationForest:
             iforest_scores(ds, trees=3, subsample=subsample)
         with pytest.raises(DetectorError, match="subsample >= 1"):
             run_detector(DetectorSpec("if", {"subsample": subsample}), ds)
+
+    @pytest.mark.parametrize("param, value", [
+        ("subsample", 2.5), ("trees", 2.5), ("subsample", True), ("trees", True), ("trees", "3"),
+    ])
+    def test_parameter_that_is_not_an_integer_rejected(self, param, value):
+        from cleanbench.detect import iforest_scores
+
+        ds = make_synthetic("two_class", 50, 0)
+        message = f"iforest requires an integer {param}, got {value!r}"
+        with pytest.raises(DetectorError, match=re.escape(message)):
+            detect_outliers_iforest(ds, **{param: value})
+        with pytest.raises(DetectorError, match=re.escape(message)):
+            iforest_scores(ds, **{param: value})
+        with pytest.raises(DetectorError, match=re.escape(message)):
+            run_detector(DetectorSpec("if", {param: value}), ds)
+
+    def test_parameters_are_checked_before_the_columns(self):
+        from cleanbench.detect import iforest_scores
+
+        ds = column(["a", "b"], kind="categorical")
+        for detect in (detect_outliers_iforest, iforest_scores):
+            with pytest.raises(DetectorError, match="trees >= 1"):
+                detect(ds, trees=0)
 
     @pytest.mark.parametrize("contamination", [-0.5, 1.5, float("nan")])
     def test_contamination_outside_zero_to_one_rejected(self, contamination):

@@ -241,6 +241,12 @@ class TestKMeans:
         preds = model.predict(X)
         assert preds[0] == preds[2] and preds[1] == preds[3]
 
+    @pytest.mark.parametrize("param", ["max_iter", "restarts"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_no_iteration_or_restart_rejected_at_construction(self, param, value):
+        with pytest.raises(ModelError, match=f"kmeans requires {param} >= 1"):
+            KMeansModel(k=2, **{param: value})
+
 
 class TestSilhouette:
     def test_worked_example(self):
