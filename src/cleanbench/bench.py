@@ -41,7 +41,23 @@ from .tabular import (
     split_indices,
 )
 
-SCENARIOS = ("S1", "S2", "S3", "S4", "S5")
+# Each scenario's (training, test) data: the cell's version (the dirty data
+# for strategy (none, none)), the ground truth or the dirty data. A side
+# takes the rows of its split side; a version or dirty row goes with its
+# ground-truth origin (`DatasetPair.origin`), a duplicate with its source.
+SCENARIO_DATA = {
+    "S1": ("version", "version"),
+    "S2": ("version", "gt"),
+    "S3": ("gt", "version"),
+    "S4": ("gt", "gt"),
+    "S5": ("version", "dirty"),
+}
+SCENARIOS = tuple(SCENARIO_DATA)
+
+
+def _on_versions(scenario: str) -> bool:
+    """Whether a scenario runs per version, not once as strategy (gt, gt)."""
+    return SCENARIO_DATA.get(scenario) != ("gt", "gt")
 
 ERROR_KIND_TAGS = {
     "explicit_mv": "missing",
@@ -251,17 +267,11 @@ class ExperimentGrid:
 
 def label_models(specs: list[models.ModelSpec]) -> list[str]:
     """Unique store labels for model specs; duplicates get a #index suffix."""
-    total = {}
-    for spec in specs:
-        total[spec.kind] = total.get(spec.kind, 0) + 1
-    seen: dict[str, int] = {}
+    total, seen = Counter(spec.kind for spec in specs), Counter()
     labels = []
     for spec in specs:
-        if total[spec.kind] == 1:
-            labels.append(spec.kind)
-        else:
-            seen[spec.kind] = seen.get(spec.kind, 0) + 1
-            labels.append(f"{spec.kind}#{seen[spec.kind]}")
+        seen[spec.kind] += 1
+        labels.append(spec.kind if total[spec.kind] == 1 else f"{spec.kind}#{seen[spec.kind]}")
     return labels
 
 
@@ -299,7 +309,7 @@ def plan_experiments(cfg: BenchmarkConfig, tags: frozenset[str]) -> ExperimentGr
     versions = [("none", "none")] + [(d.name, r.name) for d, r in strategies]
     dataset_name = dataset_label(cfg.dataset)
     for det_name, rep_name in versions:
-        for scenario in [s for s in cfg.scenarios if s != "S4"]:
+        for scenario in filter(_on_versions, cfg.scenarios):
             for label, spec in zip(labels, cfg.models):
                 if scenario == "S5" and spec.task == "clustering":
                     skip_key = f"{label}/{scenario}"
@@ -308,10 +318,10 @@ def plan_experiments(cfg: BenchmarkConfig, tags: frozenset[str]) -> ExperimentGr
                     continue
                 for rep in range(cfg.repeats):
                     cells.append(GridCell(dataset_name, det_name, rep_name, label, scenario, rep))
-    if "S4" in cfg.scenarios:
+    for scenario in [s for s in cfg.scenarios if not _on_versions(s)]:
         for label in labels:
             for rep in range(cfg.repeats):
-                cells.append(GridCell(dataset_name, "gt", "gt", label, "S4", rep))
+                cells.append(GridCell(dataset_name, "gt", "gt", label, scenario, rep))
     if not cells:
         raise PlanningError("experiment grid is empty")
     return ExperimentGrid(cells, epsilon, len(cells), skipped, strategies, labels)
@@ -392,45 +402,33 @@ def _end_helper() -> None:
     _helpers.__dict__.pop("helper", None)
 
 
-def _rows_on_side(version: RepairedDataset, pair: DatasetPair, side: set[int]) -> list[int]:
-    """Version rows whose ground-truth origin (a duplicate's via provenance) is in `side`."""
-    gt_rows = pair.ground_truth.row_count
-    provenance = pair.row_provenance or {}
-    return [i for i, row in enumerate(version.row_map) if (row if row < gt_rows else provenance[row]) in side]
-
-
 def _scenario_data(
-    scenario: str,
-    version: RepairedDataset,
-    dirty_version: RepairedDataset,
-    pair: DatasetPair,
-    train_idx: np.ndarray,
-    test_idx: np.ndarray,
+    scenario: str, version: RepairedDataset, pair: DatasetPair, train_idx: np.ndarray, test_idx: np.ndarray
 ) -> tuple[Dataset, Dataset]:
-    gt = pair.ground_truth
-    if scenario == "S4":
-        return gt.take_rows(train_idx.tolist()), gt.take_rows(test_idx.tolist())
-    train_set, test_set = set(train_idx.tolist()), set(test_idx.tolist())
+    """The scenario's training and test data (see `SCENARIO_DATA`); a
+    version or dirty row with no ground-truth origin raises KeyError."""
+    sources = {"version": (version.data, version.rows), "dirty": (pair.dirty, np.arange(pair.dirty.row_count))}
 
-    def side(of: RepairedDataset, rows: set) -> Dataset:
-        return of.data.take_rows(_rows_on_side(of, pair, rows))
+    def side(source: str, idx: np.ndarray) -> Dataset:
+        if source == "gt":
+            return pair.ground_truth.take_rows(idx)
+        data, rows = sources[source]
+        origin = pair.origin[rows]
+        if (origin < 0).any():
+            raise KeyError(int(rows[np.argmax(origin < 0)]))
+        on_side = np.zeros(pair.ground_truth.row_count, dtype=bool)
+        on_side[idx] = True
+        return data.take_rows(np.flatnonzero(on_side[origin]))
 
-    if scenario == "S1":
-        return side(version, train_set), side(version, test_set)
-    if scenario == "S2":
-        return side(version, train_set), gt.take_rows(test_idx.tolist())
-    if scenario == "S3":
-        return gt.take_rows(train_idx.tolist()), side(version, test_set)
-    if scenario == "S5":
-        return side(version, train_set), side(dirty_version, test_set)
-    raise BenchError(f"unknown scenario {scenario!r}")
+    train, test = SCENARIO_DATA[scenario]
+    return side(train, train_idx), side(test, test_idx)
 
 
 def _fit_key(cell: GridCell) -> tuple:
-    """The training set a cell fits its model on. S3 and S4 train on the
-    ground truth and S1, S2 and S5 on the cell's version; the model label
-    and the repeat fix the spec, the split and the model seed."""
-    version = ("gt", "gt") if cell.scenario in ("S3", "S4") else (cell.detector, cell.repair)
+    """The training set a cell fits its model on: the ground truth's or the
+    cell's version (see `SCENARIO_DATA`); the model label and the repeat fix
+    the spec, the split and the model seed."""
+    version = ("gt", "gt") if SCENARIO_DATA[cell.scenario][0] == "gt" else (cell.detector, cell.repair)
     return version, cell.model, cell.seed
 
 
@@ -501,18 +499,14 @@ class SharedFits:
 
 
 def _cell_rows(
-    cfg: BenchmarkConfig,
-    cell: GridCell,
-    version: RepairedDataset,
-    dirty_version: RepairedDataset,
-    pair: DatasetPair,
+    cfg: BenchmarkConfig, cell: GridCell, version: RepairedDataset, pair: DatasetPair
 ) -> tuple[Dataset, Dataset]:
     """The cell's training and test rows (see `_data_key`)."""
     train_idx, test_idx = split_indices(
         pair.ground_truth.row_count,
         SplitSpec(cfg.test_fraction, derive_seed(cfg.master_seed, "split", cell.seed)),
     )
-    return _scenario_data(cell.scenario, version, dirty_version, pair, train_idx, test_idx)
+    return _scenario_data(cell.scenario, version, pair, train_idx, test_idx)
 
 
 def _run_cell(
@@ -520,17 +514,16 @@ def _run_cell(
     cell: GridCell,
     spec: models.ModelSpec,
     version: RepairedDataset,
-    dirty_version: RepairedDataset,
     pair: DatasetPair,
     detect_runtime: float,
     fits: SharedFits,
 ) -> dict:
     target = cfg.target_for_task(spec.task)
     if spec.task in ("classification", "regression") and target is None:
-        _cell_rows(cfg, cell, version, dirty_version, pair)  # a failed split or row selection still reports first
+        _cell_rows(cfg, cell, version, pair)  # a failed split or row selection still reports first
         raise BenchError(f"{spec.task} model {cell.model} needs a target column in the config")
     train_mat, test_mat = fits.data(
-        cell, target, lambda: models.encode(*_cell_rows(cfg, cell, version, dirty_version, pair), target=target)
+        cell, target, lambda: models.encode(*_cell_rows(cfg, cell, version, pair), target=target)
     )
     run_spec = models.ModelSpec(
         spec.kind,
@@ -695,7 +688,7 @@ def run_benchmark(
             spec = spec_of[cell.model]
             key = (cell.detector, cell.repair)
             version, detect_runtime = dirty_version, 0.0
-            if cell.scenario != "S4" and key != ("none", "none"):
+            if _on_versions(cell.scenario) and key != ("none", "none"):
                 versions, runs, broken = fits.versions(cell, lambda: build_versions(
                     cfg, mat, [s for s in grid.strategies if s[0].name == cell.detector], out_dir=out_dir
                 ))
@@ -703,7 +696,7 @@ def run_benchmark(
                     return failure(cell, spec, broken[key])
                 version, detect_runtime = versions[key], runs[cell.detector].runtime
             record, error = _attempt(
-                lambda: _run_cell(cfg, cell, spec, version, dirty_version, mat.pair, detect_runtime, fits),
+                lambda: _run_cell(cfg, cell, spec, version, mat.pair, detect_runtime, fits),
                 cfg.timeout,
             )
             return record if error is None else failure(cell, spec, error)
@@ -860,13 +853,13 @@ def ab_compare(
 ) -> ABTestResult:
     """Wilcoxon signed-rank test between two scenarios, paired by seed.
 
-    Detector/repair filters apply to scenarios that involve repaired versions;
-    S4 records are strategy-independent and match regardless.
+    Detector/repair filters apply to scenarios that run on versions; the
+    ground-truth-only ones (S4) are strategy-independent and match regardless.
     """
 
     def side(scenario: str) -> dict[int, float]:
         filters = {"model": model, "scenario": scenario, "dataset": dataset}
-        if scenario != "S4":
+        if _on_versions(scenario):
             filters["detector"] = detector
             filters["repair"] = repair
         by_seed: dict[int, list[float]] = {}

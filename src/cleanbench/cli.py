@@ -153,12 +153,9 @@ def _repair_records(out: Path, mat, key: tuple[str, str], repaired, detect_runti
     artifacts.append(out / f"{mat.name}_{key[0]}_{key[1]}.csv")
     save_csv(repaired.data, artifacts[-1])
     pair = mat.pair
-    numeric = repair_metrics_numeric(
-        repaired.data, pair.ground_truth, pair.error_mask, repaired.row_map, pair.row_provenance
-    )
+    numeric = repair_metrics_numeric(repaired.data, pair.ground_truth, pair.error_mask, repaired.row_map, pair.origin)
     categorical = repair_metrics_categorical(
-        repaired.data, pair.ground_truth, pair.error_mask, repaired.repaired_cells, repaired.row_map,
-        pair.row_provenance,
+        repaired.data, pair.ground_truth, pair.error_mask, repaired.repaired_cells, repaired.row_map, pair.origin
     )
     rows = [("repair_rmse", numeric.numeric_rmse)] if numeric.numeric_rmse is not None else []
     rows += [

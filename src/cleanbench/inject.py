@@ -439,13 +439,11 @@ def inject(
         masks[kind] = mask
         totals[kind] = len(mask)
 
-    dirty = Dataset.from_rows(
-        gt.name + "_dirty",
-        gt.column_names,
-        list(zip(*grid.cols)) + appended_rows,
-        schema=gt.schema(),
-        null_tokens=gt.null_tokens,
-    )
+    changed = {c: np.flatnonzero(texts != gt.columns[c].raw) for c, texts in enumerate(grid.cols)}
+    updates = {c: (rows, grid.cols[c][rows]) for c, rows in changed.items() if rows.size}
+    dirty = gt.replace_cells(updates, gt.name + "_dirty")
+    if appended_rows:
+        dirty = dirty.append_rows(appended_rows)
     cell_total = sum(n for kind, n in totals.items() if kind != "duplicate_row")
     report = InjectionReport(
         masks={k: mask_from(m, source=f"inject:{k}") for k, m in masks.items()},

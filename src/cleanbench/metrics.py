@@ -80,14 +80,18 @@ def iou(a: DetectionMask, b: DetectionMask, truth: DetectionMask) -> float:
     return int(np.count_nonzero(ta & tb)) / union if union else 1.0
 
 
-def _aligned_gt_row(row: int, gt: Dataset, row_map: list[int] | None, provenance: dict[int, int] | None):
-    """Resolve a repaired-dataset row to its ground-truth row, or None."""
-    dirty_row = row_map[row] if row_map is not None else row
-    if dirty_row < gt.row_count:
-        return dirty_row
-    if provenance and dirty_row in provenance:
-        return provenance[dirty_row]
-    return None
+def _aligned_rows(
+    rows: np.ndarray, gt: Dataset, row_map: list[int] | None, origin: np.ndarray | None, repaired_rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dirty rows' rows in the repaired data by `row_map` (None: the identity) and
+    in gt by `origin` (None: a row below gt's row count is its own), -1 for none."""
+    row_map = np.arange(repaired_rows) if row_map is None else np.asarray(row_map, dtype=np.intp)
+    origin = np.arange(gt.row_count) if origin is None else origin
+    size = max(rows.max(initial=-1), row_map.max(initial=-1), origin.size - 1) + 1
+    repaired_at, gt_at = np.full(size, -1, dtype=np.intp), np.full(size, -1, dtype=np.intp)
+    repaired_at[row_map] = np.arange(row_map.size)
+    gt_at[: origin.size] = origin
+    return repaired_at[rows], gt_at[rows]
 
 
 def _gt_column_scale(gt: Dataset, col: int) -> tuple[float, float]:
@@ -103,35 +107,26 @@ def repair_metrics_numeric(
     gt: Dataset,
     truth_mask: DetectionMask,
     row_map: list[int] | None = None,
-    provenance: dict[int, int] | None = None,
+    origin: np.ndarray | None = None,
 ) -> RepairScore:
     """RMSE over numeric erroneous cells that were repaired or still parse.
 
     Erroneous cells whose repaired text no longer parses (undetected typos
     turning numbers into text) are excluded and counted, mirroring the
-    detected-and-repaired filtering rule.
+    detected-and-repaired filtering rule, as are cells of deleted rows and
+    of rows with no ground-truth origin (see `DatasetPair.origin`).
     """
-    numeric_cols = set(gt.numeric_column_indices())
-    dirty_to_repaired: dict[int, int] = {}
-    if row_map is None:
-        row_map = list(range(repaired.row_count))
-    for rep_row, dirty_row in enumerate(row_map):
-        dirty_to_repaired[dirty_row] = rep_row
+    rows, cols = np.nonzero(truth_mask.flagged)
+    numeric = np.isin(cols, gt.numeric_column_indices())
+    rows, cols = rows[numeric], cols[numeric]
+    rep_rows, gt_rows = _aligned_rows(rows, gt, row_map, origin, repaired.row_count)
 
     residuals = []
     excluded = 0
     scale_cache: dict[int, tuple[float, float]] = {}
-    rows, cols = np.nonzero(truth_mask.flagged)
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        if col not in numeric_cols:
-            continue
-        rep_row = dirty_to_repaired.get(row)
-        if rep_row is None:
-            excluded += 1  # row deleted during repair; nothing to compare
-            continue
-        gt_row = _aligned_gt_row(rep_row, gt, row_map, provenance)
-        if gt_row is None:
-            excluded += 1
+    for rep_row, gt_row, col in zip(rep_rows.tolist(), gt_rows.tolist(), cols.tolist()):
+        if rep_row < 0 or gt_row < 0:
+            excluded += 1  # row deleted during repair, or not in the ground truth; nothing to compare
             continue
         rep_cell = repaired.cell(rep_row, col)
         gt_cell = gt.cell(gt_row, col)
@@ -156,29 +151,22 @@ def repair_metrics_categorical(
     truth_mask: DetectionMask,
     repaired_mask: DetectionMask,
     row_map: list[int] | None = None,
-    provenance: dict[int, int] | None = None,
+    origin: np.ndarray | None = None,
 ) -> RepairScore:
-    """Precision/recall of categorical repairs against the ground truth."""
-    if row_map is None:
-        row_map = list(range(repaired.row_count))
-    dirty_to_repaired = {dirty_row: rep_row for rep_row, dirty_row in enumerate(row_map)}
-
+    """Precision/recall of categorical repairs against the ground truth; no
+    cell of a deleted row, or of a row with no ground-truth origin, is correct."""
     # Both masks on one grid of gt's columns, with the numeric ones cleared.
     shape = (max(truth_mask.flagged.shape[0], repaired_mask.flagged.shape[0]), gt.col_count)
     is_cat = np.isin(np.arange(gt.col_count), gt.categorical_column_indices())
     repaired_cat = repaired_mask.matrix(shape) & is_cat
     truth_cat = truth_mask.matrix(shape) & is_cat
     rows, cols = np.nonzero(repaired_cat & truth_cat)
-    correct = 0
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        rep_row = dirty_to_repaired.get(row)
-        if rep_row is None:
-            continue  # deleted rows cannot match the ground truth value
-        gt_row = _aligned_gt_row(rep_row, gt, row_map, provenance)
-        if gt_row is None:
-            continue
-        if repaired.raw(rep_row, col) == gt.raw(gt_row, col):
-            correct += 1
+    rep_rows, gt_rows = _aligned_rows(rows, gt, row_map, origin, repaired.row_count)
+    correct = sum(
+        1
+        for rep_row, gt_row, col in zip(rep_rows.tolist(), gt_rows.tolist(), cols.tolist())
+        if rep_row >= 0 and gt_row >= 0 and repaired.raw(rep_row, col) == gt.raw(gt_row, col)
+    )
     precision = _ratio(correct, int(np.count_nonzero(repaired_cat)))
     recall = _ratio(correct, int(np.count_nonzero(truth_cat)))
     return RepairScore(
@@ -199,6 +187,8 @@ def f1_macro(predictions, truth) -> tuple[float, dict[str, float]]:
     predictions = list(predictions)
     if len(truth) != len(predictions):
         raise MetricError("prediction/truth length mismatch")
+    if not truth:
+        raise MetricError("no rows to score")
     classes = sorted(set(truth))
     code = {cls: i for i, cls in enumerate(classes)}
     k = len(classes)
@@ -218,6 +208,8 @@ def rmse(predictions, truth) -> float:
     t = np.asarray(truth, dtype=float)
     if p.shape != t.shape:
         raise MetricError("prediction/truth length mismatch")
+    if not t.size:
+        raise MetricError("no rows to score")
     return float(np.sqrt(np.mean((p - t) ** 2)))
 
 

@@ -51,11 +51,12 @@ class EncodedMatrix:
 
 
 def sample_mean(values: np.ndarray) -> float:
-    """values.mean() of finite values; where their sum overflows, the mean of
-    the values over their largest magnitude, times that magnitude."""
-    with np.errstate(over="ignore"):
+    """values.mean() of finite values; where their sum overflows (to inf, or
+    to NaN where partial sums reach both infinities), the mean of the values
+    over their largest magnitude, times that magnitude."""
+    with np.errstate(over="ignore", invalid="ignore"):
         mean = float(values.mean())
-    if math.isinf(mean):
+    if not math.isfinite(mean):
         scale = float(np.abs(values).max())
         mean = float((values / scale).mean()) * scale
     return mean

@@ -7,6 +7,7 @@ so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import Counter
@@ -47,6 +48,11 @@ class RepairedDataset:
     row_map: list[int]
     warning: str | None = None
     runtime: float = 0.0  # set by apply_repair
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """`row_map` as an index array, built once."""
+        return np.asarray(self.row_map, dtype=np.intp)
 
 
 def repair_delete(ds: Dataset, mask: DetectionMask) -> RepairedDataset:
@@ -261,20 +267,19 @@ def repair_impute_iterative(ds: Dataset, mask: DetectionMask, max_rounds: int = 
 def repair_ground_truth(pair: DatasetPair | None, mask: DetectionMask) -> RepairedDataset:
     """Replace flagged cells with ground-truth values; undetected errors persist.
 
-    Flagged cells of appended duplicate rows resolve through the provenance map.
+    Flagged cells of appended duplicate rows resolve through `pair.origin`.
     """
     if pair is None:
         raise RepairError("ground-truth repair needs the dataset pair")
-    gt, dirty = pair.ground_truth, pair.dirty
-    provenance = pair.row_provenance or {}
-    orphan = min((r for r in mask.rows() if r >= gt.row_count and r not in provenance), default=None)
-    if orphan is not None:
-        raise RepairError(f"row {orphan} is beyond ground truth and has no provenance")
+    gt, dirty, flagged = pair.ground_truth, pair.dirty, mask.flagged
+    origin = np.concatenate([pair.origin, np.full(flagged.shape[0], -1, dtype=np.intp)])  # -1 past the dirty rows
+    orphans = np.flatnonzero(flagged.any(axis=1) & (origin[: flagged.shape[0]] < 0))
+    if orphans.size:
+        raise RepairError(f"row {orphans[0]} is beyond ground truth and has no provenance")
     updates = {}
-    for c in np.flatnonzero(mask.flagged.any(axis=0)).tolist():
-        rows = np.flatnonzero(mask.flagged[:, c]).tolist()
-        source = [r if r < gt.row_count else provenance[r] for r in rows]
-        updates[c] = (rows, gt.columns[c].raw[source])
+    for c in np.flatnonzero(flagged.any(axis=0)).tolist():
+        rows = np.flatnonzero(flagged[:, c])
+        updates[c] = (rows, gt.columns[c].raw[origin[rows]])
     repaired = dirty.replace_cells(updates)
     cells = DetectionMask(mask.matrix((dirty.row_count, dirty.col_count)))
     return RepairedDataset(repaired, cells, list(range(dirty.row_count)))

@@ -10,6 +10,7 @@ workers.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -293,9 +294,6 @@ class DetectionMask:
         rows, cols = np.nonzero(self.flagged)
         return list(map(CellRef, rows.tolist(), cols.tolist()))
 
-    def rows(self) -> set[int]:
-        return set(np.flatnonzero(self.flagged.any(axis=1)).tolist())
-
     def matrix(self, shape: tuple[int, int]) -> np.ndarray:
         """Flagged cells as a bool matrix of `shape`, cropped or zero-padded;
         the stored read-only array when the shape already matches."""
@@ -365,6 +363,19 @@ class DatasetPair:
                 raise ShapeMismatchError("pair row counts differ without duplicate provenance")
         elif dirty.row_count < gt.row_count:
             raise ShapeMismatchError("dirty dataset has fewer rows than ground truth")
+
+    @functools.cached_property
+    def origin(self) -> np.ndarray:
+        """Each dirty row's ground-truth row: its own below gt's row count, an
+        appended duplicate's source row by `row_provenance`, else -1."""
+        n = self.ground_truth.row_count
+        origin = np.full(self.dirty.row_count, -1, dtype=np.intp)
+        origin[:n] = np.arange(n)
+        for row, source in (self.row_provenance or {}).items():
+            if n <= row < origin.size:
+                origin[row] = source
+        origin.flags.writeable = False
+        return origin
 
 
 # -- operations -------------------------------------------------------------

@@ -231,6 +231,28 @@ class TestRunBenchmark:
         assert {r["scenario"] for r in store.records()} == {"S2", "S3", "S5"}
         assert store.failures() == []
 
+    def test_a_version_with_no_test_rows_fails_its_cells(self):
+        # dedup on the two-valued label flags every row after each label's
+        # first, so delete keeps rows 0 and the first of the other label
+        cfg = desk_config(
+            dataset={"kind": "synthetic", "generator": "two_class", "n": 20, "seed": 1, "name": "tiny"},
+            profile=None, detectors=[DetectorSpec("dedup")], repairs=[RepairSpec("delete")],
+            models=[ModelSpec("logit", "classification")], scenarios=["S1", "S3"], repeats=3, master_seed=0,
+            key_columns=["label"],
+        )
+        labels = bench.materialize(cfg).pair.ground_truth.column("label").raw.tolist()
+        kept = {labels.index(label) for label in set(labels)}
+        empty = {
+            rep for rep in range(3)
+            if not kept & set(split_indices(20, SplitSpec(0.2, derive_seed(0, "split", rep)))[1].tolist())
+        }
+        assert empty  # the split seeds leave some repeat without a kept test row
+        store = run_benchmark(cfg)
+        for record in store.query(detector="dedup"):
+            assert record["value"] is None or record["value"] == record["value"]  # no NaN
+            if record["seed"] in empty:
+                assert record["error"] == "MetricError: no rows to score"
+
 
 class TestStreamedGrid:
     @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
@@ -315,13 +337,13 @@ class TestStreamedGrid:
 ALL_SCENARIOS = ["S1", "S2", "S3", "S4", "S5"]
 
 
-def per_cell_run(cfg, cell, spec, version, dirty_version, pair, detect_runtime, fits):
+def per_cell_run(cfg, cell, spec, version, pair, detect_runtime, fits):
     """A grid cell that splits, encodes, fits, predicts and scores on its own,
     ignoring `fits`: the reference the shared fits must reproduce."""
     train_idx, test_idx = split_indices(
         pair.ground_truth.row_count, SplitSpec(cfg.test_fraction, derive_seed(cfg.master_seed, "split", cell.seed))
     )
-    train_ds, test_ds = bench._scenario_data(cell.scenario, version, dirty_version, pair, train_idx, test_idx)
+    train_ds, test_ds = bench._scenario_data(cell.scenario, version, pair, train_idx, test_idx)
     train_mat, test_mat = models.encode(train_ds, test_ds, target=cfg.target_for_task(spec.task))
     run_spec = ModelSpec(
         spec.kind, spec.task, dict(spec.params), seed=derive_seed(cfg.master_seed, "model", cell.model, cell.seed)

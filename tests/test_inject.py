@@ -284,6 +284,35 @@ class TestCrossKindInvariants:
         _, r2 = inject(gt, bigger, 41)
         assert mask_cells(r1.masks["explicit_mv"]) == mask_cells(r2.masks["explicit_mv"])
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ErrorSpec("explicit_mv", 0.05),
+            ErrorSpec("implicit_mv", 0.05),
+            ErrorSpec("gaussian_outlier", 0.05),
+            ErrorSpec("keyboard_typo", 0.05),
+            ErrorSpec("value_swap", 0.05),
+            ErrorSpec("mislabel", 0.1, {"label_column": "label"}),
+            ErrorSpec("rule_violation", 0.02),
+            ErrorSpec("duplicate_row", 0.1),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_dirty_columns_equal_a_parse_of_their_texts(self, spec):
+        gt = mixed_table(rows=80)
+        pair, _ = inject(gt, ErrorProfile([spec]), 43, constraints=parse_constraints("FD: zip -> city"))
+        dirty = pair.dirty
+        parsed = Dataset.from_rows(
+            gt.name + "_dirty", gt.column_names, list(dirty.iter_rows()), schema=gt.schema(), null_tokens=gt.null_tokens
+        )
+        assert dirty.name == parsed.name and dirty.null_tokens == parsed.null_tokens
+        assert dirty.row_count == gt.row_count + len(pair.row_provenance or {})
+        for got, want in zip(dirty.columns, parsed.columns, strict=True):
+            assert (got.name, got.declared_type) == (want.name, want.declared_type)
+            assert got.raw.dtype == want.raw.dtype and got.raw.tolist() == want.raw.tolist()
+            assert got.parsed.dtype == want.parsed.dtype and got.parsed.tobytes() == want.parsed.tobytes()
+            assert got.empty.dtype == want.empty.dtype and got.empty.tolist() == want.empty.tolist()
+
 
 class TestMakeSynthetic:
     def test_linear_regression_target(self):

@@ -15,7 +15,9 @@ against each tree's walk), the numeric mode, the logit's softmax and
 gradient descent, the lockstep descent of several logit designs (each
 against its lone epoch loop), the confident-learning folds and flags and
 the cross-fitting of every fold together (against fold-by-fold fits), the
-silhouette, the Wilcoxon exact p, column parsing (against a `make_cell` loop) and the
+silhouette, the Wilcoxon exact p, column parsing (against a `make_cell` loop), the
+scenarios' row selection and the repair metrics' row alignment by
+`DatasetPair.origin` (against per-row provenance lookups) and the
 column-wise detectors (mvd, fahes, sd, iqr and the isolation forest's cell
 selection) are checked against straightforward per-element implementations
 kept here as references. Results must be equal
@@ -39,8 +41,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cleanbench import detect, models
-from cleanbench.metrics import RepairScore, detection_metrics, f1_macro, iou, repair_metrics_categorical
+from cleanbench import bench, detect, models
+from cleanbench.metrics import (
+    RepairScore,
+    _gt_column_scale,
+    detection_metrics,
+    f1_macro,
+    iou,
+    repair_metrics_categorical,
+    repair_metrics_numeric,
+)
 from cleanbench.models import (
     DecisionTree,
     KNNModel,
@@ -50,7 +60,7 @@ from cleanbench.models import (
     logistic_loss_and_grad,
     silhouette,
 )
-from cleanbench.repair import RepairError, _donor_distances, _mode, _numeric_stat, repair_impute_knn
+from cleanbench.repair import RepairError, RepairedDataset, _donor_distances, _mode, _numeric_stat, repair_impute_knn
 from cleanbench.seeding import derive_rng
 from cleanbench.stats import PairedSample, _average_ranks, _exact_p, wilcoxon_signed_rank
 from cleanbench.tabular import (
@@ -58,6 +68,7 @@ from cleanbench.tabular import (
     CellRef,
     CsvFormatError,
     Dataset,
+    DatasetPair,
     DetectionMask,
     TabularError,
     _parse_texts,
@@ -350,7 +361,8 @@ def ref_iforest_scores(ds: Dataset, trees: int, subsample: int, seed: int) -> np
 
 def ref_knn_updates(ds: Dataset, mask: DetectionMask, k: int):
     """Per-cell kNN imputation: (updates, repaired cells, unfillable count)."""
-    flagged, flagged_rows = mask_cells(mask), mask.rows()
+    flagged = mask_cells(mask)
+    flagged_rows = {ref.row for ref in flagged}
     donors = [r for r in range(ds.row_count) if r not in flagged_rows]
     if not donors:
         raise RepairError("knn repair has no fully-unflagged donor rows")
@@ -1623,7 +1635,17 @@ def ref_max_entropy(base: list[tuple[str, set]], oracle: set, label_budget: int,
     return accepted, rounds
 
 
-def ref_repair_categorical(repaired, gt, truth: set, repaired_cells: set, row_map) -> RepairScore:
+def ref_aligned_gt_row(row: int, gt: Dataset, row_map: list[int] | None, provenance: dict[int, int] | None):
+    """Resolve a repaired-dataset row to its ground-truth row, or None."""
+    dirty_row = row_map[row] if row_map is not None else row
+    if dirty_row < gt.row_count:
+        return dirty_row
+    if provenance and dirty_row in provenance:
+        return provenance[dirty_row]
+    return None
+
+
+def ref_repair_categorical(repaired, gt, truth: set, repaired_cells: set, row_map, provenance=None) -> RepairScore:
     cat_cols = set(gt.categorical_column_indices())
     dirty_to_repaired = {dirty_row: rep_row for rep_row, dirty_row in enumerate(row_map)}
     repaired_cat = {ref for ref in repaired_cells if ref[1] in cat_cols}
@@ -1631,7 +1653,8 @@ def ref_repair_categorical(repaired, gt, truth: set, repaired_cells: set, row_ma
     correct = 0
     for row, col in repaired_cat & truth_cat:
         rep_row = dirty_to_repaired.get(row)
-        if rep_row is not None and repaired.raw(rep_row, col) == gt.raw(row, col):
+        gt_row = None if rep_row is None else ref_aligned_gt_row(rep_row, gt, row_map, provenance)
+        if gt_row is not None and repaired.raw(rep_row, col) == gt.raw(gt_row, col):
             correct += 1
     precision = correct / len(repaired_cat) if repaired_cat else 0.0
     recall = correct / len(truth_cat) if truth_cat else 0.0
@@ -1749,6 +1772,116 @@ def test_mask_matrices_are_read_only():
         with pytest.raises(ValueError):
             mask.flagged[...] = True
         assert mask.matrix(mask.flagged.shape) is mask.flagged
+
+
+# -- row selection and repair alignment by origin ------------------------------
+
+
+def ref_rows_on_side(version: RepairedDataset, pair: DatasetPair, side: set[int]) -> list[int]:
+    """Version rows whose ground-truth origin (a duplicate's via provenance) is in `side`."""
+    gt_rows = pair.ground_truth.row_count
+    provenance = pair.row_provenance or {}
+    return [i for i, row in enumerate(version.row_map) if (row if row < gt_rows else provenance[row]) in side]
+
+
+def ref_scenario_data(scenario, version, pair, train_idx, test_idx):
+    gt = pair.ground_truth
+    dirty_version = RepairedDataset(pair.dirty, mask_from([]), list(range(pair.dirty.row_count)))
+    if scenario == "S4":
+        return gt.take_rows(train_idx.tolist()), gt.take_rows(test_idx.tolist())
+    train_set, test_set = set(train_idx.tolist()), set(test_idx.tolist())
+
+    def side(of, rows):
+        return of.data.take_rows(ref_rows_on_side(of, pair, rows))
+
+    if scenario == "S1":
+        return side(version, train_set), side(version, test_set)
+    if scenario == "S2":
+        return side(version, train_set), gt.take_rows(test_idx.tolist())
+    if scenario == "S3":
+        return gt.take_rows(train_idx.tolist()), side(version, test_set)
+    return side(version, train_set), side(dirty_version, test_set)
+
+
+def ref_repair_numeric(repaired, gt, truth: set, row_map, provenance) -> RepairScore:
+    numeric_cols = set(gt.numeric_column_indices())
+    dirty_to_repaired = {dirty_row: rep_row for rep_row, dirty_row in enumerate(row_map)}
+    residuals, excluded = [], 0
+    for row, col in sorted(truth):
+        if col not in numeric_cols:
+            continue
+        rep_row = dirty_to_repaired.get(row)
+        gt_row = None if rep_row is None else ref_aligned_gt_row(rep_row, gt, row_map, provenance)
+        if gt_row is None or repaired.cell(rep_row, col).parsed is None or gt.cell(gt_row, col).parsed is None:
+            excluded += 1
+            continue
+        residuals.append((repaired.cell(rep_row, col).parsed - gt.cell(gt_row, col).parsed) / _gt_column_scale(gt, col)[1])
+    if not residuals:
+        return RepairScore(compared_cell_count=0, excluded_unparsable=excluded)
+    rmse = float(np.sqrt(np.mean(np.square(residuals))))
+    return RepairScore(numeric_rmse=rmse, compared_cell_count=len(residuals), excluded_unparsable=excluded)
+
+
+@st.composite
+def pairs_with_versions(draw):
+    """(pair, version): a ground truth of up to 8 rows, a dirty
+    copy with up to 3 appended duplicates (some may lack provenance), and a
+    version that keeps a subset of the dirty rows, as `delete` does. Every
+    row's `id` text is unique, so a selection shows in its texts."""
+    n = draw(st.integers(1, 8))
+    texts = st.sampled_from(["1", "2.5", "-0.0", "a", ""])
+    x = draw(st.lists(texts, min_size=n, max_size=n))
+    c = draw(st.lists(st.sampled_from(["a", "b", ""]), min_size=n, max_size=n))
+    gt = Dataset.from_columns(
+        "gt", [("id", "categorical", [f"g{r}" for r in range(n)]), ("x", "numeric", x), ("c", "categorical", c)]
+    )
+    sources = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    dirty_x = draw(st.lists(texts, min_size=n + len(sources), max_size=n + len(sources)))
+    dirty_c = c + [c[src] for src in sources]
+    dirty = Dataset.from_columns(
+        "dirty",
+        [("id", "categorical", [f"d{r}" for r in range(n + len(sources))]), ("x", "numeric", dirty_x),
+         ("c", "categorical", dirty_c)],
+    )
+    provenance = {n + i: src for i, src in enumerate(sources)}
+    if provenance and draw(st.booleans()):
+        del provenance[draw(st.sampled_from(sorted(provenance)))]
+    pair = DatasetPair(gt, dirty, mask_from([]), provenance if sources else None)
+    kept = sorted(draw(st.sets(st.integers(0, dirty.row_count - 1))))
+    row_map = kept if draw(st.booleans()) else list(range(dirty.row_count))
+    version = RepairedDataset(dirty.take_rows(row_map), mask_from([]), row_map)
+    return pair, version
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=pairs_with_versions(), sides=st.data())
+def test_row_selection_by_origin_matches_provenance_lookups(data, sides):
+    pair, version = data
+    n = pair.ground_truth.row_count
+    train = np.array(sorted(sides.draw(st.sets(st.integers(0, n - 1)))), dtype=np.intp)
+    test = np.setdiff1d(np.array(sorted(sides.draw(st.sets(st.integers(0, n - 1)))), dtype=np.intp), train)
+    for scenario in bench.SCENARIOS:
+        try:
+            want = ref_scenario_data(scenario, version, pair, train, test)
+        except KeyError as exc:
+            with pytest.raises(KeyError) as got:
+                bench._scenario_data(scenario, version, pair, train, test)
+            assert got.value.args == exc.args
+            continue
+        got = bench._scenario_data(scenario, version, pair, train, test)
+        assert [list(ds.iter_rows()) for ds in got] == [list(ds.iter_rows()) for ds in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=pairs_with_versions(), truth=masks(), repaired=masks(), with_origin=st.booleans())
+def test_repair_metrics_by_origin_match_provenance_lookups(data, truth, repaired, with_origin):
+    pair, version = data
+    gt, row_map = pair.ground_truth, version.row_map
+    origin, provenance = (pair.origin, pair.row_provenance) if with_origin else (None, None)
+    got = repair_metrics_numeric(version.data, gt, truth[1], row_map, origin)
+    assert got == ref_repair_numeric(version.data, gt, truth[0], row_map, provenance)
+    got = repair_metrics_categorical(version.data, gt, truth[1], repaired[1], row_map, origin)
+    assert got == ref_repair_categorical(version.data, gt, truth[0], repaired[0], row_map, provenance)
 
 
 # -- kNN votes, silhouette and the Wilcoxon exact p -----------------------------

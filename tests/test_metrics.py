@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cleanbench.metrics import (
+    MetricError,
     detection_metrics,
     f1_macro,
     iou,
@@ -210,6 +211,13 @@ class TestModelMetrics:
         truth = np.arange(10.0)
         assert rmse(preds, truth) == pytest.approx(2.5)
         assert model_metrics("regression", preds, truth).value == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("score", [f1_macro, rmse])
+    def test_no_rows_to_score_raises(self, score):
+        with pytest.raises(MetricError, match="no rows to score"):
+            score([], [])
+        with pytest.raises(MetricError, match="length mismatch"):
+            score([], [1.0])
 
     def test_silhouette_surfaces_model_value(self):
         X = np.array([[0.0], [1.0], [10.0], [11.0]])

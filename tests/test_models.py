@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -59,6 +60,14 @@ class TestEncode:
             warnings.simplefilter("error")
             tr, te = encode(train, test)
         assert tr.feature_names == ["a"] and np.isfinite(tr.features).all() and np.isfinite(te.features).all()
+
+    def test_mean_whose_partial_sums_reach_both_infinities_scales_first(self):
+        # the pairwise sum reaches inf and -inf, whose sum is NaN
+        values = np.array([1e308, -1e308, 1.0, 2.0] * 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean = sample_mean(values)
+        assert mean == float((values / 1e308).mean()) * 1e308 and math.isfinite(mean)
 
     def test_numeric_target_mean_whose_sum_overflows(self):
         train = Dataset.from_columns(

@@ -223,6 +223,15 @@ class TestExtremeValues:
         assert by_mean.data.column("a").parsed[4] == pytest.approx(1.2e308, rel=1e-15)
         assert by_knn.data.column("a").parsed[4] == pytest.approx(1.1e308, rel=1e-15)
 
+    def test_mean_whose_partial_sums_reach_both_infinities(self):
+        # the column's pairwise sum reaches inf and -inf; the blank still gets a number
+        ds = simple(["1e308", "-1e308", "1", "2"] * 5 + [""])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = repair_impute_stat(ds, mask_from([(20, 0)]), "mean")
+        assert out.repaired_cells.flagged[20, 0] and not out.data.column("v").empty[20]
+        assert np.isfinite(out.data.column("v").parsed[20])
+
 
 def _imputed_rms_delta(before, after, mask):
     deltas = [

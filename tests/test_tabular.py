@@ -7,6 +7,7 @@ from cleanbench.tabular import (
     CellRef,
     CsvFormatError,
     Dataset,
+    DatasetPair,
     DetectionMask,
     ShapeMismatchError,
     SplitError,
@@ -292,6 +293,17 @@ class TestColumnArrays:
         for values, item in ((col.raw, "4"), (col.parsed, 4.0), (col.empty, True)):
             with pytest.raises(ValueError):
                 values[0] = item
+
+
+class TestDatasetPairOrigin:
+    def test_rows_duplicates_and_orphans(self):
+        gt = Dataset.from_columns("gt", [("x", "numeric", ["1", "2", "3"])])
+        dirty = gt.append_rows([["2"], ["9"], ["1"]])
+        # row 4 has no provenance, and an entry for a ground-truth row is ignored
+        pair = DatasetPair(gt, dirty, mask_from([]), {3: 1, 5: 0, 0: 2})
+        assert pair.origin.tolist() == [0, 1, 2, 1, -1, 0]
+        assert pair.origin is pair.origin and not pair.origin.flags.writeable
+        assert DatasetPair(gt, gt, mask_from([])).origin.tolist() == [0, 1, 2]
 
 
 class TestDetectionMask:
