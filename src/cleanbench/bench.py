@@ -24,7 +24,7 @@ import numpy as np
 from . import metrics, models
 from .constraints import DenialConstraint, load_constraints, parse_constraints
 from .detect import DetectorContext, DetectorRun, DetectorSpec, run_detector
-from .inject import ErrorProfile, InjectionReport, inject, make_synthetic
+from .inject import ErrorProfile, ErrorSpec, InjectionReport, inject, make_synthetic
 from .metrics import model_metrics
 from .repair import RepairSpec, RepairedDataset, apply_repair
 from .seeding import derive_seed
@@ -718,8 +718,6 @@ def run_benchmark(
 
 
 def _sweep_profile(axis: str, value: float) -> ErrorProfile:
-    from .inject import ErrorSpec
-
     if axis == "error_rate":
         # Outliers plus missing values at the requested total rate, degree 4.
         return ErrorProfile(

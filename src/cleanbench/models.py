@@ -52,13 +52,14 @@ class EncodedMatrix:
 
 def sample_mean(values: np.ndarray) -> float:
     """values.mean() of finite values; where their sum overflows (to inf, or
-    to NaN where partial sums reach both infinities), the mean of the values
-    over their largest magnitude, times that magnitude."""
+    to NaN where partial sums reach both infinities), the exactly rounded sum
+    (`math.fsum`) of the values over their largest magnitude, divided by
+    their count and scaled back."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(values.mean())
     if not math.isfinite(mean):
         scale = float(np.abs(values).max())
-        mean = float((values / scale).mean()) * scale
+        mean = math.fsum((values / scale).tolist()) / values.size * scale
     return mean
 
 

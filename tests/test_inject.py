@@ -1,12 +1,16 @@
+import hashlib
 import itertools
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+from cleanbench.bench import config_from_dict
 from cleanbench.constraints import parse_constraints
 from cleanbench.detect import detect_duplicates
 from cleanbench.inject import (
+    INJECTORS,
     ErrorProfile,
     ErrorSpec,
     InjectionError,
@@ -57,6 +61,31 @@ class TestProfileValidation:
     def test_gaussian_degree_positive(self):
         with pytest.raises(InjectionError):
             ErrorSpec("gaussian_outlier", 0.1, {"degree": 0.0})
+
+    @pytest.mark.parametrize(
+        "kind, params, name", [("gaussian_outlier", {"degre": 0.5}, "degre"), ("explicit_mv", {"x": 1}, "x")]
+    )
+    def test_unknown_param_rejected_when_built(self, kind, params, name):
+        with pytest.raises(InjectionError, match=f"{kind}: unknown param '{name}'"):
+            ErrorSpec(kind, 0.1, params)
+
+    @pytest.mark.parametrize(
+        "kind, params, name", [("gaussian_outlier", {"degre": 0.5}, "degre"), ("explicit_mv", {"x": 1}, "x")]
+    )
+    def test_unknown_param_rejected_by_the_config(self, kind, params, name):
+        spec = {
+            "config_schema": "1",
+            "dataset": {"kind": "synthetic", "generator": "two_class", "n": 50},
+            "profile": {kind: {"rate": 0.1, **params}},
+            "models": [{"kind": "logit", "task": "classification"}],
+            "label_column": "label",
+        }
+        with pytest.raises(InjectionError, match=f"{kind}: unknown param '{name}'"):
+            config_from_dict(spec)
+
+    def test_missing_param_rejected(self):
+        with pytest.raises(InjectionError, match="mislabel requires a label_column param"):
+            ErrorSpec("mislabel", 0.1)
 
     def test_round_trip_dict(self):
         profile = ErrorProfile(
@@ -312,6 +341,71 @@ class TestCrossKindInvariants:
             assert got.raw.dtype == want.raw.dtype and got.raw.tolist() == want.raw.tolist()
             assert got.parsed.dtype == want.parsed.dtype and got.parsed.tobytes() == want.parsed.tobytes()
             assert got.empty.dtype == want.empty.dtype and got.empty.tolist() == want.empty.tolist()
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+class TestGolden:
+    """All eight kinds on one table at three seeds. The dirty texts, each
+    kind's mask and the report are pinned, so a change that moves any kind's
+    draws or cells shows here."""
+
+    PROFILE = [
+        ErrorSpec("explicit_mv", 0.05),
+        ErrorSpec("implicit_mv", 0.05),
+        ErrorSpec("gaussian_outlier", 0.05, {"degree": 3.0}),
+        ErrorSpec("keyboard_typo", 0.05),
+        ErrorSpec("value_swap", 0.05),
+        ErrorSpec("mislabel", 0.1, {"label_column": "label"}),
+        ErrorSpec("rule_violation", 0.02),
+        ErrorSpec("duplicate_row", 0.1, {"fuzzy": 0.5}),
+    ]
+    TOTALS = {"explicit_mv": 16, "implicit_mv": 16, "gaussian_outlier": 16, "keyboard_typo": 16,
+              "value_swap": 16, "mislabel": 8, "rule_violation": 6, "duplicate_row": 32}
+    REQUESTED = {**TOTALS, "duplicate_row": 8}
+    # seed -> sha256 of the dirty texts, {kind: (mask shape, sha256 of its cells, cut to 16)}, provenance
+    EXPECTED = {
+        0: (
+            "42a67b5db2f734fca3d11a79f4ee28b40732319581f279ca7e2bb669f8ce4244",
+            {"explicit_mv": ((80, 4), "f6b71e34535ca30a"), "implicit_mv": ((80, 4), "c46ba1b876b49e7c"),
+             "gaussian_outlier": ((79, 3), "8de0823c59fa54a3"), "keyboard_typo": ((77, 4), "9c8597c9e5f49530"),
+             "value_swap": ((65, 4), "738172dd90db02c8"), "mislabel": ((78, 4), "e57be74d5d1009e9"),
+             "rule_violation": ((64, 1), "015b6f49f12a5900"), "duplicate_row": ((88, 4), "4c2bdb46130c0f96")},
+            {80: 67, 81: 44, 82: 77, 83: 14, 84: 19, 85: 7, 86: 0, 87: 15},
+        ),
+        1: (
+            "038e23b6f5f2117269357ee57e190deebabc4906ebbdc453941dbb2b43dc94dd",
+            {"explicit_mv": ((80, 4), "7c80112e36d257da"), "implicit_mv": ((78, 4), "bf609b5f5272c28e"),
+             "gaussian_outlier": ((71, 3), "a3d19b5c2195e943"), "keyboard_typo": ((79, 4), "93e29f0f1fa06f1a"),
+             "value_swap": ((63, 4), "5ee46606c9f4d59c"), "mislabel": ((71, 4), "39706374e4516735"),
+             "rule_violation": ((77, 1), "a6de963e579f120a"), "duplicate_row": ((88, 4), "4c2bdb46130c0f96")},
+            {80: 40, 81: 1, 82: 54, 83: 69, 84: 9, 85: 12, 86: 28, 87: 48},
+        ),
+        7: (
+            "485d8b5dd92a66a6401abc5b6a092ca4bc0bc327680024f0ddae0acfe26d047c",
+            {"explicit_mv": ((71, 4), "3accec949394b6dd"), "implicit_mv": ((79, 4), "e122012dd0729480"),
+             "gaussian_outlier": ((70, 3), "38ec8a9c1c1a78e3"), "keyboard_typo": ((76, 4), "79e70265420c5ec0"),
+             "value_swap": ((80, 4), "05b4f08ab5e91a7b"), "mislabel": ((80, 4), "18698dccea58f41a"),
+             "rule_violation": ((66, 1), "4d944f1f46e68471"), "duplicate_row": ((88, 4), "4c2bdb46130c0f96")},
+            {80: 73, 81: 36, 82: 23, 83: 78, 84: 46, 85: 2, 86: 60, 87: 4},
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(EXPECTED))
+    def test_every_kind_injects_as_before(self, seed):
+        dcs = parse_constraints("FD: zip -> city")
+        pair, report = inject(mixed_table(rows=80), ErrorProfile(self.PROFILE), seed, constraints=dcs)
+        dirty, masks, provenance = self.EXPECTED[seed]
+        assert digest([c.raw.tolist() for c in pair.dirty.columns]) == dirty
+        assert list(report.masks) == list(report.totals) == list(report.requested) == list(INJECTORS)
+        got = {k: (m.flagged.shape, digest([[c.row, c.col] for c in m.sorted_cells()])[:16])
+               for k, m in report.masks.items()}
+        assert got == masks
+        assert report.totals == self.TOTALS and report.requested == self.REQUESTED
+        assert report.achieved_rate == 0.29375 and report.seed == seed
+        assert pair.row_provenance == provenance
 
 
 class TestMakeSynthetic:
