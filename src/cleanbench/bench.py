@@ -449,16 +449,34 @@ class SharedFits:
     exception. Each cell calls `release` when it is done; the last cell of a
     key drops what it shared, so in grid order (see `plan_experiments`) a
     detector's versions and runs go after its block of cells.
+
+    The fits of a `batched` model label on one detector's versions, over
+    every repeat, form one batch: the first cell that needs any of them
+    encodes each member's training set through `data` of the member's first
+    cell in grid order, fits them all in one `models.fit` call, and shares
+    each fit under its own key, released after that key's last cell. All
+    members take that cell's spec, as a logit fit draws nothing from its
+    seed. A broken version's key is never fitted, a member whose encoding
+    raised is left out (its cells fit alone), and if the batch raises each
+    member is fitted alone. The dirty version's fits, the ground truth's
+    and those of other labels are always lone.
     """
 
-    def __init__(self, cells: list[GridCell]):
+    def __init__(self, cells: list[GridCell], batched: frozenset[str] = frozenset()):
         self._lock = threading.Lock()
         self._shared: dict[tuple, dict] = {}  # {(kind, key): {detail: Future}}
+        self._members: dict[tuple, dict[tuple, GridCell]] = {}  # {batch: {fit key: its first cell}}
+        for cell in cells:
+            fit_key = _fit_key(cell)
+            if cell.model in batched and fit_key[0] not in (("none", "none"), ("gt", "gt")):
+                self._members.setdefault(("batch", cell.detector, cell.model), {}).setdefault(fit_key, cell)
+        self._batch_of = {key: batch for batch, members in self._members.items() for key in members}
         self._left = Counter(key for cell in cells for key in self._keys(cell))
 
-    @staticmethod
-    def _keys(cell: GridCell) -> tuple:
-        return ("build", cell.detector), ("fit", _fit_key(cell)), ("data", _data_key(cell))
+    def _keys(self, cell: GridCell) -> tuple:
+        keys = ("build", cell.detector), ("fit", _fit_key(cell)), ("data", _data_key(cell))
+        batch = self._batch_of.get(_fit_key(cell))
+        return keys if batch is None else (*keys, batch)
 
     def _share(self, key: tuple, compute, detail=None):
         """compute(), or what the first call under (`key`, `detail`) gave,
@@ -482,8 +500,42 @@ class SharedFits:
         (see `build_versions`), shared by the cells of its block."""
         return self._share(("build", cell.detector), build)
 
-    def fit(self, cell: GridCell, spec: models.ModelSpec, train: models.EncodedMatrix) -> models.FittedModel:
-        return self._share(("fit", _fit_key(cell)), lambda: models.fit(spec, train))
+    def fit(self, cell: GridCell, spec: models.ModelSpec, train: models.EncodedMatrix, train_of) -> models.FittedModel:
+        """The fit of `train`, shared by the cells of the cell's `_fit_key`.
+        A batched fit comes from its batch, which `train_of(cell, version)`,
+        the training matrix of a member's first cell, feeds."""
+        key = _fit_key(cell)
+        if key in self._batch_of:
+            self._share(self._batch_of[key], lambda: self._fit_batch(self._batch_of[key], spec, train_of))
+        return self._share(("fit", key), lambda: models.fit(spec, [train])[0])
+
+    def _fit_batch(self, batch: tuple, spec: models.ModelSpec, train_of) -> None:
+        """Fit the members of `batch` whose cells are still to come, and
+        share each fit under its own key (see the class docstring)."""
+        with self._lock:
+            built = self._shared[("build", batch[1])][None]  # the calling cell holds its detector's build
+            needed = [(key, cell) for key, cell in self._members[batch].items() if self._left[("fit", key)]]
+        versions = built.result()[0]  # without the broken ones, whose keys are never fitted
+        trains = {}
+        for key, cell in needed:
+            if key[0] in versions:
+                try:
+                    trains[key] = train_of(cell, versions[key[0]])
+                except Exception:  # shared as the member's data; its cells meet it there
+                    pass
+        try:
+            fitted = dict(zip(trains, models.fit(spec, list(trains.values()))))
+        except Exception:
+            fitted = {}
+        for key, train in trains.items():
+            shared = Future()
+            try:
+                shared.set_result(fitted[key] if fitted else models.fit(spec, [train])[0])
+            except Exception as exc:  # the text a lone fit gives each of the key's cells
+                shared.set_exception(exc)
+            with self._lock:
+                if self._left[("fit", key)]:
+                    self._shared.setdefault(("fit", key), {}).setdefault(None, shared)
 
     def data(self, cell: GridCell, target: str | None, encoded) -> tuple[models.EncodedMatrix, models.EncodedMatrix]:
         """`encoded()`, the cell's encoded (train, test) matrices, shared by
@@ -522,16 +574,19 @@ def _run_cell(
     if spec.task in ("classification", "regression") and target is None:
         _cell_rows(cfg, cell, version, pair)  # a failed split or row selection still reports first
         raise BenchError(f"{spec.task} model {cell.model} needs a target column in the config")
-    train_mat, test_mat = fits.data(
-        cell, target, lambda: models.encode(*_cell_rows(cfg, cell, version, pair), target=target)
-    )
+
+    def encoded(at: GridCell, data: RepairedDataset) -> tuple[models.EncodedMatrix, models.EncodedMatrix]:
+        """Cell `at`'s encoded (train, test) matrices on version `data`."""
+        return fits.data(at, target, lambda: models.encode(*_cell_rows(cfg, at, data, pair), target=target))
+
+    train_mat, test_mat = encoded(cell, version)
     run_spec = models.ModelSpec(
         spec.kind,
         spec.task,
         dict(spec.params),
         seed=derive_seed(cfg.master_seed, "model", cell.model, cell.seed),
     )
-    fitted = fits.fit(cell, run_spec, train_mat)
+    fitted = fits.fit(cell, run_spec, train_mat, lambda at, data: encoded(at, data)[0])
     predictions = models.predict(fitted, test_mat)
     if spec.task == "clustering":
         score = model_metrics("clustering", predictions, test_mat.features)
@@ -640,8 +695,10 @@ def run_benchmark(
     """Execute the planned grid; per-cell failures are recorded, not raised.
 
     The cells run in grid order, version by version (see
-    `plan_experiments`), on a pool of `cfg.workers` threads. Each cell's
-    record is appended to `store` as soon as its turn in grid order comes:
+    `plan_experiments`), on a pool of `cfg.workers` threads; the first cell
+    runs alone, so the first record never waits for the interpreter lock
+    behind a detector's build. Each cell's record is appended to `store` as
+    soon as its turn in grid order comes:
     a run that is killed keeps the records of every cell before the one it
     was on, and the store file lists records in grid order for any
     `cfg.workers`.
@@ -652,18 +709,24 @@ def run_benchmark(
     a (scenario, version, repeat) share its split, rows and encoding. Each
     model is fitted once per training set: S1, S2 and S5 share the fit on
     their version, and S3 and S4 the fit on the ground truth, for each
-    model and repeat. Each cell predicts and scores on its own. The records
-    of a shared fit carry its one `train_runtime`, and a failed encoding or
-    fit gives each cell sharing it the same error text.
+    model and repeat. A logit model's fits on one detector's versions form
+    one batch, fitted in lockstep by the block's first cell that needs one
+    of them; each fit still goes after its own training set's last cell, and
+    records and error texts are those of lone fits. Each cell predicts and
+    scores on its own. The records of a shared fit carry its one
+    `train_runtime`, and a failed encoding or fit gives each cell sharing it
+    the same error text.
 
     Each cell runs within `cfg.timeout` seconds, as does each detector and
     repair call; the time its detector's versions take to build, or that it
     waits for them, does not count against it. A cell waiting on shared
     data or a shared fit counts the wait against its own timeout; when the
     cell computing it times out, its abandoned helper thread still finishes
-    it, and later cells may reuse it. Each pool thread runs its bounded
-    calls on one helper thread of its own (see `_attempt`), which exits
-    with the pool.
+    it, and later cells may reuse it. The cell that runs a logit batch
+    counts the batch, with its members' encodings, against its own timeout,
+    so records can differ from lone fits only in runs with timeouts. Each
+    pool thread runs its bounded calls on one helper thread of its own (see
+    `_attempt`), which exits with the pool.
     """
     store = store if store is not None else ResultsStore()
     mat = materialize(cfg)
@@ -674,7 +737,7 @@ def run_benchmark(
         masks_dir.mkdir(parents=True, exist_ok=True)
         save_mask(mat.pair.error_mask, masks_dir / f"{mat.name}_truth.mask")
     spec_of = dict(zip(grid.model_labels, cfg.models))
-    fits = SharedFits(grid.cells)
+    fits = SharedFits(grid.cells, frozenset(label for label, spec in spec_of.items() if spec.kind == "logit"))
     dirty_version = _dirty_version(mat.pair.dirty)
 
     def failure(cell: GridCell, spec: models.ModelSpec, message: str) -> dict:
@@ -705,7 +768,11 @@ def run_benchmark(
 
     pool = ThreadPoolExecutor(max_workers=cfg.workers)
     try:
-        tasks = [pool.submit(execute, cell) for cell in grid.cells]
+        # The first cell runs alone: a detector's build on another thread
+        # would take the interpreter lock from it for whole switch intervals,
+        # so the first record would come either at once or a few ms later.
+        store.append(pool.submit(execute, grid.cells[0]).result())
+        tasks = [pool.submit(execute, cell) for cell in grid.cells[1:]]
         for task in tasks:
             store.append(task.result())
     finally:

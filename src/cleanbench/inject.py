@@ -103,6 +103,8 @@ class ErrorProfile:
         for kind, body in spec.items():
             if isinstance(body, dict):
                 body = dict(body)
+                if "rate" not in body:
+                    raise InjectionError(f"{kind} requires a rate")
                 rate = body.pop("rate")
                 entries.append(ErrorSpec(kind, float(rate), body))
             else:

@@ -171,6 +171,30 @@ def _pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(d2, 0.0))
 
 
+def k_nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """The columns of each row's k smallest distances in (distance, column)
+    order: `np.argsort(dist, axis=1, kind="stable")[:, :k]`.
+
+    `np.partition` finds each row's k-th smallest distance; the columns at or
+    below it (k of them, or more on a tie) are the candidates, and one stable
+    sort of them by (row, distance) keeps ties in column order. A row with a
+    NaN distance, which the partition cannot rank, takes the full argsort.
+    """
+    order = np.empty((dist.shape[0], k), dtype=np.intp)
+    if k == 0:
+        return order
+    has_nan = np.isnan(dist).any(axis=1)
+    if has_nan.any():
+        order[has_nan] = np.argsort(dist[has_nan], axis=1, kind="stable")[:, :k]
+        dist = dist[~has_nan]
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    rows, cols = np.nonzero(dist <= kth)
+    by_distance = cols[np.lexsort((dist[rows, cols], rows))]
+    counts = np.bincount(rows, minlength=dist.shape[0])
+    order[~has_nan] = by_distance[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return order
+
+
 class KNNModel:
     def __init__(self, k: int = 5, task: str = "classification"):
         if k < 1:
@@ -190,9 +214,7 @@ class KNNModel:
 
     def _neighbor_labels(self, data: np.ndarray):
         dist = _pairwise_distances(np.asarray(data, dtype=float), self.X)
-        k = min(self.k, self.X.shape[0])
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        return order
+        return k_nearest(dist, min(self.k, self.X.shape[0]))
 
     def _votes(self, data: np.ndarray) -> np.ndarray:
         """Neighbour count of each class (columns in `classes_` order) per row."""
@@ -822,28 +844,45 @@ def build_model(spec: ModelSpec):
     return MODELS[spec.kind](spec.task, spec.seed, **spec.params)
 
 
-def fit_many(spec: ModelSpec, problems: Iterable[tuple[np.ndarray, np.ndarray]]) -> list:
-    """`build_model(spec).fit(X, y)` of each (X, y) training set, in order.
+def _fit_timed(spec: ModelSpec, problems: Iterable[tuple[np.ndarray, np.ndarray | None]]) -> list[tuple[object, float]]:
+    """`build_model(spec).fit(X, y)` (`fit(X)` where y is None) of each (X, y)
+    training set, in order, with the seconds it took.
 
     Logit fits whose weights have one shape (the same feature and class
-    counts) run in one `_softmax_descent`, and each gets the floats of its
-    lone fit. Other kinds fit one by one. `problems` is read once, so a
-    generator's training sets can go as soon as their designs are built.
+    counts) run in one `_softmax_descent`: each gets the floats of its lone
+    fit, and the descent's seconds over its design count. Other kinds fit
+    one by one. `problems` is read once, so a generator's training sets can
+    go as soon as their designs are built.
     """
+    fitted, seconds = [], []
     if spec.kind != "logit":
-        return [build_model(spec).fit(X, y) for X, y in problems]
-    fitted, groups = [], {}
+        for X, y in problems:
+            fitted.append(build_model(spec))
+            start = time.perf_counter()
+            fitted[-1].fit(X) if y is None else fitted[-1].fit(X, y)
+            seconds.append(time.perf_counter() - start)
+        return list(zip(fitted, seconds))
+    groups: dict[tuple, list] = {}
     for X, y in problems:
         model = build_model(spec)
         Xb, Y = model._design(X, y)
+        groups.setdefault((Xb.shape[1], Y.shape[1]), []).append((len(fitted), Xb, Y))
         fitted.append(model)
-        groups.setdefault((Xb.shape[1], Y.shape[1]), []).append((model, Xb, Y))
+        seconds.append(0.0)
     for group in groups.values():
-        first = group[0][0]
+        first = fitted[group[0][0]]
+        start = time.perf_counter()
         W = _softmax_descent([(Xb, Y) for _, Xb, Y in group], first.lr, first.epochs, first.l2)
-        for (model, _, _), W_i in zip(group, W):
-            model.W = W_i
-    return fitted
+        took = (time.perf_counter() - start) / len(group)
+        for (i, _, _), W_i in zip(group, W):
+            fitted[i].W, seconds[i] = W_i, took
+    return list(zip(fitted, seconds))
+
+
+def fit_many(spec: ModelSpec, problems: Iterable[tuple[np.ndarray, np.ndarray]]) -> list:
+    """`build_model(spec).fit(X, y)` of each (X, y) training set, in order;
+    logit fits of one weight shape descend in lockstep (see `_fit_timed`)."""
+    return [model for model, _ in _fit_timed(spec, problems)]
 
 
 @dataclass
@@ -853,16 +892,18 @@ class FittedModel:
     train_runtime: float
 
 
-def fit(spec: ModelSpec, train: EncodedMatrix) -> FittedModel:
-    if spec.task in ("classification", "regression") and train.target is None:
+def fit(spec: ModelSpec, trains: list[EncodedMatrix]) -> list[FittedModel]:
+    """One fitted model per encoded training matrix, in order.
+
+    Logit matrices whose weights have one shape descend in lockstep, each
+    with the floats of its lone fit (see `_fit_timed`), and each such model's
+    `train_runtime` is the descent's time over its design count. Every other
+    fit is timed on its own. A clustering fit sees the features only.
+    """
+    if spec.task in ("classification", "regression") and any(train.target is None for train in trains):
         raise ModelError(f"{spec.task} needs an encoded target")
-    model = build_model(spec)
-    start = time.perf_counter()
-    if spec.task == "clustering":
-        model.fit(train.features)
-    else:
-        model.fit(train.features, train.target)
-    return FittedModel(spec, model, time.perf_counter() - start)
+    problems = ((train.features, None if spec.task == "clustering" else train.target) for train in trains)
+    return [FittedModel(spec, model, seconds) for model, seconds in _fit_timed(spec, problems)]
 
 
 def predict(fitted: FittedModel, data: EncodedMatrix) -> np.ndarray:

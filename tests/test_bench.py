@@ -292,6 +292,31 @@ class TestStreamedGrid:
         serial, pooled = (stripped_lines(p) for p in paths)
         assert len(serial) == 7 * 3 * 2 * 4 + 3 * 2 and serial == pooled
 
+    def test_first_record_comes_before_any_other_cell_starts(self, monkeypatch):
+        events = []
+        run_cell, build = bench._run_cell, bench.build_versions
+
+        def logged_cell(cfg, cell, *args):
+            events.append(("cell", cell))
+            return run_cell(cfg, cell, *args)
+
+        def logged_build(cfg, mat, strategies, out_dir=None):
+            events.append(("build", strategies[0][0].name))
+            return build(cfg, mat, strategies, out_dir=out_dir)
+
+        class LoggingStore(ResultsStore):
+            def append(self, record):
+                events.append(("append", record["detector"]))
+                return super().append(record)
+
+        monkeypatch.setattr(bench, "_run_cell", logged_cell)
+        monkeypatch.setattr(bench, "build_versions", logged_build)
+        cfg = desk_config(repeats=2, workers=POOL_WORKERS)
+        grid = plan_experiments(cfg, materialize(cfg).tags)
+        store = run_benchmark(cfg, grid=grid, store=LoggingStore())
+        assert len(store) == len(grid.cells) and store.failures() == []
+        assert events[:2] == [("cell", grid.cells[0]), ("append", "none")]
+
     @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
     def test_a_cells_timeout_leaves_out_its_versions_build(self, monkeypatch, workers):
         apply_repair = bench.apply_repair
@@ -348,7 +373,7 @@ def per_cell_run(cfg, cell, spec, version, pair, detect_runtime, fits):
     run_spec = ModelSpec(
         spec.kind, spec.task, dict(spec.params), seed=derive_seed(cfg.master_seed, "model", cell.model, cell.seed)
     )
-    fitted = models.fit(run_spec, train_mat)
+    (fitted,) = models.fit(run_spec, [train_mat])
     score = model_metrics(spec.task, models.predict(fitted, test_mat), test_mat.target)
     return make_record(
         cell.dataset, cell.detector, cell.repair, cell.model, cell.scenario, cell.seed, score.metric_kind,
@@ -358,17 +383,18 @@ def per_cell_run(cfg, cell, spec, version, pair, detect_runtime, fits):
 
 
 def spy_fits(monkeypatch) -> list:
-    """Patch `models.fit` to note each finished call's spec and a weak
-    reference to its fitted model (None when the fit raised)."""
+    """Patch `models.fit` to note, for each training set of each finished
+    call, lone or batched, the spec and a weak reference to its fitted model
+    (None when the call raised)."""
     calls, fit = [], models.fit
 
-    def spy(spec, train):
+    def spy(spec, trains):
         try:
-            fitted = fit(spec, train)
+            fitted = fit(spec, trains)
         except Exception:
-            calls.append((spec, None))
+            calls.extend((spec, None) for _ in trains)
             raise
-        calls.append((spec, weakref.ref(fitted)))
+        calls.extend((spec, weakref.ref(f)) for f in fitted)
         return fitted
 
     monkeypatch.setattr(models, "fit", spy)
@@ -418,14 +444,14 @@ class TestSharedFits:
         fits, fitted, got = bench.SharedFits(cells), [], {}
         start = threading.Barrier(len(cells))
 
-        def fake_fit(spec, train):
-            fitted.append(object())
+        def fake_fit(spec, trains):
+            fitted.extend(object() for _ in trains)
             time.sleep(0.001)
-            return fitted[-1]
+            return fitted[-len(trains):]
 
         def run(cell):
             start.wait(timeout=10)
-            got[cell.scenario, cell.seed] = fits.fit(cell, None, None)
+            got[cell.scenario, cell.seed] = fits.fit(cell, None, None, None)
             fits.release(cell)
 
         class SlowFuture(bench.Future):  # yields the thread between the memo's lookup and its store
@@ -466,13 +492,14 @@ class TestSharedFits:
         cfg = desk_config(repeats=2, scenarios=ALL_SCENARIOS, workers=workers)
         grid = plan_experiments(cfg, materialize(cfg).tags)
         last = {cell.detector: i for i, cell in enumerate(grid.cells)}
-        live_fits, live_at_s4, outlived = [], [], []
+        live_fits, live_other_fits, live_at_s4, outlived = [], [], [], []
 
         class WatchingStore(ResultsStore):
             def append(self, record):
                 # every cell up to this record's has released what it shared
                 gc.collect()
                 live_fits.append(sum(ref() is not None for _, ref in calls))
+                live_other_fits.append(sum(ref() is not None for spec, ref in calls if spec.kind != "logit"))
                 if record["scenario"] == "S4":  # every version cell (S1, S2, S3, S5) is done by now
                     live_at_s4.append(live_fits[-1])
                 outlived.extend(
@@ -486,11 +513,156 @@ class TestSharedFits:
         # at most the ground-truth fits (2 models x 2 repeats) are left for S4's cells
         assert len(live_at_s4) == 4 and max(live_at_s4) <= 4
         if workers == 1:
-            # the ground truth's fits and one version's, for each of 2 models and 2 repeats
-            assert max(live_fits) <= 2 * 2 * 2
+            # the ground truth's fits and one version's, for each of 2 models and 2 repeats (h*s + h*s),
+            # and the logit batch's fits on the block's other 2 versions over 2 repeats ((|repairs| - 1)*s)
+            assert max(live_fits) <= 2 * 2 + 2 * 2 + (3 - 1) * 2
+            # a lone fit still lives only from its key's first cell to its last
+            assert max(live_other_fits) <= 2 * 2 * 2
         gc.collect()
         assert len(calls) == 32 and all(ref() is None for _, ref in calls)
         assert not any(r() for _, refs in built for r in refs)
+
+
+def spy_descents(monkeypatch) -> list:
+    """Patch `models._softmax_descent` to note each call's design count."""
+    calls, descent = [], models._softmax_descent
+
+    def spy(designs, *args):
+        calls.append(len(designs))
+        return descent(designs, *args)
+
+    monkeypatch.setattr(models, "_softmax_descent", spy)
+    return calls
+
+
+class TestBlockFits:
+    def test_members_get_their_lone_fits_and_broken_versions_none(self, monkeypatch):
+        fit, batches = models.fit, []
+
+        def spy(spec, trains):
+            fitted = fit(spec, trains)
+            if spec.kind == "logit":
+                batches.append(list(zip(trains, fitted)))
+            return fitted
+
+        monkeypatch.setattr(models, "fit", spy)
+        descents = spy_descents(monkeypatch)
+        # delete keeps fewer rows than mean; knn's unknown param breaks both its versions
+        cfg = desk_config(
+            repeats=2, scenarios=ALL_SCENARIOS,
+            repairs=[RepairSpec("mean"), RepairSpec("delete"), RepairSpec("knn", {"bogus_rep": 1})],
+        )
+        store = run_benchmark(cfg)
+        assert len(store) == 7 * 2 * 2 * 4 + 2 * 2
+        assert {r["repair"] for r in store.failures()} == {"knn"} and len(store.failures()) == 2 * 2 * 2 * 4
+        # the dirty version's and the ground truth's lone fits, then one batch per detector of
+        # its 2 working repairs over 2 repeats, each in one lockstep descent
+        assert sorted(len(batch) for batch in batches) == [1, 1, 1, 1, 4, 4]
+        assert sorted(descents) == [1, 1, 1, 1, 4, 4]
+        for batch in (batch for batch in batches if len(batch) > 1):
+            assert len({train.features.shape[0] for train, _ in batch}) > 1  # unequal row counts
+            for train, fitted in batch:
+                (lone,) = fit(fitted.spec, [train])
+                assert lone.model.W.shape == fitted.model.W.shape and (lone.model.W == fitted.model.W).all()
+
+    def test_grid_models_shape_descends_six_times_with_the_per_cell_records(self, tmp_path, monkeypatch):
+        cfg = desk_config(
+            profile=ErrorProfile([
+                ErrorSpec("explicit_mv", 0.05), ErrorSpec("gaussian_outlier", 0.05, {"degree": 4.0}),
+                ErrorSpec("mislabel", 0.05, {"label_column": "label"}),
+            ]),
+            detectors=[DetectorSpec("mvd"), DetectorSpec("sd", {"n": 3})],
+            repairs=[RepairSpec("mean"), RepairSpec("delete")],
+            models=[ModelSpec(kind, "classification") for kind in ("logit", "dt", "knn")],
+            scenarios=ALL_SCENARIOS, repeats=2, workers=1,
+        )
+        descents = spy_descents(monkeypatch)
+        shared, per_cell = tmp_path / "shared.jsonl", tmp_path / "per_cell.jsonl"
+        run_benchmark(cfg, store=ResultsStore(shared))
+        # one lone descent per training set would be 12: 5 versions' and the ground truth's, over 2 repeats
+        assert sorted(descents) == [1, 1, 1, 1, 4, 4]
+        monkeypatch.setattr(bench, "_run_cell", per_cell_run)
+        run_benchmark(cfg, store=ResultsStore(per_cell))
+        lines = stripped_lines(shared)
+        assert len(lines) == 5 * 3 * 2 * 4 + 3 * 2 and not any('"error"' in line for line in lines)
+        assert lines == stripped_lines(per_cell)
+
+    def test_racing_cells_fit_each_batch_once(self, monkeypatch):
+        # 2 repairs x 4 repeats x 5 scenarios; S1, S2 and S5 of a version and repeat share a fit key
+        repairs = ("mean", "delete")
+        cells = [
+            bench.GridCell("d", "mvd", rep, "logit", s, seed)
+            for rep in repairs for s in ALL_SCENARIOS for seed in range(4)
+        ]
+        fits, calls, got = bench.SharedFits(cells, frozenset({"logit"})), [], {}
+        versions = {("mvd", rep): object() for rep in repairs}
+        start = threading.Barrier(len(cells))
+
+        def fake_fit(spec, trains):
+            calls.append(len(trains))
+            time.sleep(0.001)
+            return [(train, object()) for train in trains]
+
+        def train_of(cell, version):
+            assert version is versions[cell.detector, cell.repair]
+            return cell.repair, cell.seed
+
+        def run(cell):
+            start.wait(timeout=10)
+            fits.versions(cell, lambda: (versions, {}, {}))
+            got[cell.repair, cell.scenario, cell.seed] = fits.fit(cell, None, None, train_of)
+            fits.release(cell)
+
+        class SlowFuture(bench.Future):  # yields the thread between the memo's lookup and its store
+            def __init__(self):
+                time.sleep(0.001)
+                super().__init__()
+
+        monkeypatch.setattr(models, "fit", fake_fit)
+        monkeypatch.setattr(bench, "Future", SlowFuture)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(cell,)) for cell in cells]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and len(got) == len(cells)
+        # one batch of the 8 version keys; S3 and S4 fit on the ground truth, each repeat's key alone
+        assert sorted(calls) == [1] * 4 + [2 * 4]
+        for rep in repairs:
+            for seed in range(4):
+                assert got[rep, "S1", seed] is got[rep, "S2", seed] is got[rep, "S5", seed]
+                assert got[rep, "S1", seed][0] == (rep, seed)
+                assert got[rep, "S3", seed] is got[rep, "S4", seed] is got[repairs[0], "S3", seed]
+        assert fits._shared == {}
+
+    @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
+    def test_a_slow_batch_times_out_the_cell_that_runs_it(self, monkeypatch, workers):
+        descent = models._softmax_descent
+
+        def slow_lockstep(designs, *args):
+            if len(designs) > 1:
+                time.sleep(1.0)
+            return descent(designs, *args)
+
+        monkeypatch.setattr(models, "_softmax_descent", slow_lockstep)
+        cfg = desk_config(
+            detectors=[DetectorSpec("mvd")], repairs=[RepairSpec("mean"), RepairSpec("delete")],
+            models=[ModelSpec("logit", "classification")], repeats=2, timeout=0.3, workers=workers,
+        )
+        grid = plan_experiments(cfg, materialize(cfg).tags)
+        started = time.monotonic()
+        store = run_benchmark(cfg, grid=grid)
+        assert time.monotonic() - started < 10 and len(store) == len(grid.cells)
+        timed_out = "BenchError: timed out after 0.3s"
+        # the block's first logit cell runs the batch, or waits for it with the other repeat's
+        (owner,) = store.query(detector="mvd", repair="mean", scenario="S1", seed=0)
+        assert owner["error"] == timed_out
+        assert {r.get("error") for r in store.records()} <= {None, timed_out}
 
 
 def data_keys(grid) -> set:

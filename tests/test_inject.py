@@ -87,6 +87,10 @@ class TestProfileValidation:
         with pytest.raises(InjectionError, match="mislabel requires a label_column param"):
             ErrorSpec("mislabel", 0.1)
 
+    def test_entry_without_a_rate_rejected_naming_its_kind(self):
+        with pytest.raises(InjectionError, match="explicit_mv requires a rate"):
+            ErrorProfile.from_dict({"explicit_mv": {"degree": 0.1}})
+
     def test_round_trip_dict(self):
         profile = ErrorProfile(
             [ErrorSpec("explicit_mv", 0.1), ErrorSpec("gaussian_outlier", 0.2, {"degree": 3.0})]

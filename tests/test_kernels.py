@@ -2,8 +2,9 @@
 
 The CART split search and level-by-level tree growth (its flat node arrays,
 turned into nested nodes, against the recursive grower node by node), kNN
-imputation, kNN model votes, isolation-tree growth on rank-space bitsets
-with its replayed generator draws (against the recursive grower and the
+imputation, kNN model votes and neighbour selection (against a full
+stable argsort, on ties, ±inf and NaN distances), isolation-tree growth on
+rank-space bitsets with its replayed generator draws (against the recursive grower and the
 forest's list grower, bit for bit and on the generator state after, also
 on the replay's rare paths: a Lemire rejection, a buffered half-word at the
 start, nodes with one usable column, a draw block that runs out, bitsets of
@@ -1904,6 +1905,49 @@ def test_knn_votes_match_vote_dicts(data, n, k, n_classes):
     assert model.predict_proba(probe).tolist() == probs.tolist()
 
 
+def ref_k_nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k nearest columns by a full stable argsort of its distances."""
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+
+# few distinct values, so that most rows tie at their k-th distance
+KNN_DISTANCES = [0.0, -0.0, 0.5, 1.0, 1.0, 2.0, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(1, 6), n=st.integers(1, 12))
+def test_k_nearest_matches_full_argsort(data, m, n):
+    k = data.draw(st.integers(1, n))
+    dist = np.array(data.draw(st.lists(st.sampled_from(KNN_DISTANCES), min_size=m * n, max_size=m * n))).reshape(m, n)
+    before = dist.copy()
+    got = models.k_nearest(dist, k)
+    assert got.dtype == np.intp and got.shape == (m, k)
+    assert (got == ref_k_nearest(dist, k)).all()
+    assert np.array_equal(dist, before, equal_nan=True)  # the distances are left as they are
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 20), m=st.integers(1, 5), k=st.integers(1, 25))
+def test_knn_neighbours_match_full_argsort(data, n, m, k):
+    # integer coordinates tie often; +-inf and 1e200 give inf and NaN distances
+    values = st.sampled_from([0.0, 1.0, 2.0, -1.0, 1e200, np.inf, -np.inf])
+    X = np.array(data.draw(st.lists(values, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+    probe = np.array(data.draw(st.lists(values, min_size=2 * m, max_size=2 * m))).reshape(m, 2)
+    model = KNNModel(k=k).fit(X, np.array(["a"] * n, dtype=object))
+    with np.errstate(all="ignore"):
+        got = model._neighbor_labels(probe)
+        dist = models._pairwise_distances(probe, X)
+    assert (got == ref_k_nearest(dist, min(k, n))).all()
+
+
+def test_k_nearest_edge_cases():
+    dist = np.array([[3.0, 1.0, 1.0, 0.0, 1.0]])  # one row; three columns tie at the 2nd distance
+    assert models.k_nearest(dist, 2).tolist() == [[3, 1]]
+    assert models.k_nearest(dist, 5).tolist() == ref_k_nearest(dist, 5).tolist() == [[3, 1, 2, 4, 0]]
+    assert models.k_nearest(np.array([[np.nan, 1.0, np.inf]]), 2).tolist() == [[1, 2]]
+    assert models.k_nearest(np.zeros((3, 0)), 0).shape == (3, 0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     data=st.data(),
@@ -2001,7 +2045,7 @@ def test_f1_macro_on_a_grid_cells_object_arrays(kind):
 
     ds = make_synthetic("two_class", 120, 3)
     train, test = models.encode(ds.take_rows(list(range(80))), ds.take_rows(list(range(80, 120))), target="label")
-    fitted = models.fit(models.ModelSpec(kind, "classification"), train)
+    (fitted,) = models.fit(models.ModelSpec(kind, "classification"), [train])
     predictions = models.predict(fitted, test)
     assert predictions.dtype == object and test.target.dtype == object
     assert_f1_macro_matches(predictions, test.target)

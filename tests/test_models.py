@@ -327,7 +327,7 @@ class TestRegistry:
             ],
         )
         tr, te = encode(train, train, target="label")
-        fitted = fit(ModelSpec("dt", "classification"), tr)
+        (fitted,) = fit(ModelSpec("dt", "classification"), [tr])
         preds = predict(fitted, te)
         assert (preds == tr.target).mean() > 0.9
 
