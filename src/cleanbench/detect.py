@@ -19,7 +19,7 @@ import numpy as np
 from . import models
 from .constraints import DenialConstraint, find_violations
 from .inject import CATEGORICAL_DISGUISE_TOKENS, NUMERIC_DISGUISE_CODES
-from .seeding import derive_rng
+from .seeding import HalfWords, derive_rng
 from .tabular import Dataset, DetectionMask, bounding_shape, union_masks
 
 class DetectorError(Exception):
@@ -107,12 +107,34 @@ def detect_disguised(ds: Dataset) -> DetectionMask:
             if finite.size == 0:
                 continue
             # Python floats: a fence beyond the float range is +-inf, with no warning
-            q1, q3 = np.quantile(finite, [0.25, 0.75]).tolist()
+            q1, q3 = _linear_quantiles(finite, (0.25, 0.75))
             outside = (parsed < q1 - 3.0 * (q3 - q1)) | (parsed > q3 + 3.0 * (q3 - q1))
             flagged[outside, j] = [_is_repeated_digit(raw) for raw in col.raw[outside]]
         else:
             flagged[:, j] = [_is_disguise_token(raw) for raw in col.raw]
     return DetectionMask(flagged, source="fahes")
+
+
+def _linear_quantiles(values: np.ndarray, qs: tuple) -> list[float]:
+    """`np.quantile(values, qs)` of finite values, as Python floats: the
+    order statistics at floor((n - 1) * q) and the next (both the last from
+    n - 1 on), interpolated as numpy's `_lerp` does. The partition takes
+    np.quantile's kth, the first and last among them, so that -0.0 and 0.0,
+    which compare equal, land where np.quantile puts them. np.quantile's
+    first call imports numpy.ma, which costs a fresh process about 14 ms."""
+    n = values.size
+    spots = []
+    for q in qs:
+        at = (n - 1) * q
+        lo = math.floor(at) if at < n - 1 else -1
+        spots.append((at, lo, lo + 1 if lo >= 0 else -1))
+    part = np.partition(values, sorted({0, n - 1} | {i % n for _, lo, hi in spots for i in (lo, hi)}))
+    out = []
+    for at, lo, hi in spots:
+        a, b, t = float(part[lo]), float(part[hi]), at - lo
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out
 
 
 def _unparsable(col) -> np.ndarray:
@@ -256,14 +278,12 @@ def _grow_iso_tree(columns: np.ndarray, limit: int, rng: np.random.Generator, ta
     and 0.0, equal infinities) and those at the node's lowest and highest
     bits are equal.
 
-    The draws replay numpy's on the PCG64 generator's raw words. An
-    `integers(k)` takes a 32-bit half-word, the low half of a fresh word
-    whose high half stays buffered for the next, and rejects it by Lemire's
-    rule; k == 1 draws nothing. A `uniform(lo, hi)` is `lo + (hi - lo) *
-    ((w >> 11) * 2**-53)` of one whole word. Afterwards the generator holds
-    the state those calls would have left: reset, advanced by the words
-    used, with the last buffered half-word. `names` label the columns in
-    errors.
+    The draws replay numpy's on the PCG64 generator's raw words, read ahead
+    in blocks. An `integers(k)` is `seeding.HalfWords.integers`; k == 1
+    draws nothing. A `uniform(lo, hi)` is `lo + (hi - lo) * ((w >> 11) *
+    2**-53)` of one whole word. Afterwards the generator holds the state
+    those calls would have left: reset, advanced by the words used, with the
+    last buffered half-word. `names` label the columns in errors.
     """
     psi, d, entry, offset, segment = tables.psi, tables.d, tables.entry, tables.offset, tables.segment
     prefix_at, c_table = tables.prefix_at, tables.c_table
@@ -284,7 +304,8 @@ def _grow_iso_tree(columns: np.ndarray, limit: int, rng: np.random.Generator, ta
     bitgen = rng.bit_generator
     start = bitgen.state
     draw = _raw_words(bitgen, _DRAW_BLOCK).__next__
-    buffered, half_word, fresh = start["has_uint32"], start["uinteger"], 0
+    halves = HalfWords(bitgen, draw)
+    integers = halves.integers
 
     nodes, features, thresholds, h = array("q"), array("q"), array("d"), array("d", (c_table[psi],))
     stack = []
@@ -294,17 +315,7 @@ def _grow_iso_tree(columns: np.ndarray, limit: int, rng: np.random.Generator, ta
             usable = [c for c in every if not tied[c] or _differs(vals[c], rows >> offset[c] & segment)]
             k = len(usable)
         if k > 1:
-            while True:  # numpy's buffered Lemire draw
-                if buffered:
-                    half, buffered = half_word, 0
-                else:
-                    word = draw()
-                    fresh += 1
-                    half, half_word, buffered = word & 0xFFFFFFFF, word >> 32, 1
-                scaled = half * k
-                if scaled & 0xFFFFFFFF >= k or scaled & 0xFFFFFFFF >= (0x100000000 - k) % k:
-                    break
-            q = usable[scaled >> 32]
+            q = usable[integers(k)]
         elif k:
             q = usable[0]
         else:
@@ -345,10 +356,8 @@ def _grow_iso_tree(columns: np.ndarray, limit: int, rng: np.random.Generator, ta
         node, rows, size, depth = stack.pop()
 
     bitgen.state = start
-    bitgen.advance(fresh + len(nodes))
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = buffered, half_word
-    bitgen.state = state
+    bitgen.advance(halves.fresh + len(nodes))
+    halves.hold(bitgen)
 
     count = len(h)
     feature, threshold = np.zeros(count, dtype=np.intp), np.zeros(count)
@@ -413,11 +422,16 @@ def _stack_trees(trees: list):
 
 def _median(values: np.ndarray) -> float:
     """np.median of finite values, or a + (b - a) / 2 where the sum of the
-    two middle values a <= b overflows."""
+    two middle values a <= b overflows. Like np.median, it takes the mean of
+    the middle value or values of one partition; np.median itself imports
+    numpy.ma on its first call."""
+    half = values.size // 2
+    middle = slice(half, half + 1) if values.size % 2 else slice(half - 1, half + 1)
+    part = np.partition(values, list(range(middle.start, middle.stop)))[middle]
     with np.errstate(over="ignore"):
-        median = float(np.median(values))
+        median = float(part.mean())
     if math.isinf(median):
-        a, b = np.sort(values)[values.size // 2 - 1 : values.size // 2 + 1].tolist()
+        a, b = part.tolist()
         median = a + (b - a) / 2
     return median
 
@@ -607,7 +621,7 @@ def confident_learning_flags(
     class_index = {c: i for i, c in enumerate(classes)}
     codes = np.array([class_index[lab] for lab in labels], dtype=np.intp)
     thresholds = np.ones(len(classes))
-    for k in np.unique(codes):
+    for k in np.flatnonzero(np.bincount(codes, minlength=len(classes))).tolist():
         thresholds[k] = probs[codes == k, k].mean()
     own = probs[np.arange(len(codes)), codes]
     disagrees = probs.argmax(axis=1) != codes

@@ -1,11 +1,12 @@
-"""Controlled error injection with an exact per-kind ledger of touched cells.
+"""Controlled error injection with an exact per-kind record of touched cells.
 
 Each error kind is one injector in `INJECTORS`, run in the table's order, and
 draws from its own RNG stream derived from the master seed, so adding or
 removing a kind never perturbs another kind's draws. Cells are sampled
-without replacement across kinds, and one ledger records which kind changed
-each cell: the per-kind masks are disjoint and their union is exactly the set
-of cells whose raw text changed.
+without replacement across kinds, and one code matrix records which kind
+changed each cell: the per-kind masks are disjoint and their union is exactly
+the set of cells whose raw text changed. A kind writes its cells in bulk, and
+the dirty dataset's columns come straight from the working copy.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from .constraints import DenialConstraint
 from .models import sample_mean, sample_std
-from .seeding import derive_rng
-from .tabular import Dataset, DatasetPair, DetectionMask, mask_from, union_masks
+from .seeding import HalfWords, derive_rng
+from .tabular import Column, Dataset, DatasetPair, DetectionMask, _parse_texts, union_masks
 
 NUMERIC_DISGUISE_CODES = ("-1", "0", "99", "999", "9999", "99999")
 CATEGORICAL_DISGUISE_TOKENS = ("NA", "none", "empty", "?")
@@ -178,34 +179,59 @@ def _disguise_code(col_max: float) -> str:
 
 
 class _Grid:
-    """Mutable working copy of the ground-truth raw texts, with the ledger of
-    which kind changed each cell and how many each kind requested."""
+    """Columnar working copy of the ground truth while the kinds inject.
+
+    Each column keeps its raw texts, parsed floats and empty flags. `busy`
+    marks the cells already injected or frozen as one side of a rule
+    violation, and `code` the kind that changed each cell: 0 for none, else
+    the kind's place in `INJECTORS` plus one. Appended duplicates are kept
+    on the side, as rows of texts with their kind's code."""
 
     def __init__(self, gt: Dataset, constraints: list[DenialConstraint] | None):
         self.gt, self.constraints = gt, constraints
         self.cols = [c.raw.copy() for c in gt.columns]
-        # cells already injected or frozen as one side of a rule violation
-        self.busy = np.zeros((gt.row_count, gt.col_count), dtype=bool)
+        self.parsed = [c.parsed.copy() for c in gt.columns]
+        self.empty = [c.empty.copy() for c in gt.columns]
+        shape = (gt.row_count, gt.col_count)
+        self.busy = np.zeros(shape, dtype=bool)
+        self.code = np.zeros(shape, dtype=np.int8)
+        # cells whose texts `dirty` still has to parse
+        self.stale = np.zeros(shape, dtype=bool)
         self.kind = ""  # the kind injecting now
-        self.ledger: dict[tuple[int, int], str] = {}
         self.requested: dict[str, int] = {}
         self.appended: list[tuple[str, ...]] = []
+        self.appended_codes: list[int] = []
         self.provenance: dict[int, int] = {}
 
     def raw(self, r: int, c: int) -> str:
         return self.cols[c][r]
 
-    def set(self, r: int, c: int, value: str) -> None:
-        self.cols[c][r] = value
-        self.busy[r, c] = True
-        self.ledger[r, c] = self.kind
+    def set(self, rows, cols, texts, parsed=None) -> None:
+        """Write the current kind's `texts` into the cells (rows[i], cols[i]),
+        raw texts at once. `parsed` holds the float each text parses to,
+        where the kind knows it (a null-token text still reads empty);
+        otherwise `dirty` parses the texts, once per column."""
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        texts = np.asarray(texts, dtype=object)
+        self.busy[rows, cols] = True
+        self.code[rows, cols] = _CODES[self.kind]
+        if parsed is None:
+            self.stale[rows, cols] = True
+        else:
+            null_tokens = self.gt.null_tokens
+            empty = np.fromiter((text in null_tokens for text in texts.tolist()), dtype=bool, count=texts.size)
+            parsed = np.where(empty, np.nan, parsed)
+        for c in set(cols.tolist()):
+            at = cols == c
+            self.cols[c][rows[at]] = texts[at]
+            if parsed is not None:
+                self.parsed[c][rows[at]], self.empty[c][rows[at]] = parsed[at], empty[at]
 
     def append_row(self, row: list[str], source: int) -> None:
         """Append `row` as a duplicate of row `source`; all its cells are the kind's."""
-        new_row = self.gt.row_count + len(self.appended)
+        self.provenance[self.gt.row_count + len(self.appended)] = source
         self.appended.append(tuple(row))
-        self.provenance[new_row] = source
-        self.ledger.update(((new_row, c), self.kind) for c in range(len(row)))
+        self.appended_codes.append(_CODES[self.kind])
 
     def budget(self, rate: float) -> int:
         """The current kind's requested count: of cells, or of rows for a
@@ -215,10 +241,10 @@ class _Grid:
         self.requested[self.kind] = count
         return count
 
-    def sample(self, ok_in_column, rate: float, rng: np.random.Generator) -> list[tuple[int, int]]:
+    def sample(self, ok_in_column, rate: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """The current kind's budget of free cells where the bool array (or
-        scalar) `ok_in_column(c)` holds, drawn without replacement, as
-        (row, col) pairs in row-major order."""
+        scalar) `ok_in_column(c)` holds, drawn without replacement, as row
+        and column arrays in row-major order."""
         ok = np.zeros_like(self.busy)
         for c in range(ok.shape[1]):
             ok[:, c] = ok_in_column(c)
@@ -228,10 +254,28 @@ class _Grid:
             raise InjectionError(
                 f"{self.kind}: rate infeasible, wanted {count} cells but only {rows.size} eligible"
             )
-        if count == 0:
-            return []
-        idx = np.sort(rng.choice(rows.size, size=count, replace=False))
-        return list(zip(rows[idx].tolist(), cols[idx].tolist()))
+        idx = np.sort(rng.choice(rows.size, size=count, replace=False)) if count else np.zeros(0, dtype=np.intp)
+        return rows[idx], cols[idx]
+
+    def codes(self) -> np.ndarray:
+        """`code` with a row for each appended duplicate below it."""
+        appended = np.array(self.appended_codes, dtype=np.int8)
+        return np.concatenate([self.code, np.repeat(appended[:, None], self.code.shape[1], axis=1)])
+
+    def dirty(self, name: str) -> Dataset:
+        """The dirty dataset: the changed columns from the grid, with their
+        texts of unknown parse parsed now, and the duplicates appended."""
+        gt = self.gt
+        columns = list(gt.columns)
+        for c in np.flatnonzero(self.code.any(axis=0)).tolist():
+            rows = np.flatnonzero(self.stale[:, c])
+            if rows.size:
+                _, parsed, empty = _parse_texts(self.cols[c][rows].tolist(), gt.null_tokens)
+                self.parsed[c][rows], self.empty[c][rows] = parsed, empty
+            col = columns[c]
+            columns[c] = Column(col.name, col.declared_type, self.cols[c], self.parsed[c], self.empty[c], col.numeric_ratio)
+        dirty = Dataset(name, tuple(columns), gt.null_tokens, dict(gt.meta))
+        return dirty.append_rows(self.appended) if self.appended else dirty
 
 
 def _fd_shape(dc: DenialConstraint) -> tuple[list[str], str]:
@@ -255,8 +299,8 @@ def _fd_shape(dc: DenialConstraint) -> tuple[list[str], str]:
 
 
 def _explicit_mv(grid: _Grid, rate: float, rng: np.random.Generator) -> None:
-    for r, c in grid.sample(lambda c: grid.cols[c] != "", rate, rng):
-        grid.set(r, c, "")
+    rows, cols = grid.sample(lambda c: grid.cols[c] != "", rate, rng)
+    grid.set(rows, cols, [""] * rows.size, np.full(rows.size, np.nan))
 
 
 def _implicit_mv(grid: _Grid, rate: float, rng: np.random.Generator) -> None:
@@ -274,12 +318,15 @@ def _implicit_mv(grid: _Grid, rate: float, rng: np.random.Generator) -> None:
         code = numeric_code[c]
         return code is not None and ~np.isnan(col.parsed) & (grid.cols[c] != code)
 
-    for r, c in grid.sample(disguisable, rate, rng):
+    rows, cols = grid.sample(disguisable, rate, rng)
+    texts = []
+    for r, c in zip(rows.tolist(), cols.tolist()):
         if gt.columns[c].is_numeric:
-            grid.set(r, c, numeric_code[c])
+            texts.append(numeric_code[c])
         else:
             options = [t for t in CATEGORICAL_DISGUISE_TOKENS if t != grid.raw(r, c)]
-            grid.set(r, c, options[rng.integers(len(options))])
+            texts.append(options[rng.integers(len(options))])
+    grid.set(rows, cols, texts)
 
 
 def _gaussian_outlier(grid: _Grid, rate: float, rng: np.random.Generator, *, degree=4.0) -> None:
@@ -293,43 +340,53 @@ def _gaussian_outlier(grid: _Grid, rate: float, rng: np.random.Generator, *, deg
             # eligible only where an outlier degree * sd from the mean stays a float
             if sd > 0 and math.isfinite(mu + degree * sd) and math.isfinite(mu - degree * sd):
                 stats[c] = (mu, sd)
-    for r, c in grid.sample(lambda c: c in stats and ~np.isnan(gt.columns[c].parsed), rate, rng):
+    rows, cols = grid.sample(lambda c: c in stats and ~np.isnan(gt.columns[c].parsed), rate, rng)
+    # rng.integers(2) replayed: each sign is one half-word's top bit
+    halves = HalfWords(rng.bit_generator)
+    coin, normal = halves.integers, rng.standard_normal
+    texts, values = [], []
+    for r, c in zip(rows.tolist(), cols.tolist()):
         mu, sigma = stats[c]
         for _ in range(16):
-            sign = 1.0 if rng.integers(2) else -1.0
-            g = abs(float(rng.standard_normal()))
+            sign = 1.0 if coin(2) else -1.0
+            g = abs(normal())
             value = mu + sign * (degree * sigma + g * sigma)
             text = repr(value)
             if math.isfinite(value) and text != grid.raw(r, c):
                 break
         if not math.isfinite(value):
             raise InjectionError(f"gaussian_outlier: 16 draws for cell ({r}, {c}) overflowed")
-        grid.set(r, c, text)
+        texts.append(text)
+        values.append(value)
+    halves.hold(rng.bit_generator)
+    grid.set(rows, cols, texts, values)
 
 
 def _keyboard_typo(grid: _Grid, rate: float, rng: np.random.Generator) -> None:
-    for r, c in grid.sample(lambda c: ~grid.gt.columns[c].empty, rate, rng):
-        grid.set(r, c, apply_keyboard_typo(grid.raw(r, c), rng))
+    rows, cols = grid.sample(lambda c: ~grid.gt.columns[c].empty, rate, rng)
+    grid.set(rows, cols, [apply_keyboard_typo(grid.raw(r, c), rng) for r, c in zip(rows.tolist(), cols.tolist())])
 
 
 def _value_swap(grid: _Grid, rate: float, rng: np.random.Generator) -> None:
     n_swaps = grid.budget(rate) // 2
-    done = 0
+    rows, cols, texts = [], [], []
     attempts = 0
-    while done < n_swaps:
+    while len(rows) < 2 * n_swaps:
         attempts += 1
         if attempts > 500 * max(n_swaps, 1):
             raise InjectionError("value_swap: rate infeasible, no swappable row found")
         r = int(rng.integers(grid.gt.row_count))
-        cols = np.flatnonzero(~grid.busy[r]).tolist()
-        pairs = [(a, b) for i, a in enumerate(cols) for b in cols[i + 1:] if grid.raw(r, a) != grid.raw(r, b)]
+        free = np.flatnonzero(~grid.busy[r]).tolist()
+        pairs = [(a, b) for i, a in enumerate(free) for b in free[i + 1:] if grid.raw(r, a) != grid.raw(r, b)]
         if not pairs:
             continue
         a, b = pairs[rng.integers(len(pairs))]
-        va, vb = grid.raw(r, a), grid.raw(r, b)
-        grid.set(r, a, vb)
-        grid.set(r, b, va)
-        done += 1
+        # busy now, written below: later swaps neither take nor read these cells
+        grid.busy[r, [a, b]] = True
+        rows += (r, r)
+        cols += (a, b)
+        texts += (grid.raw(r, b), grid.raw(r, a))
+    grid.set(rows, cols, texts)
 
 
 def _mislabel(grid: _Grid, rate: float, rng: np.random.Generator, *, label_column) -> None:
@@ -338,9 +395,12 @@ def _mislabel(grid: _Grid, rate: float, rng: np.random.Generator, *, label_colum
     classes = sorted(set(col.raw[~col.empty]))
     if len(classes) < 2:
         raise InjectionError("mislabel: label column has fewer than 2 classes")
-    for r, c in grid.sample(lambda c: c == label_col and np.isin(grid.cols[c], classes), rate, rng):
+    rows, cols = grid.sample(lambda c: c == label_col and np.isin(grid.cols[c], classes), rate, rng)
+    texts = []
+    for r, c in zip(rows.tolist(), cols.tolist()):
         options = [label for label in classes if label != grid.raw(r, c)]
-        grid.set(r, c, options[rng.integers(len(options))])
+        texts.append(options[rng.integers(len(options))])
+    grid.set(rows, cols, texts)
 
 
 def _rule_violation(grid: _Grid, rate: float, rng: np.random.Generator, *, constraints=None) -> None:
@@ -369,8 +429,8 @@ def _rule_violation(grid: _Grid, rate: float, rng: np.random.Generator, *, const
         changed = [c for c in lhs_cols if grid.raw(r1, c) != grid.raw(r2, c)]
         if not changed or len(changed) > budget - injected:
             continue
-        for c in changed:
-            grid.set(r2, c, grid.raw(r1, c))
+        # written at once: a later pair may copy from these cells
+        grid.set([r2] * len(changed), changed, [grid.raw(r1, c) for c in changed])
         # Freeze both sides of the created violation so later pairs
         # cannot overwrite them and dissolve it.
         grid.busy[np.ix_([r1, r2], lhs_cols + [rhs_col])] = True
@@ -414,6 +474,16 @@ INJECTORS = {
     "rule_violation": Injector(_rule_violation, per_cell=True),
     "duplicate_row": Injector(_duplicate_row, per_cell=False),
 }
+# A kind's code in `_Grid.code`; 0 marks a cell no kind changed.
+_CODES = {kind: code for code, kind in enumerate(INJECTORS, start=1)}
+
+
+def _smallest_mask(cells: np.ndarray, source: str) -> DetectionMask:
+    """The mask of a bool matrix's cells on the smallest grid that holds
+    them, as `mask_from` makes it."""
+    rows, cols = np.flatnonzero(cells.any(axis=1)), np.flatnonzero(cells.any(axis=0))
+    shape = (int(rows[-1]) + 1, int(cols[-1]) + 1) if rows.size else (0, 0)
+    return DetectionMask(cells[: shape[0], : shape[1]].copy(), source)
 
 
 def inject(
@@ -424,32 +494,27 @@ def inject(
 ) -> tuple[DatasetPair, InjectionReport]:
     """Dirty `gt` per the profile; the report masks exactly cover changed cells."""
     grid = _Grid(gt, constraints)
-    cells: dict[str, list[tuple[int, int]]] = {}
+    kinds = []
     for kind, injector in INJECTORS.items():
         entry = profile.get(kind)
         if entry is not None:
-            grid.kind, cells[kind] = kind, []
+            grid.kind = kind
+            kinds.append(kind)
             injector.run(grid, entry.rate, derive_rng(seed, "inject", kind), **entry.params)
-    for cell, kind in grid.ledger.items():
-        cells[kind].append(cell)
-
-    changed = {c: np.flatnonzero(texts != gt.columns[c].raw) for c, texts in enumerate(grid.cols)}
-    updates = {c: (rows, grid.cols[c][rows]) for c, rows in changed.items() if rows.size}
-    dirty = gt.replace_cells(updates, gt.name + "_dirty")
-    if grid.appended:
-        dirty = dirty.append_rows(grid.appended)
+    codes = grid.codes()
+    totals = np.bincount(codes.ravel(), minlength=len(INJECTORS) + 1).tolist()
     u, v = gt.row_count, gt.col_count
     report = InjectionReport(
-        masks={k: mask_from(m, source=f"inject:{k}") for k, m in cells.items()},
-        totals={k: len(m) for k, m in cells.items()},
+        masks={k: _smallest_mask(codes == _CODES[k], f"inject:{k}") for k in kinds},
+        totals={k: totals[_CODES[k]] for k in kinds},
         requested=grid.requested,
         # the rate of the original grid's cells, so appended duplicates are left out
-        achieved_rate=sum(r < u for r, _ in grid.ledger) / (u * v) if u * v else 0.0,
+        achieved_rate=np.count_nonzero(grid.code) / (u * v) if u * v else 0.0,
         seed=seed,
     )
     pair = DatasetPair(
         ground_truth=gt,
-        dirty=dirty,
+        dirty=grid.dirty(gt.name + "_dirty"),
         error_mask=report.union_mask(),
         row_provenance=grid.provenance or None,
     )

@@ -813,6 +813,8 @@ class ModelSpec:
         fixed = _TASK_FOR.get(self.kind)
         if fixed is not None and self.task != fixed:
             raise ModelError(f"{self.kind} only supports the {fixed} task")
+        if fixed is None and self.task == "clustering":
+            raise ModelError(f"{self.kind} needs a target, so it cannot do the clustering task")
         merged = dict(DEFAULT_PARAMS[self.kind])
         merged.update(self.params)
         self.params = merged

@@ -30,10 +30,14 @@ class RepairSpec:
     def __post_init__(self):
         if self.kind not in REPAIRS:
             raise RepairError(f"unknown repair kind {self.kind!r}")
-        if self.kind == "knn" and "k" in self.params and self.params["k"] < 1:
-            raise RepairError("knn repair requires k >= 1")
-        if self.kind == "iter" and "max_rounds" in self.params and self.params["max_rounds"] < 1:
-            raise RepairError("iterative repair requires max_rounds >= 1")
+        for kind, name, label in (("knn", "k", "knn repair"), ("iter", "max_rounds", "iterative repair")):
+            if self.kind != kind or name not in self.params:
+                continue
+            value = self.params[name]
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise RepairError(f"{label} requires an integer {name}, got {value!r}")
+            if value < 1:
+                raise RepairError(f"{label} requires {name} >= 1")
 
     @property
     def name(self) -> str:

@@ -20,8 +20,11 @@ silhouette, the Wilcoxon exact p, column parsing (against a `make_cell` loop), t
 scenarios' row selection and the repair metrics' row alignment by
 `DatasetPair.origin` (against per-row provenance lookups) and the
 column-wise detectors (mvd, fahes, sd, iqr and the isolation forest's cell
-selection) are checked against straightforward per-element implementations
-kept here as references. Results must be equal
+selection), the columnar error injection (against the per-cell ledger grid
+and `replace_cells`) and its replayed coin flips (against
+`rng.integers(2)`), and the partition forms of np.quantile and np.median
+are checked against straightforward per-element implementations, or the
+numpy calls, kept here as references. Results must be equal
 with `==`, not approximately: the kernels promise the same floats and the
 same tie rules. The bool-matrix detection masks are checked the same way
 against set arithmetic on cell coordinates.
@@ -30,7 +33,10 @@ against set arithmetic on cell coordinates.
 import copy
 import functools
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -43,6 +49,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cleanbench import bench, detect, models
+from cleanbench.constraints import DenialConstraint, parse_constraints
 from cleanbench.metrics import (
     RepairScore,
     _gt_column_scale,
@@ -59,10 +66,26 @@ from cleanbench.models import (
     _softmax,
     _softmax_descent,
     logistic_loss_and_grad,
+    sample_mean,
+    sample_std,
     silhouette,
 )
 from cleanbench.repair import RepairError, RepairedDataset, _donor_distances, _mode, _numeric_stat, repair_impute_knn
-from cleanbench.seeding import derive_rng
+from cleanbench.inject import (
+    CATEGORICAL_DISGUISE_TOKENS,
+    INJECTORS,
+    ErrorProfile,
+    ErrorSpec,
+    InjectionError,
+    InjectionReport,
+    _disguise_code,
+    _Grid,
+    _fd_shape,
+    apply_keyboard_typo,
+    inject,
+    make_synthetic,
+)
+from cleanbench.seeding import HalfWords, derive_rng
 from cleanbench.stats import PairedSample, _average_ranks, _exact_p, wilcoxon_signed_rank
 from cleanbench.tabular import (
     DEFAULT_NULL_TOKENS,
@@ -2050,3 +2073,479 @@ def test_f1_macro_on_a_grid_cells_object_arrays(kind):
     assert predictions.dtype == object and test.target.dtype == object
     assert_f1_macro_matches(predictions, test.target)
     assert_f1_macro_matches(np.full(test.target.shape, "9", dtype=object), test.target)
+
+
+# -- error injection: the columnar grid against the per-cell ledger -------------
+#
+# The reference below is the per-cell injection grid the columnar one
+# replaced: one `set` per cell, a dict ledger, and the dirty dataset built by
+# `replace_cells` from a scan of changed texts.
+
+
+class RefGrid:
+    """The per-cell injection grid: raw texts only, one `set` per cell and a
+    dict ledger of the kind that changed each cell."""
+
+    def __init__(self, gt: Dataset, constraints: list[DenialConstraint] | None):
+        self.gt, self.constraints = gt, constraints
+        self.cols = [c.raw.copy() for c in gt.columns]
+        # cells already injected or frozen as one side of a rule violation
+        self.busy = np.zeros((gt.row_count, gt.col_count), dtype=bool)
+        self.kind = ""  # the kind injecting now
+        self.ledger: dict[tuple[int, int], str] = {}
+        self.requested: dict[str, int] = {}
+        self.appended: list[tuple[str, ...]] = []
+        self.provenance: dict[int, int] = {}
+
+    def raw(self, r: int, c: int) -> str:
+        return self.cols[c][r]
+
+    def set(self, r: int, c: int, value: str) -> None:
+        self.cols[c][r] = value
+        self.busy[r, c] = True
+        self.ledger[r, c] = self.kind
+
+    def append_row(self, row: list[str], source: int) -> None:
+        """Append `row` as a duplicate of row `source`; all its cells are the kind's."""
+        new_row = self.gt.row_count + len(self.appended)
+        self.appended.append(tuple(row))
+        self.provenance[new_row] = source
+        self.ledger.update(((new_row, c), self.kind) for c in range(len(row)))
+
+    def budget(self, rate: float) -> int:
+        """The current kind's requested count: of cells, or of rows for a
+        kind whose rate is per row."""
+        u, v = self.busy.shape
+        count = int(round(rate * u * v)) if INJECTORS[self.kind].per_cell else int(round(rate * u))
+        self.requested[self.kind] = count
+        return count
+
+    def sample(self, ok_in_column, rate: float, rng: np.random.Generator) -> list[tuple[int, int]]:
+        """The current kind's budget of free cells where the bool array (or
+        scalar) `ok_in_column(c)` holds, drawn without replacement, as
+        (row, col) pairs in row-major order."""
+        ok = np.zeros_like(self.busy)
+        for c in range(ok.shape[1]):
+            ok[:, c] = ok_in_column(c)
+        rows, cols = np.nonzero(ok & ~self.busy)
+        count = self.budget(rate)
+        if count > rows.size:
+            raise InjectionError(
+                f"{self.kind}: rate infeasible, wanted {count} cells but only {rows.size} eligible"
+            )
+        if count == 0:
+            return []
+        idx = np.sort(rng.choice(rows.size, size=count, replace=False))
+        return list(zip(rows[idx].tolist(), cols[idx].tolist()))
+
+
+def ref_explicit_mv(grid: RefGrid, rate: float, rng: np.random.Generator) -> None:
+    for r, c in grid.sample(lambda c: grid.cols[c] != "", rate, rng):
+        grid.set(r, c, "")
+
+
+def ref_implicit_mv(grid: RefGrid, rate: float, rng: np.random.Generator) -> None:
+    gt = grid.gt
+    numeric_code: dict[int, str | None] = {}
+    for c in gt.numeric_column_indices():
+        parsed = gt.columns[c].parsed
+        finite = parsed[~np.isnan(parsed)]
+        numeric_code[c] = _disguise_code(float(finite.max())) if finite.size else None
+
+    def disguisable(c: int):
+        col = gt.columns[c]
+        if not col.is_numeric:
+            return ~col.empty
+        code = numeric_code[c]
+        return code is not None and ~np.isnan(col.parsed) & (grid.cols[c] != code)
+
+    for r, c in grid.sample(disguisable, rate, rng):
+        if gt.columns[c].is_numeric:
+            grid.set(r, c, numeric_code[c])
+        else:
+            options = [t for t in CATEGORICAL_DISGUISE_TOKENS if t != grid.raw(r, c)]
+            grid.set(r, c, options[rng.integers(len(options))])
+
+
+def ref_gaussian_outlier(grid: RefGrid, rate: float, rng: np.random.Generator, *, degree=4.0) -> None:
+    gt, degree = grid.gt, float(degree)
+    stats: dict[int, tuple[float, float]] = {}
+    for c in gt.numeric_column_indices():
+        parsed = gt.columns[c].parsed
+        finite = parsed[~np.isnan(parsed)]
+        if finite.size >= 2:
+            mu, sd = sample_mean(finite), sample_std(finite)
+            # eligible only where an outlier degree * sd from the mean stays a float
+            if sd > 0 and math.isfinite(mu + degree * sd) and math.isfinite(mu - degree * sd):
+                stats[c] = (mu, sd)
+    for r, c in grid.sample(lambda c: c in stats and ~np.isnan(gt.columns[c].parsed), rate, rng):
+        mu, sigma = stats[c]
+        for _ in range(16):
+            sign = 1.0 if rng.integers(2) else -1.0
+            g = abs(float(rng.standard_normal()))
+            value = mu + sign * (degree * sigma + g * sigma)
+            text = repr(value)
+            if math.isfinite(value) and text != grid.raw(r, c):
+                break
+        if not math.isfinite(value):
+            raise InjectionError(f"gaussian_outlier: 16 draws for cell ({r}, {c}) overflowed")
+        grid.set(r, c, text)
+
+
+def ref_keyboard_typo(grid: RefGrid, rate: float, rng: np.random.Generator) -> None:
+    for r, c in grid.sample(lambda c: ~grid.gt.columns[c].empty, rate, rng):
+        grid.set(r, c, apply_keyboard_typo(grid.raw(r, c), rng))
+
+
+def ref_value_swap(grid: RefGrid, rate: float, rng: np.random.Generator) -> None:
+    n_swaps = grid.budget(rate) // 2
+    done = 0
+    attempts = 0
+    while done < n_swaps:
+        attempts += 1
+        if attempts > 500 * max(n_swaps, 1):
+            raise InjectionError("value_swap: rate infeasible, no swappable row found")
+        r = int(rng.integers(grid.gt.row_count))
+        cols = np.flatnonzero(~grid.busy[r]).tolist()
+        pairs = [(a, b) for i, a in enumerate(cols) for b in cols[i + 1:] if grid.raw(r, a) != grid.raw(r, b)]
+        if not pairs:
+            continue
+        a, b = pairs[rng.integers(len(pairs))]
+        va, vb = grid.raw(r, a), grid.raw(r, b)
+        grid.set(r, a, vb)
+        grid.set(r, b, va)
+        done += 1
+
+
+def ref_mislabel(grid: RefGrid, rate: float, rng: np.random.Generator, *, label_column) -> None:
+    label_col = grid.gt.col_index(label_column)
+    col = grid.gt.columns[label_col]
+    classes = sorted(set(col.raw[~col.empty]))
+    if len(classes) < 2:
+        raise InjectionError("mislabel: label column has fewer than 2 classes")
+    for r, c in grid.sample(lambda c: c == label_col and np.isin(grid.cols[c], classes), rate, rng):
+        options = [label for label in classes if label != grid.raw(r, c)]
+        grid.set(r, c, options[rng.integers(len(options))])
+
+
+def ref_rule_violation(grid: RefGrid, rate: float, rng: np.random.Generator, *, constraints=None) -> None:
+    """Copy the lhs of one row of a pair onto the other where their rhs
+    differ; `constraints` names the constraint ids to violate (default all)."""
+    gt = grid.gt
+    budget = grid.budget(rate)
+    if not grid.constraints:
+        raise InjectionError("rule_violation requires parsed constraints")
+    dcs = [dc for dc in grid.constraints if constraints is None or dc.id in constraints]
+    if not dcs:
+        raise InjectionError("rule_violation: no matching constraint ids")
+    shapes = [([gt.col_index(c) for c in lhs], gt.col_index(rhs)) for lhs, rhs in map(_fd_shape, dcs)]
+    injected = 0
+    attempts = 0
+    while injected < budget:
+        attempts += 1
+        if attempts > 500 * max(budget, 1):
+            raise InjectionError("rule_violation: rate infeasible")
+        lhs_cols, rhs_col = shapes[rng.integers(len(shapes))]
+        r1, r2 = rng.choice(gt.row_count, size=2, replace=False).tolist()
+        if grid.raw(r1, rhs_col) == grid.raw(r2, rhs_col):
+            continue
+        if grid.busy[r2, lhs_cols].any():
+            continue
+        changed = [c for c in lhs_cols if grid.raw(r1, c) != grid.raw(r2, c)]
+        if not changed or len(changed) > budget - injected:
+            continue
+        for c in changed:
+            grid.set(r2, c, grid.raw(r1, c))
+        # Freeze both sides of the created violation so later pairs
+        # cannot overwrite them and dissolve it.
+        grid.busy[np.ix_([r1, r2], lhs_cols + [rhs_col])] = True
+        injected += len(changed)
+
+
+def ref_duplicate_row(grid: RefGrid, rate: float, rng: np.random.Generator, *, fuzzy=0.5) -> None:
+    """Append copies of distinct rows; each copy gets one typo with
+    probability `fuzzy`."""
+    u, v = grid.busy.shape
+    target = grid.budget(rate)
+    if target > u:
+        raise InjectionError("duplicate_row: row_fraction exceeds available rows")
+    sources = rng.choice(u, size=target, replace=False).tolist() if target else []
+    fuzzy = float(fuzzy)
+    for src in sources:
+        row = [grid.raw(src, c) for c in range(v)]
+        if rng.random() < fuzzy:
+            candidates = [c for c in range(v) if row[c] != ""]
+            if candidates:
+                c = candidates[rng.integers(len(candidates))]
+                row[c] = apply_keyboard_typo(row[c], rng)
+        grid.append_row(row, int(src))
+
+
+
+REF_INJECTORS = {
+    "explicit_mv": ref_explicit_mv,
+    "implicit_mv": ref_implicit_mv,
+    "gaussian_outlier": ref_gaussian_outlier,
+    "keyboard_typo": ref_keyboard_typo,
+    "value_swap": ref_value_swap,
+    "mislabel": ref_mislabel,
+    "rule_violation": ref_rule_violation,
+    "duplicate_row": ref_duplicate_row,
+}
+
+
+def ref_inject(gt: Dataset, profile: ErrorProfile, seed: int, constraints=None):
+    grid = RefGrid(gt, constraints)
+    cells: dict[str, list[tuple[int, int]]] = {}
+    for kind, run in REF_INJECTORS.items():
+        entry = profile.get(kind)
+        if entry is not None:
+            grid.kind, cells[kind] = kind, []
+            run(grid, entry.rate, derive_rng(seed, "inject", kind), **entry.params)
+    for cell, kind in grid.ledger.items():
+        cells[kind].append(cell)
+    changed = {c: np.flatnonzero(texts != gt.columns[c].raw) for c, texts in enumerate(grid.cols)}
+    updates = {c: (rows, grid.cols[c][rows]) for c, rows in changed.items() if rows.size}
+    dirty = gt.replace_cells(updates, gt.name + "_dirty")
+    if grid.appended:
+        dirty = dirty.append_rows(grid.appended)
+    u, v = gt.row_count, gt.col_count
+    report = InjectionReport(
+        masks={k: mask_from(m, source=f"inject:{k}") for k, m in cells.items()},
+        totals={k: len(m) for k, m in cells.items()},
+        requested=grid.requested,
+        achieved_rate=sum(r < u for r, _ in grid.ledger) / (u * v) if u * v else 0.0,
+        seed=seed,
+    )
+    return dirty, report, grid.provenance or None
+
+
+def injection_table(rows: int, seed: int, null_tokens=DEFAULT_NULL_TOKENS) -> Dataset:
+    """zip -> city holds; y has blanks and large values; w is one -0.0 and
+    values of both signs near the float limit."""
+    rng = np.random.default_rng(seed)
+    zips = [f"z{rng.integers(5)}" for _ in range(rows)]
+    ys = ["" if rng.random() < 0.15 else repr(float(v) * 1e3) for v in rng.standard_normal(rows)]
+    ws = ["-0.0"] + [repr(float(v)) for v in rng.choice([-1.5e308, 1.5e308, 1.0, -2.0], rows - 1)]
+    return Dataset.from_columns(
+        "inj",
+        [
+            ("zip", "categorical", zips),
+            ("city", "categorical", ["C" + z for z in zips]),
+            ("x", "numeric", [repr(float(v)) for v in rng.standard_normal(rows)]),
+            ("y", "numeric", ys),
+            ("w", "numeric", ws),
+            ("label", "categorical", [("a", "b", "c")[int(rng.integers(3))] for _ in range(rows)]),
+        ],
+        null_tokens=null_tokens,
+    )
+
+
+def same_floats(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a, b, equal_nan=True) and (np.signbit(a) == np.signbit(b)).all()
+
+
+def assert_injects_like_ledger(gt: Dataset, profile: ErrorProfile, seed: int, constraints=None):
+    try:
+        want_dirty, want, want_provenance = ref_inject(gt, profile, seed, constraints)
+    except InjectionError as exc:
+        with pytest.raises(InjectionError, match=re.escape(str(exc))):
+            inject(gt, profile, seed, constraints)
+        return
+    pair, got = inject(gt, profile, seed, constraints)
+    dirty = pair.dirty
+    assert dirty.name == want_dirty.name and dirty.row_count == want_dirty.row_count
+    for c, w in zip(dirty.columns, want_dirty.columns):
+        assert (c.name, c.declared_type, c.numeric_ratio) == (w.name, w.declared_type, w.numeric_ratio)
+        assert c.raw.tolist() == w.raw.tolist()
+        assert same_floats(c.parsed, w.parsed)
+        assert c.empty.tolist() == w.empty.tolist()
+    assert list(got.masks) == list(want.masks)
+    for kind, mask in got.masks.items():
+        assert mask.source == want.masks[kind].source
+        assert mask.flagged.shape == want.masks[kind].flagged.shape
+        assert (mask.flagged == want.masks[kind].flagged).all()
+    assert got.totals == want.totals and got.requested == want.requested
+    assert got.achieved_rate == want.achieved_rate and got.seed == want.seed
+    assert pair.row_provenance == want_provenance
+
+
+INJECTION_RATES = {
+    "explicit_mv": (0.0, 0.04, 0.1),
+    "implicit_mv": (0.0, 0.03),
+    "gaussian_outlier": (0.0, 0.05, 0.2),
+    "keyboard_typo": (0.0, 0.03),
+    "value_swap": (0.0, 0.04),
+    "mislabel": (0.0, 0.1),
+    "rule_violation": (0.0, 0.02),
+    "duplicate_row": (0.0, 0.1, 0.3),
+}
+
+
+@st.composite
+def injection_profiles(draw):
+    entries = []
+    for kind, rates in INJECTION_RATES.items():
+        if draw(st.booleans()):
+            params = {"label_column": "label"} if kind == "mislabel" else {}
+            if kind == "gaussian_outlier":
+                params["degree"] = draw(st.sampled_from([1.0, 4.0]))
+            if kind == "duplicate_row":
+                params["fuzzy"] = draw(st.sampled_from([0.0, 0.5, 1.0]))
+            entries.append(ErrorSpec(kind, draw(st.sampled_from(rates)), params))
+    return ErrorProfile(entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(injection_profiles(), st.integers(2, 90), st.integers(0, 10**6), st.booleans())
+def test_injection_matches_per_cell_ledger(profile, rows, seed, custom_nulls):
+    # custom null tokens make some injected texts (a "0", a "?") read empty
+    null_tokens = frozenset({"", "0", "?", "none"}) if custom_nulls else DEFAULT_NULL_TOKENS
+    gt = injection_table(rows, seed, null_tokens)
+    assert_injects_like_ledger(gt, profile, seed, parse_constraints("FD: zip -> city"))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_injection_of_every_kind_matches_per_cell_ledger(seed):
+    profile = ErrorProfile(
+        [ErrorSpec(kind, rates[-1], {"label_column": "label"} if kind == "mislabel" else {})
+         for kind, rates in INJECTION_RATES.items()]
+    )
+    gt = injection_table(80, seed)
+    assert_injects_like_ledger(gt, profile, seed, parse_constraints("FD: zip -> city"))
+    _, report = inject(gt, profile, seed, parse_constraints("FD: zip -> city"))
+    assert all(report.totals.values()), "every kind injects some cells"
+
+
+def test_zero_count_kinds_get_empty_masks_as_in_the_ledger():
+    profile = ErrorProfile([ErrorSpec(kind, 0.0, {"label_column": "label"} if kind == "mislabel" else {})
+                            for kind in INJECTION_RATES])
+    gt = injection_table(30, 3)
+    assert_injects_like_ledger(gt, profile, 3, parse_constraints("FD: zip -> city"))
+    pair, report = inject(gt, profile, 3, parse_constraints("FD: zip -> city"))
+    assert {m.flagged.shape for m in report.masks.values()} == {(0, 0)}
+    assert pair.dirty.columns == gt.columns
+
+
+def test_known_parses_of_null_token_texts_read_empty_as_parsed_texts_do():
+    gt = Dataset.from_columns("t", [("x", "numeric", ["1.0", "2.0", "-0.0"])], null_tokens=frozenset({"", "5.0"}))
+    grid = _Grid(gt, None)
+    grid.kind = "gaussian_outlier"
+    grid.set([0, 2], [0, 0], ["5.0", "-0.0"], [5.0, -0.0])
+    got = grid.dirty("t").columns[0]
+    want = gt.replace_cells({0: ([0, 2], ["5.0", "-0.0"])}).columns[0]
+    assert got.raw.tolist() == want.raw.tolist() and got.empty.tolist() == want.empty.tolist() == [True, False, False]
+    assert same_floats(got.parsed, want.parsed)
+
+
+def test_injection_of_sweep_outliers_matches_per_cell_ledger():
+    gt = make_synthetic("two_class", 400, 5)
+    for degree in (1.0, 4.0):
+        assert_injects_like_ledger(gt, ErrorProfile([ErrorSpec("gaussian_outlier", 0.3, {"degree": degree})]), 9)
+
+
+def assert_coins_replay_integers(seed: int, buffered: bool, flips: int):
+    want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:  # one 32-bit draw leaves the high half-word buffered
+        want.integers(3, dtype=np.uint32)
+        got.integers(3, dtype=np.uint32)
+    halves = HalfWords(got.bit_generator)
+    for i in range(flips):
+        assert halves.integers(2) == want.integers(2)
+        if i % 3:  # whole-word draws between flips leave the buffer alone
+            assert got.standard_normal() == want.standard_normal()
+    halves.hold(got.bit_generator)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.integers(1 << 20) == want.integers(1 << 20)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_coin_flips_replay_integers_two(buffered):
+    for seed in range(300):
+        assert_coins_replay_integers(seed, buffered, flips=seed % 7)
+
+
+@pytest.mark.parametrize("k", [3, 5, 1000, 2**31 + 1, 2**32 - 1])
+def test_half_word_draws_replay_integers(k):
+    for seed in range(50):
+        want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        halves = HalfWords(got.bit_generator)
+        assert [halves.integers(k) for _ in range(9)] == [int(want.integers(k)) for _ in range(9)]
+        halves.hold(got.bit_generator)
+        assert got.bit_generator.state == want.bit_generator.state
+
+
+# -- numpy.ma-free forms of np.quantile, np.median and np.unique ---------------
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(finite_floats | st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.7e308, -1.7e308]), min_size=1, max_size=40))
+def test_linear_quantiles_match_np_quantile(values):
+    v = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # np.quantile warns where b - a overflows
+        want = np.quantile(v, [0.25, 0.75]).tolist()
+    got = detect._linear_quantiles(v, (0.25, 0.75))
+    assert same_floats(np.array(got), np.array(want))
+    assert v.tolist() == values, "the input is left as it was"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(finite_floats | st.sampled_from([0.0, -0.0, 1.0, 1.5e308, 1.6e308]), min_size=1, max_size=40))
+def test_partition_median_matches_np_median(values):
+    v = np.array(values)
+    with np.errstate(over="ignore"):
+        want = float(np.median(v))
+    if math.isinf(want):
+        a, b = np.sort(v)[v.size // 2 - 1 : v.size // 2 + 1].tolist()
+        want = a + (b - a) / 2
+    got = detect._median(v)
+    assert same_floats(np.array([got]), np.array([want]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.lists(st.integers(0, 4), max_size=30), st.data())
+def test_cl_flags_threshold_classes_match_np_unique(k, labels, data):
+    labels = [str(min(lab, k - 1)) for lab in labels]
+    probs = np.array(data.draw(st.lists(st.lists(st.floats(0, 1), min_size=k, max_size=k),
+                                        min_size=len(labels), max_size=len(labels)))).reshape(len(labels), k)
+    assert_cl_flags_match(probs, labels, [str(c) for c in range(k)])
+
+
+MA_PROBE = """
+import sys, tempfile
+from pathlib import Path
+from cleanbench import bench
+from cleanbench.detect import DetectorSpec
+from cleanbench.inject import ErrorProfile, ErrorSpec, make_synthetic
+from cleanbench.models import ModelSpec
+from cleanbench.repair import RepairSpec
+from cleanbench.tabular import save_csv
+
+work = Path(tempfile.mkdtemp())
+save_csv(make_synthetic("two_class", 300, 0), work / "in.csv")
+source = {"kind": "csv", "path": str(work / "in.csv"), "schema": {"label": "categorical"}, "name": "twoclass"}
+logit = ModelSpec("logit", "classification", {"epochs": 20})
+bench.run_robustness_sweep(bench.BenchmarkConfig(
+    dataset=source, profile=None, repairs=[], models=[logit], repeats=1, label_column="label",
+    detectors=[DetectorSpec(k, p) for k, p in
+               (("mvd", {}), ("fahes", {}), ("sd", {"n": 2}), ("iqr", {}), ("if", {}), ("cl", {}))],
+), "outlier_degree", [1.0, 4.0])
+bench.run_benchmark(bench.BenchmarkConfig(
+    dataset=source, models=[logit], scenarios=["S1", "S4"], repeats=1, label_column="label", workers=1,
+    profile=ErrorProfile([ErrorSpec("explicit_mv", 0.05), ErrorSpec("gaussian_outlier", 0.05, {"degree": 4.0})]),
+    detectors=[DetectorSpec("mvd"), DetectorSpec("sd", {"n": 2}), DetectorSpec("iqr"), DetectorSpec("if")],
+    repairs=[RepairSpec("mean"), RepairSpec("knn", {"k": 3}), RepairSpec("iter")],
+))
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_detect_sweep_and_repair_grid_leave_numpy_ma_unimported():
+    # numpy.ma costs a fresh process about 14 ms and 1.2 MiB to import
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", MA_PROBE], capture_output=True, text=True, timeout=300, check=True, env=env)
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -318,6 +318,13 @@ class TestRegistry:
         with pytest.raises(ModelError):
             ModelSpec("ridge", "classification")
 
+    @pytest.mark.parametrize("kind", ["knn", "dt"])
+    def test_models_that_need_a_target_reject_clustering_when_built(self, kind):
+        with pytest.raises(ModelError, match=f"{kind} needs a target"):
+            ModelSpec(kind, "clustering")
+        for task in ("classification", "regression"):
+            assert ModelSpec(kind, task).task == task
+
     def test_fit_predict_round_trip(self):
         train = Dataset.from_columns(
             "t",

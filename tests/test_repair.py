@@ -305,6 +305,16 @@ class TestDispatch:
         with pytest.raises(RepairError):
             RepairSpec("knn", {"k": 0})
 
+    @pytest.mark.parametrize("kind, name", [("knn", "k"), ("iter", "max_rounds")])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3", None])
+    def test_non_integer_counts_are_rejected_when_built(self, kind, name, value):
+        with pytest.raises(RepairError, match=f"requires an integer {name}, got {value!r}"):
+            RepairSpec(kind, {name: value})
+
+    @pytest.mark.parametrize("kind, name", [("knn", "k"), ("iter", "max_rounds")])
+    def test_integer_counts_of_numpy_type_are_accepted(self, kind, name):
+        assert RepairSpec(kind, {name: np.int64(2)}).params[name] == 2
+
     def test_apply_routes_all_kinds(self):
         ds = simple(["1", "2", "", "4", "5", "6", "7", "8", "9", "10", "11", "12"])
         mask = mask_from([(2, 0)])
